@@ -24,6 +24,8 @@
 //   --sessions N      single session responder count instead of the sweep
 //   --medium-nodes N  single raw-sweep node count instead of the sweep
 //   --rounds R        rounds per representative per-cell scenario (default 3)
+// Every flag is validated: an unknown flag, a missing value or one out of
+// range prints the usage and exits 2.
 //
 // Wall-clock metrics (sessions_per_sec, *_frames_per_sec, *_ms, scaling
 // exponents) vary run to run; the identity flags, delivery/cull counters,
@@ -31,7 +33,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -127,8 +128,8 @@ TrafficResult run_traffic(bool culling, int node_count, std::uint64_t seed) {
                             static_cast<std::uint32_t>(rx_id)));
     h = hash_combine(h, static_cast<std::uint64_t>(
                             static_cast<std::uint32_t>(af.tx_node_id)));
-    h = hash_combine(h,
-                     static_cast<std::uint64_t>(af.preamble_start_arrival.ps()));
+    h = hash_combine(
+        h, static_cast<std::uint64_t>(af.preamble_start_arrival.ps()));
     h = hash_combine(h, static_cast<std::uint64_t>(af.rmarker_arrival.ps()));
     h = hash_combine(h, double_bits(af.first_path_amplitude));
     h = hash_combine(h, double_bits(af.first_detectable_delay.value()));
@@ -175,22 +176,32 @@ bool same_samples(const runner::TrialResult& a, const runner::TrialResult& b,
   return true;
 }
 
+constexpr const char* kUsage =
+    "bench_ext_scale [--trials 1..1000000] [--threads 1..1024] [--json PATH]\n"
+    "       [--trace PATH] [--metrics PATH] [--flight-record PATH]\n"
+    "       [--sessions 1..10000] [--medium-nodes 2..100000] "
+    "[--rounds 1..10000]";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace uwb;
-  const auto opts = bench::parse_options(argc, argv, 8);
-
+  bench::BenchOptions opts;
+  opts.trials = 8;
   std::vector<int> session_counts = {10, 50, 200};
   std::vector<int> medium_counts = {50, 200, 500};
   int rounds = 3;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {
-      session_counts = {std::atoi(argv[++i])};
-    } else if (std::strcmp(argv[i], "--medium-nodes") == 0 && i + 1 < argc) {
-      medium_counts = {std::atoi(argv[++i])};
-    } else if (std::strcmp(argv[i], "--rounds") == 0 && i + 1 < argc) {
-      rounds = std::atoi(argv[++i]);
+  examples::FlagParser p(argc, argv, kUsage);
+  while (p.next()) {
+    if (bench::parse_standard_flag(p, opts)) continue;
+    if (p.is("--sessions")) {
+      session_counts = {static_cast<int>(p.int_value(1, 10000))};
+    } else if (p.is("--medium-nodes")) {
+      medium_counts = {static_cast<int>(p.int_value(2, 100000))};
+    } else if (p.is("--rounds")) {
+      rounds = static_cast<int>(p.int_value(1, 10000));
+    } else {
+      p.unknown();
     }
   }
 

@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "example_util.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
@@ -71,6 +72,32 @@ inline BenchOptions parse_options(int argc, char** argv, int default_trials) {
     }
   }
   return opts;
+}
+
+/// Strict form of parse_options for a bench with flags of its own, driven
+/// by its examples::FlagParser loop: if the current argument is one of the
+/// flags above, consumes it with its value and returns true; returns false
+/// for any other argument. A missing or out-of-range value prints the
+/// usage and exits 2.
+inline bool parse_standard_flag(examples::FlagParser& p, BenchOptions& opts) {
+  if (p.is("--trials")) {
+    opts.trials = static_cast<int>(p.int_value(1, 1'000'000));
+  } else if (p.is("--threads")) {
+    opts.threads = static_cast<int>(p.int_value(1, 1024));
+  } else if (p.is("--json")) {
+    opts.json_path = p.value();
+  } else if (p.is("--trace")) {
+    opts.trace_path = p.value();
+    obs::set_tracing_enabled(true);
+  } else if (p.is("--metrics")) {
+    opts.metrics_path = p.value();
+  } else if (p.is("--flight-record")) {
+    opts.flight_record_path = p.value();
+    obs::FlightRecorder::set_enabled(true);
+  } else {
+    return false;
+  }
+  return true;
 }
 
 /// Monte-Carlo engine configured from the command line.
@@ -318,7 +345,8 @@ inline void ascii_profile(const std::vector<double>& xs,
   const std::size_t n = ys.size();
   if (n == 0) return;
   const double peak = *std::max_element(ys.begin(), ys.end());
-  const std::size_t stride = std::max<std::size_t>(1, n / static_cast<std::size_t>(max_rows));
+  const std::size_t stride =
+      std::max<std::size_t>(1, n / static_cast<std::size_t>(max_rows));
   for (std::size_t i = 0; i < n; i += stride) {
     const int bar =
         peak > 0 ? static_cast<int>(ys[i] / peak * bar_width + 0.5) : 0;

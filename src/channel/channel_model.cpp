@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "channel/path_loss.hpp"
 #include "common/constants.hpp"
@@ -13,22 +14,28 @@ namespace uwb::channel {
 ChannelModel::ChannelModel(geom::Room room, ChannelModelParams params)
     : room_(std::move(room)), params_(params) {
   UWB_EXPECTS(params.path_loss_exponent >= 0.0);
-  UWB_EXPECTS(params.max_reflection_order >= 0 && params.max_reflection_order <= 2);
+  UWB_EXPECTS(params.max_reflection_order >= 0 &&
+              params.max_reflection_order <= 2);
   UWB_EXPECTS(params.specular_fading_db >= 0.0);
 }
 
 ChannelRealization ChannelModel::realize(geom::Vec2 tx, geom::Vec2 rx,
                                          Rng& rng) const {
+  return complete_diffuse(realize_specular(tx, rx, rng), rng);
+}
+
+SpecularStage ChannelModel::realize_specular(geom::Vec2 tx, geom::Vec2 rx,
+                                             Rng& rng) const {
   UWB_EXPECTS(geom::distance(tx, rx) > 0.0);
-  ChannelRealization out;
+  SpecularStage out;
 
   // Memoised image-source solve: geometry is static across the rounds of a
   // scenario, so all but the first frame per (tx, rx) pair hit the cache.
   const auto& specular =
       geom::compute_paths_cached(room_, tx, rx, params_.max_reflection_order);
   UWB_ENSURES(!specular.empty());
-  out.los_delay_s = specular.front().length_m / k::c_air;
-  out.taps.reserve(specular.size());
+  out.channel.los_delay_s = specular.front().length_m / k::c_air;
+  out.channel.taps.reserve(specular.size());
 
   double los_amp = 0.0;
   for (const geom::SpecularPath& p : specular) {
@@ -43,23 +50,30 @@ ChannelRealization ChannelModel::realize(geom::Vec2 tx, geom::Vec2 rx,
     tap.deterministic = true;
     tap.order = p.order;
     if (p.order == 0) los_amp = std::abs(tap.amplitude);
-    out.taps.push_back(tap);
+    out.channel.taps.push_back(tap);
   }
 
+  // Diffuse power is defined relative to the (unobstructed) direct path.
+  out.diffuse_ref_amp =
+      los_amp > 0.0
+          ? los_amp
+          : loss_db_to_amplitude(log_distance_loss_db(
+                specular.front().length_m, params_.path_loss_exponent,
+                params_.reference_loss_db));
+  return out;
+}
+
+ChannelRealization ChannelModel::complete_diffuse(SpecularStage stage,
+                                                  Rng& rng) const {
+  ChannelRealization out = std::move(stage.channel);
   if (params_.enable_diffuse) {
-    // Diffuse power is defined relative to the (unobstructed) direct path.
-    const double ref_amp =
-        los_amp > 0.0
-            ? los_amp
-            : loss_db_to_amplitude(log_distance_loss_db(
-                  specular.front().length_m, params_.path_loss_exponent,
-                  params_.reference_loss_db));
-    const std::vector<DiffuseRay> rays = draw_diffuse_tail(params_.diffuse, rng);
+    const std::vector<DiffuseRay> rays =
+        draw_diffuse_tail(params_.diffuse, rng);
     out.taps.reserve(out.taps.size() + rays.size());
     for (const DiffuseRay& ray : rays) {
       Tap tap;
       tap.delay_s = out.los_delay_s + ray.excess_delay_s;
-      tap.amplitude = ray.amplitude * ref_amp;
+      tap.amplitude = ray.amplitude * stage.diffuse_ref_amp;
       tap.deterministic = false;
       out.taps.push_back(tap);
     }

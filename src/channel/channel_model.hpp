@@ -37,6 +37,17 @@ struct ChannelRealization {
   double los_delay_s = 0.0;
 };
 
+/// First stage of a realisation: the deterministic taps alpha_k of Eq. 1
+/// only, before the diffuse term nu(t) is drawn.
+struct SpecularStage {
+  /// Specular taps in image-source order (the LOS tap first, unsorted);
+  /// `los_delay_s` is already final.
+  ChannelRealization channel;
+  /// Amplitude the diffuse tail is scaled to: the LOS tap's magnitude, or
+  /// the unobstructed direct-path amplitude when that magnitude is zero.
+  double diffuse_ref_amp = 0.0;
+};
+
 /// Channel model configuration.
 struct ChannelModelParams {
   /// Log-distance path-loss exponent (indoor LOS).
@@ -60,18 +71,30 @@ class ChannelModel {
  public:
   ChannelModel(geom::Room room, ChannelModelParams params);
 
-  /// Draw a realisation for a TX at `tx` and an RX at `rx` [m].
+  /// Draw a realisation for a TX at `tx` and an RX at `rx` [m]: exactly
+  /// complete_diffuse(realize_specular(tx, rx, rng), rng).
   ChannelRealization realize(geom::Vec2 tx, geom::Vec2 rx, Rng& rng) const;
 
-  /// Upper bound on the TX-RX distance at which any tap of a realisation
-  /// can still reach `threshold_amp`. Every specular path is at least as
-  /// long as the direct path and only adds reflection/obstruction loss, and
-  /// diffuse rays are scaled below the direct-path amplitude, so the bound
+  /// Stage 1 of realize(): the specular taps, each drawing its fading and
+  /// phase from `rng`. Enough to decide whether a receiver can detect the
+  /// link (see sim::Medium) without paying for the diffuse tail.
+  SpecularStage realize_specular(geom::Vec2 tx, geom::Vec2 rx, Rng& rng) const;
+
+  /// Stage 2 of realize(): appends the diffuse tail, drawn from `rng` where
+  /// the specular stage left it, and sorts the taps by delay.
+  ChannelRealization complete_diffuse(SpecularStage stage, Rng& rng) const;
+
+  /// Upper bound on the TX-RX distance at which a specular tap can still
+  /// reach `threshold_amp`. Every specular path is at least as long as the
+  /// direct path and only adds reflection/obstruction loss, so the bound
   /// follows from the log-distance law of the unobstructed LOS component
-  /// alone. `margin_db` is headroom for the unbounded specular fading draw
-  /// (16 dB = 16 sigma at the default 1 dB fading — astronomically safe).
-  /// Returns +infinity (no finite bound) when the threshold or the path-loss
-  /// exponent make the law non-invertible.
+  /// alone. Under the Eq. 1 detectability rule (only specular taps decide
+  /// detection) this bounds every detectable link; diffuse rays, whose
+  /// Rayleigh magnitudes are unbounded, play no part. `margin_db` is
+  /// headroom for the specular fading draw (16 dB = 16 sigma at the default
+  /// 1 dB fading — astronomically safe). Returns +infinity (no finite
+  /// bound) when the threshold or the path-loss exponent make the law
+  /// non-invertible.
   Meters max_detectable_range(double threshold_amp, double margin_db) const;
 
   const geom::Room& room() const { return room_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/expects.hpp"
 #include "obs/flight_recorder.hpp"
@@ -31,12 +32,10 @@ Medium::Medium(Simulator& simulator, channel::ChannelModel model,
   // itself is not kept, so no shared mutable stream survives construction.
   channel_stream_base_ = rng.engine()();
   interference_radius_m_ =
-      params_.interference_radius_m > 0.0
-          ? params_.interference_radius_m
-          : model_
-                .max_detectable_range(params_.detection_threshold_amp,
-                                      params_.range_margin_db)
-                .value();
+      model_
+          .max_detectable_range(params_.detection_threshold_amp,
+                                params_.range_margin_db)
+          .value();
 }
 
 bool Medium::culling_active() const {
@@ -81,8 +80,9 @@ CellTraffic& Medium::cell_traffic_entry(geom::CellKey key) {
   return *it;
 }
 
-// uwb-hot-path: runs once per (tx, candidate-rx) pair per frame — the
-// medium's fan-out loop is the scale bottleneck (bench_ext_scale).
+// uwb-hot-path: runs once per (tx, rx) pair within the interference radius
+// per frame — the medium's fan-out loop is the scale bottleneck
+// (bench_ext_scale).
 Medium::DeliverOutcome Medium::deliver(
     Node& rx, int tx_node_id, geom::Vec2 tx_pos, std::uint64_t frame_seed,
     const dw::MacFrame& frame, std::uint8_t tc_pgdelay, SimTime preamble_start,
@@ -91,23 +91,17 @@ Medium::DeliverOutcome Medium::deliver(
   // Independent stream per (link, frame): the draw sequence of this link
   // cannot depend on which other receivers were realized before it.
   Rng link_rng(derive_seed(frame_seed, link_stream(tx_node_id, rx.id())));
-  channel::ChannelRealization ch =
-      model_.realize(tx_pos, rx.position(), link_rng);
+  channel::SpecularStage stage =
+      model_.realize_specular(tx_pos, rx.position(), link_rng);
   ++stats_.channels_realized;
 
-  // The receiver's preamble detector locks to the earliest path that is
-  // strong enough; frames with no detectable path are out of range.
-  const channel::Tap* first = nullptr;
+  // Eq. 1 detectability: the preamble detector locks to a deterministic
+  // component, so the specular taps alone decide whether the frame is out
+  // of range — before the diffuse tail is drawn.
   double strongest_amp = 0.0;
-  for (const channel::Tap& tap : ch.taps) {
-    const double amp = std::abs(tap.amplitude);
-    strongest_amp = std::max(strongest_amp, amp);
-    if (amp >= params_.detection_threshold_amp) {
-      first = &tap;
-      break;
-    }
-  }
-  if (first == nullptr) {
+  for (const channel::Tap& tap : stage.channel.taps)
+    strongest_amp = std::max(strongest_amp, std::abs(tap.amplitude));
+  if (strongest_amp < params_.detection_threshold_amp) {
     ++stats_.below_threshold;
     UWB_FR_EVENT(.kind = obs::FrKind::kChannel, .name = "below_threshold",
                  .chain = frame_seed, .t_ps = preamble_start.ps(),
@@ -115,6 +109,19 @@ Medium::DeliverOutcome Medium::deliver(
                  .v0 = {"strongest_amp", strongest_amp},
                  .v1 = {"threshold_amp", params_.detection_threshold_amp});
     return DeliverOutcome::kBelowThreshold;
+  }
+
+  // The frame delivers: complete the channel on the same stream, then lock
+  // to the earliest specular tap strong enough.
+  channel::ChannelRealization ch =
+      model_.complete_diffuse(std::move(stage), link_rng);
+  const channel::Tap* first = nullptr;
+  for (const channel::Tap& tap : ch.taps) {
+    if (tap.deterministic &&
+        std::abs(tap.amplitude) >= params_.detection_threshold_amp) {
+      first = &tap;
+      break;
+    }
   }
 
   AirFrame af;
@@ -219,6 +226,19 @@ void Medium::transmit(int tx_node_id, const dw::MacFrame& frame,
       Node& rx = *nodes_[static_cast<std::size_t>(idx)];
       if (rx.id() == tx_node_id) continue;
       CellTraffic& traffic = cell_traffic_entry(grid_.key_of(rx.position()));
+      // Radius gate: the neighborhood reaches up to 2*sqrt(2) radii out;
+      // nothing beyond one radius can hold a detectable specular tap.
+      const double distance_m = geom::distance(tx_pos, rx.position());
+      if (distance_m > interference_radius_m_) {
+        ++culled;
+        ++traffic.culled;
+        UWB_FR_EVENT(.kind = obs::FrKind::kChannel, .name = "culled",
+                     .chain = frame_seed, .t_ps = preamble_start.ps(),
+                     .node = rx.id(), .peer = tx_node_id,
+                     .v0 = {"distance_m", distance_m},
+                     .v1 = {"radius_m", interference_radius_m_});
+        continue;
+      }
       if (deliver(rx, tx_node_id, tx_pos, frame_seed, frame,
                   effective_pgdelay, preamble_start, shr_sim, frame_sim,
                   effective_drift_ppm, injector,

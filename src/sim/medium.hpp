@@ -6,16 +6,28 @@
 // overlapping AirFrames into one CIR — the physical mechanism behind
 // concurrent ranging.
 //
-// Scaling: a conservative interference radius is derived from the channel
-// model (the maximum range at which any tap can still reach
-// `detection_threshold_amp`), nodes are bucketed into a uniform grid of
-// cells with that side length, and `transmit` realizes channels only for
-// the 3x3 cell neighborhood of the transmitter — O(local density) instead
-// of O(N) per frame. Channel randomness comes from a per-(link, frame)
-// stream forked with derive_seed (the same pattern src/fault uses for
-// per-node fault streams), so culling a far-away receiver never perturbs
-// the draws of the receivers that remain: culled and unculled runs are
-// bit-identical for every delivered frame, at any thread count.
+// Each link is decided from cheap evidence before its channel is paid for:
+//
+// * Radius gate. A conservative interference radius is derived from the
+//   channel model (the maximum range at which a specular tap can still
+//   reach `detection_threshold_amp`), nodes are bucketed into a uniform
+//   grid of cells with that side length, and `transmit` visits only the
+//   3x3 cell neighborhood of the transmitter — O(local density) instead of
+//   O(N) per frame — culling every candidate farther than the radius with
+//   an exact Euclidean check: no path lookup, no draw.
+// * Specular gate. Following the paper's Eq. 1, h = sum_k alpha_k
+//   delta(t - tau_k) + nu(t), the deterministic taps alpha_k alone decide
+//   whether the receiver's preamble detector can lock, and where (the
+//   earliest specular tap at or above the threshold). Only links that
+//   deliver pay for the diffuse tail nu(t) and the tap sort.
+//
+// Channel randomness comes from a per-(link, frame) stream forked with
+// derive_seed (the same pattern src/fault uses for per-node fault streams),
+// and the diffuse completion continues the link's own stream, so neither
+// gate perturbs the draws of the links that remain: culled and unculled
+// runs are bit-identical for every delivered frame, and every delivered
+// frame carries exactly ChannelModel::realize() on its link stream, at any
+// thread count.
 #pragma once
 
 #include <cstdint>
@@ -69,31 +81,40 @@ struct AirFrame {
 };
 
 struct MediumParams {
-  /// Minimum tap amplitude for the receiver's preamble detector to lock.
+  /// Minimum specular tap amplitude for the receiver's preamble detector to
+  /// lock.
   double detection_threshold_amp = 0.02;
-  /// Skip receivers outside the interference radius without realizing
-  /// their channels. Bit-identical to the unculled medium for every
-  /// delivered frame (the skipped receivers could never detect a tap).
+  /// Skip receivers outside the 3x3 grid neighborhood of the transmitter,
+  /// and receivers inside it farther than the interference radius, without
+  /// a path lookup or a draw. Bit-identical to the unculled medium for every
+  /// delivered frame (no receiver beyond the radius can have a detectable
+  /// specular tap). Off: every receiver's channel is realized, which keeps
+  /// an honest reference for the identity tests.
   bool culling_enabled = true;
-  /// Interference radius override [m]. <= 0 derives the radius from the
-  /// channel model via ChannelModel::max_detectable_range.
-  double interference_radius_m = 0.0;
-  /// Fading headroom used when deriving the radius [dB]: covers the
-  /// unbounded specular fading draw (16 dB = 16 sigma at the default
-  /// 1 dB fading).
+  /// Fading headroom used when deriving the interference radius from
+  /// ChannelModel::max_detectable_range [dB]: covers the specular fading
+  /// draw (16 dB = 16 sigma at the default 1 dB fading).
   double range_margin_db = 16.0;
 };
 
-/// Cumulative frame-traffic totals since construction.
+/// Cumulative frame-traffic totals since construction. Per frame, every
+/// receiver lands in exactly one of delivered, below_threshold and culled:
+/// channels_realized + receivers_culled == nodes - 1, and
+/// channels_realized == frames_delivered + below_threshold.
 struct MediumStats {
   std::uint64_t frames_transmitted = 0;
-  /// AirFrames scheduled for delivery (detectable first path).
+  /// AirFrames scheduled for delivery (a specular tap at or above the
+  /// detection threshold). Only these links draw their diffuse tail.
   std::uint64_t frames_delivered = 0;
-  /// Receivers skipped wholesale by the spatial index.
+  /// Receivers skipped without a path lookup or a draw: outside the
+  /// transmitter's 3x3 grid neighborhood, or inside it but farther than
+  /// the interference radius. Always 0 when culling is inactive.
   std::uint64_t receivers_culled = 0;
-  /// Channel realisations actually drawn.
+  /// Links whose specular stage was drawn (the delivered and the
+  /// below-threshold ones).
   std::uint64_t channels_realized = 0;
-  /// Channels realized whose taps all fell below the detection threshold.
+  /// Realized links whose specular taps all fell below the detection
+  /// threshold; their diffuse tail is never drawn.
   std::uint64_t below_threshold = 0;
 };
 
@@ -103,6 +124,8 @@ struct MediumStats {
 struct CellTraffic {
   geom::CellKey key = 0;
   std::uint64_t delivered = 0;
+  /// Receivers culled by the neighborhood or the radius gate (see
+  /// MediumStats::receivers_culled).
   std::uint64_t culled = 0;
   /// Receivers whose channel was realized but had no detectable path.
   /// With delivered and culled this closes the per-frame accounting:
@@ -147,8 +170,8 @@ class Medium {
   }
   fault::AttackInjector* attack_injector() const { return attack_; }
 
-  /// Resolved interference radius [m]; +infinity when the channel model
-  /// admits no finite bound.
+  /// Interference radius derived from the channel model [m]; +infinity
+  /// when the channel model admits no finite bound.
   double interference_radius_m() const { return interference_radius_m_; }
 
   /// True when transmissions actually go through the spatial index
@@ -185,7 +208,8 @@ class Medium {
   enum class DeliverOutcome { kDelivered, kBelowThreshold };
 
   void ensure_spatial_index();
-  /// Realize the link and schedule the AirFrame.
+  /// Realize the link's specular taps; if one is detectable, complete the
+  /// channel with its diffuse tail and schedule the AirFrame.
   DeliverOutcome deliver(Node& rx, int tx_node_id, geom::Vec2 tx_pos,
                          std::uint64_t frame_seed, const dw::MacFrame& frame,
                          std::uint8_t tc_pgdelay, SimTime preamble_start,

@@ -18,20 +18,20 @@ TEST(RegisterEncodingTest, TxbrBitPatterns) {
   EXPECT_EQ(encode_txbr(DataRate::k850), 0x2000u);
   EXPECT_EQ(encode_txbr(DataRate::M6_8), 0x4000u);
   EXPECT_EQ(decode_txbr(0x4000u), DataRate::M6_8);
-  EXPECT_THROW(decode_txbr(0x6000u), PreconditionError);  // reserved 11
+  EXPECT_THROW((void)decode_txbr(0x6000u), PreconditionError);  // reserved 11
 }
 
 TEST(RegisterEncodingTest, TxprfBitPatterns) {
   EXPECT_EQ(encode_txprf(Prf::Mhz16), 0x10000u);
   EXPECT_EQ(encode_txprf(Prf::Mhz64), 0x20000u);
   EXPECT_EQ(decode_txprf(0x20000u), Prf::Mhz64);
-  EXPECT_THROW(decode_txprf(0x0u), PreconditionError);
+  EXPECT_THROW((void)decode_txprf(0x0u), PreconditionError);
 }
 
 TEST(RegisterEncodingTest, PsrRoundTripsAllLengths) {
   for (const int len : {64, 128, 256, 512, 1024, 1536, 2048, 4096})
     EXPECT_EQ(decode_psr(encode_psr(len)), len) << len;
-  EXPECT_THROW(encode_psr(100), PreconditionError);
+  EXPECT_THROW((void)encode_psr(100), PreconditionError);
 }
 
 TEST(RegisterEncodingTest, Psr128IsTheDocumentedPattern) {

@@ -25,6 +25,15 @@ and fails on any differing value outside the scheduling-dependent
 prefixes ``mc_``, ``cache_``, and ``obs_`` (wall-clock and per-thread
 bookkeeping, which legitimately vary).
 
+``--exact PATTERN`` (repeatable, default mode only) adds an exact gate for
+deterministic work counters: every baseline metric whose name matches the
+fnmatch-style PATTERN (e.g. ``'n*_channels_realized'``, ``'cell_*_total'``)
+must appear in ``--current`` with exactly the same value. Work counts such
+as channels realized or receivers culled do not depend on the machine, so
+a change that re-inflates the work fails here even while the wall clock
+stays inside the loose timing bounds. A pattern that matches no baseline
+metric fails too, so a renamed counter cannot turn the gate vacuous.
+
 ``--require-key`` mode checks that the metrics of ``--current`` contain
 every named key (repeat the flag; a trailing ``*`` matches a prefix). For
 the JsonReport schema the keys are the ``metrics`` object's; for
@@ -37,7 +46,7 @@ regression would otherwise turn the gates into a vacuous pass.
 
 Usage:
     check_bench_regression.py --baseline b.json --current c.json \
-        [--warn 1.75] [--fail 3.0]
+        [--warn 1.75] [--fail 3.0] [--exact 'n*_channels_realized' ...]
     check_bench_regression.py --determinism --baseline a.json --current b.json
     check_bench_regression.py --current c.json \
         --require-key fault_injected_total --require-key 'l30_n4_*'
@@ -46,6 +55,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import json
 import sys
 
@@ -95,7 +105,37 @@ def load_timings(path: str) -> dict[str, float]:
     return timings
 
 
+def check_exact(args: argparse.Namespace) -> int:
+    """Exact gate: matching baseline metrics must repeat bit for bit."""
+    baseline = metrics_of(load_json(args.baseline), args.baseline)
+    current = metrics_of(load_json(args.current), args.current)
+
+    failures = []
+    compared = 0
+    for pattern in args.exact:
+        names = sorted(n for n in baseline if fnmatch.fnmatchcase(n, pattern))
+        if not names:
+            print(f"FAIL   {pattern}: matches no baseline metric")
+            failures.append(pattern)
+        for name in names:
+            compared += 1
+            base, cur = baseline[name], current.get(name, "<absent>")
+            if cur == base:
+                print(f"ok     {name}: {base}")
+            else:
+                print(f"FAIL   {name}: {base} -> {cur}")
+                failures.append(name)
+
+    print(f"\n{compared} work counter(s) compared exactly, "
+          f"{len(failures)} failure(s)")
+    if failures:
+        print("exact gate FAILED:", ", ".join(failures))
+        return 1
+    return 0
+
+
 def check_regression(args: argparse.Namespace) -> int:
+    exact_status = check_exact(args) if args.exact else 0
     baseline = load_timings(args.baseline)
     current = load_timings(args.current)
 
@@ -132,7 +172,7 @@ def check_regression(args: argparse.Namespace) -> int:
     if failures:
         print("regression gate FAILED:", ", ".join(failures))
         return 1
-    return 0
+    return exact_status
 
 
 def check_determinism(args: argparse.Namespace) -> int:
@@ -220,6 +260,11 @@ def main() -> int:
     parser.add_argument("--determinism", action="store_true",
                         help="diff the metrics objects for bit-identity "
                              "instead of gating wall times")
+    parser.add_argument("--exact", action="append", default=[],
+                        metavar="PATTERN",
+                        help="also require every baseline metric matching "
+                             "PATTERN (fnmatch) to repeat exactly in "
+                             "--current (repeatable; default mode only)")
     parser.add_argument("--require-key", action="append", default=[],
                         metavar="KEY",
                         help="assert KEY exists in --current's metrics "
@@ -234,6 +279,9 @@ def main() -> int:
     if args.baseline is None:
         fatal("--baseline is required outside --require-key mode")
     if args.determinism:
+        if args.exact:
+            fatal("--exact belongs to the default mode (--determinism "
+                  "already compares every metric exactly)")
         return check_determinism(args)
     return check_regression(args)
 
