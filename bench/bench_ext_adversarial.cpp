@@ -25,7 +25,6 @@
 // benign_false_positive_rate.
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -170,22 +169,32 @@ ranging::ScenarioConfig cell_config(std::uint64_t seed, const Cell& cell) {
   return cfg;
 }
 
+constexpr const char* kExtraUsage =
+    "\n       [--attack cfo|bias|ghost|replay|benign] [--strength 0..1000]"
+    "\n       [--loss 0..1]";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace uwb;
-  const auto opts = bench::parse_options(argc, argv, 120);
-
+  bench::BenchOptions opts;
+  opts.trials = 120;
   std::string only_family;
   double only_strength = -1.0;
   double extra_loss = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--attack") == 0 && i + 1 < argc) {
-      only_family = argv[++i];
-    } else if (std::strcmp(argv[i], "--strength") == 0 && i + 1 < argc) {
-      only_strength = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--loss") == 0 && i + 1 < argc) {
-      extra_loss = std::atof(argv[++i]);
+  examples::FlagParser p(argc, argv,
+                         std::string("bench_ext_adversarial ") +
+                             bench::kStandardUsage + kExtraUsage);
+  while (p.next()) {
+    if (bench::parse_standard_flag(p, opts)) continue;
+    if (p.is("--attack")) {
+      only_family = p.value();
+    } else if (p.is("--strength")) {
+      only_strength = p.double_value(0.0, 1000.0);
+    } else if (p.is("--loss")) {
+      extra_loss = p.double_value(0.0, 1.0);
+    } else {
+      p.unknown();
     }
   }
 
@@ -196,6 +205,9 @@ int main(int argc, char** argv) {
     if (extra_loss > 0.0) apply_loss(cell.fault, extra_loss);
     cells.push_back(std::move(cell));
   }
+  if (cells.empty())
+    p.fail("no cell matches --attack '%s' --strength %g", only_family.c_str(),
+           only_strength);
 
   bench::JsonReport report("ext_adversarial", opts.trials);
   bench::heading("Extension — adversarial ranging vs. the attack detector");

@@ -20,7 +20,6 @@
 // identical at any --threads value.
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <numbers>
 #include <string>
 #include <vector>
@@ -74,22 +73,31 @@ std::string cell_key(double loss, int responders) {
   return buf;
 }
 
+constexpr const char* kExtraUsage =
+    "\n       [--loss 0..1] [--responders 1..256] [--inert]";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace uwb;
-  const auto opts = bench::parse_options(argc, argv, 400);
-
+  bench::BenchOptions opts;
+  opts.trials = 400;
   std::vector<double> losses = {0.0, 0.1, 0.2, 0.3, 0.5};
   std::vector<int> responder_counts = {2, 4, 6};
   bool inert = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--loss") == 0 && i + 1 < argc) {
-      losses = {std::atof(argv[++i])};
-    } else if (std::strcmp(argv[i], "--responders") == 0 && i + 1 < argc) {
-      responder_counts = {std::atoi(argv[++i])};
-    } else if (std::strcmp(argv[i], "--inert") == 0) {
+  examples::FlagParser p(argc, argv,
+                         std::string("bench_ext_fault_sweep ") +
+                             bench::kStandardUsage + kExtraUsage);
+  while (p.next()) {
+    if (bench::parse_standard_flag(p, opts)) continue;
+    if (p.is("--loss")) {
+      losses = {p.double_value(0.0, 1.0)};
+    } else if (p.is("--responders")) {
+      responder_counts = {static_cast<int>(p.int_value(1, 256))};
+    } else if (p.is("--inert")) {
       inert = true;
+    } else {
+      p.unknown();
     }
   }
 

@@ -176,10 +176,8 @@ bool same_samples(const runner::TrialResult& a, const runner::TrialResult& b,
   return true;
 }
 
-constexpr const char* kUsage =
-    "bench_ext_scale [--trials 1..1000000] [--threads 1..1024] [--json PATH]\n"
-    "       [--trace PATH] [--metrics PATH] [--flight-record PATH]\n"
-    "       [--sessions 1..10000] [--medium-nodes 2..100000] "
+constexpr const char* kExtraUsage =
+    "\n       [--sessions 1..10000] [--medium-nodes 2..100000] "
     "[--rounds 1..10000]";
 
 }  // namespace
@@ -191,7 +189,9 @@ int main(int argc, char** argv) {
   std::vector<int> session_counts = {10, 50, 200};
   std::vector<int> medium_counts = {50, 200, 500};
   int rounds = 3;
-  examples::FlagParser p(argc, argv, kUsage);
+  examples::FlagParser p(argc, argv,
+                         std::string("bench_ext_scale ") +
+                             bench::kStandardUsage + kExtraUsage);
   while (p.next()) {
     if (bench::parse_standard_flag(p, opts)) continue;
     if (p.is("--sessions")) {

@@ -6,13 +6,15 @@
 // accept:
 //   --trials N    scale the Monte-Carlo count (defaults keep the full suite
 //                 to a couple of minutes; paper-scale counts noted per bench)
-//   --threads N   Monte-Carlo worker threads (0/default = all hardware
+//   --threads N   Monte-Carlo worker threads (default = all hardware
 //                 threads; results are bit-identical for any value)
 //   --json PATH   additionally emit a JSON record of the run's parameters
 //                 and metrics (the perf trajectory CI archives as
 //                 BENCH_*.json — see DESIGN.md for the schema)
 //   --trace PATH  enable span tracing and write a Chrome trace_event JSON
 //                 (open in chrome://tracing or ui.perfetto.dev)
+// An unknown flag, a missing value or one out of range prints the usage and
+// exits 2.
 #pragma once
 
 #include <algorithm>
@@ -45,40 +47,19 @@ struct BenchOptions {
   std::string flight_record_path;  // empty = flight recorder off
 };
 
-/// Parse `--trials N`, `--threads N`, `--json PATH`, `--trace PATH` (turns
-/// on span tracing process-wide), `--metrics PATH` (Prometheus text dump of
-/// the merged metrics snapshot), and `--flight-record PATH` (turns on the
-/// flight recorder process-wide; JSONL written by write_if_requested).
-inline BenchOptions parse_options(int argc, char** argv, int default_trials) {
-  BenchOptions opts;
-  opts.trials = default_trials;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-      const int n = std::atoi(argv[++i]);
-      if (n > 0) opts.trials = n;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      const int n = std::atoi(argv[++i]);
-      if (n > 0) opts.threads = n;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      opts.json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      opts.trace_path = argv[++i];
-      obs::set_tracing_enabled(true);
-    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      opts.metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--flight-record") == 0 && i + 1 < argc) {
-      opts.flight_record_path = argv[++i];
-      obs::FlightRecorder::set_enabled(true);
-    }
-  }
-  return opts;
-}
+/// Usage of the flags parse_standard_flag accepts, for a bench's usage line.
+inline constexpr const char* kStandardUsage =
+    "[--trials 1..1000000] [--threads 1..1024] [--json PATH]\n"
+    "       [--trace PATH] [--metrics PATH] [--flight-record PATH]";
 
-/// Strict form of parse_options for a bench with flags of its own, driven
-/// by its examples::FlagParser loop: if the current argument is one of the
-/// flags above, consumes it with its value and returns true; returns false
-/// for any other argument. A missing or out-of-range value prints the
-/// usage and exits 2.
+/// For a bench with flags of its own, driven by its examples::FlagParser
+/// loop: if the current argument is `--trials N`, `--threads N`,
+/// `--json PATH`, `--trace PATH` (turns on span tracing process-wide),
+/// `--metrics PATH` (Prometheus text dump of the merged metrics snapshot)
+/// or `--flight-record PATH` (turns on the flight recorder process-wide;
+/// JSONL written by write_if_requested), consumes it with its value and
+/// returns true; returns false for any other argument. A missing or
+/// out-of-range value prints the usage and exits 2.
 inline bool parse_standard_flag(examples::FlagParser& p, BenchOptions& opts) {
   if (p.is("--trials")) {
     opts.trials = static_cast<int>(p.int_value(1, 1'000'000));
@@ -98,6 +79,22 @@ inline bool parse_standard_flag(examples::FlagParser& p, BenchOptions& opts) {
     return false;
   }
   return true;
+}
+
+/// Parse the command line of a bench that takes only the standard flags.
+/// Any other argument, or a missing or out-of-range value, prints the
+/// usage and exits 2.
+inline BenchOptions parse_options(int argc, char** argv, int default_trials) {
+  BenchOptions opts;
+  opts.trials = default_trials;
+  const char* slash = std::strrchr(argv[0], '/');
+  examples::FlagParser p(
+      argc, argv,
+      std::string(slash != nullptr ? slash + 1 : argv[0]) + " " +
+          kStandardUsage);
+  while (p.next())
+    if (!parse_standard_flag(p, opts)) p.unknown();
+  return opts;
 }
 
 /// Monte-Carlo engine configured from the command line.

@@ -223,8 +223,7 @@ FftPlanCacheStats fft_plan_cache_stats() {
 }
 
 FftPlanCacheStats fft_plan_cache_stats_total() {
-  // Registry-backed totals (obs shards sum per-thread counts). Zero in
-  // UWB_OBS_DISABLED builds, where the counting macros compile out.
+  // Registry-backed totals (obs shards sum per-thread counts).
   const auto snap = obs::MetricsRegistry::instance().aggregate();
   return {snap.counter("cache_fft_plan_hits"),
           snap.counter("cache_fft_plan_misses")};

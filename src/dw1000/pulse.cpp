@@ -8,7 +8,6 @@
 #include "common/constants.hpp"
 #include "common/expects.hpp"
 #include "common/hash.hpp"
-#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 
 namespace uwb::dw {
@@ -129,13 +128,6 @@ const CVec& cached_pulse_template(std::uint8_t tc_pgdelay, double ts_s) {
 }
 
 PulseCacheStats pulse_cache_stats() { return pulse_cache().stats; }
-
-PulseCacheStats pulse_cache_stats_total() {
-  // Registry-backed totals (obs shards sum per-thread counts). Zero in
-  // UWB_OBS_DISABLED builds, where the counting macros compile out.
-  const auto snap = obs::MetricsRegistry::instance().aggregate();
-  return {snap.counter("cache_pulse_hits"), snap.counter("cache_pulse_misses")};
-}
 
 void clear_pulse_cache() { pulse_cache() = PulseCache{}; }
 

@@ -59,11 +59,6 @@ struct PulseCacheStats {
 };
 PulseCacheStats pulse_cache_stats();
 
-/// Process-wide pulse-cache counters aggregated over every thread (what the
-/// bench JSON reports; worker-thread caches are invisible to the main
-/// thread otherwise).
-PulseCacheStats pulse_cache_stats_total();
-
 /// Drop the calling thread's cached templates (tests / memory pressure).
 void clear_pulse_cache();
 

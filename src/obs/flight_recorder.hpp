@@ -19,10 +19,8 @@
 // worker, so its events carry consecutive sequence numbers from a single
 // shard and the merged order is independent of how trials were scheduled.
 //
-// Instrumented code uses only the UWB_FR_* macros below. Under
-// UWB_OBS_DISABLED they compile to nothing (zero-cost contract, like the
-// UWB_OBS_* macros); the classes themselves stay fully functional in both
-// builds so tests and tools can drive them directly.
+// Instrumented code uses only the UWB_FR_* macros below; tests and tools
+// drive the classes directly.
 #pragma once
 
 #include <atomic>
@@ -249,13 +247,9 @@ class FlightRecorder {
 // Variadic so call sites can use designated initializers with commas:
 //   UWB_FR_EVENT(.kind = obs::FrKind::kTx, .name = "frame_tx",
 //                .chain = seed, .node = tx_id);
-// All expand to nothing under UWB_OBS_DISABLED.
 
-#ifndef UWB_OBS_DISABLED
-
-/// True when the recorder is live in this build *and* enabled at runtime.
-/// Use to guard loops that exist only to record (e.g. per-culled-receiver
-/// distance events).
+/// True when the recorder is enabled at runtime. Use to guard loops that
+/// exist only to record (e.g. per-culled-receiver distance events).
 #define UWB_FR_ACTIVE() (::uwb::obs::FlightRecorder::enabled())
 
 // The diagnostic pragmas silence -Wmissing-field-initializers for the
@@ -284,37 +278,3 @@ class FlightRecorder {
 
 #define UWB_FR_CHAIN_SCOPE(chain) \
   ::uwb::obs::FrChainScope UWB_OBS_CONCAT(uwb_fr_chain_, __LINE__)(chain)
-
-#else  // UWB_OBS_DISABLED
-
-#define UWB_FR_ACTIVE() (false)
-// Arguments stay type-checked inside a never-taken branch (so variables
-// that exist only to feed events don't trip -Wunused under -Werror), then
-// the whole statement folds away.
-#define UWB_FR_EVENT(...)                                              \
-  do {                                                                 \
-    _Pragma("GCC diagnostic push")                                     \
-    _Pragma("GCC diagnostic ignored \"-Wmissing-field-initializers\"") \
-    if (false) {                                                       \
-      [[maybe_unused]] const ::uwb::obs::FrEvent uwb_fr_discarded{     \
-          __VA_ARGS__};                                                \
-    }                                                                  \
-    _Pragma("GCC diagnostic pop")                                      \
-  } while (false)
-#define UWB_FR_SET_TIME(t)                  \
-  do {                                      \
-    if (false) static_cast<void>((t).ps()); \
-  } while (false)
-#define UWB_FR_SESSION_SCOPE(session, round) \
-  do {                                       \
-    if (false) {                             \
-      static_cast<void>(session);            \
-      static_cast<void>(round);              \
-    }                                        \
-  } while (false)
-#define UWB_FR_CHAIN_SCOPE(chain)        \
-  do {                                   \
-    if (false) static_cast<void>(chain); \
-  } while (false)
-
-#endif  // UWB_OBS_DISABLED

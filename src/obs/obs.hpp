@@ -1,12 +1,7 @@
 // Instrumentation entry points for the observability subsystem.
 //
-// Instrumented code uses only these macros. In the default build they expand
-// to the real Span/Counter/Gauge machinery; configuring with
-// -DUWB_OBS_DISABLED=ON (which defines UWB_OBS_DISABLED) compiles every
-// macro to nothing, so the hot paths carry zero instrumentation cost. The
-// obs classes themselves (metrics.hpp, span.hpp, trace_sink.hpp) stay fully
-// functional in both builds — only the macro call sites disappear — so code
-// that aggregates or tests the registry directly behaves identically.
+// Instrumented code uses only these macros; they expand to the
+// Span/Counter/Gauge/Histogram machinery of metrics.hpp and span.hpp.
 //
 // All names passed to these macros must be string literals (spans store the
 // pointer; counters/gauges cache a reference in a function-local
@@ -16,26 +11,11 @@
 
 #include <cstdint>
 
-#ifndef UWB_OBS_DISABLED
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#endif
-
-namespace uwb::obs {
-
-/// True when instrumentation macros are live in this build.
-#ifndef UWB_OBS_DISABLED
-inline constexpr bool kEnabled = true;
-#else
-inline constexpr bool kEnabled = false;
-#endif
-
-}  // namespace uwb::obs
 
 #define UWB_OBS_CONCAT_INNER(a, b) a##b
 #define UWB_OBS_CONCAT(a, b) UWB_OBS_CONCAT_INNER(a, b)
-
-#ifndef UWB_OBS_DISABLED
 
 /// Time the enclosing scope under `name` (a string literal).
 #define UWB_OBS_SPAN(name) \
@@ -70,20 +50,3 @@ inline constexpr bool kEnabled = false;
             name, buckets);                                              \
     uwb_obs_histogram_.observe(static_cast<double>(value));              \
   } while (false)
-
-#else  // UWB_OBS_DISABLED
-
-#define UWB_OBS_SPAN(name) \
-  do {                     \
-  } while (false)
-#define UWB_OBS_COUNT(name, delta) \
-  do {                             \
-  } while (false)
-#define UWB_OBS_GAUGE_SET(name, value) \
-  do {                                 \
-  } while (false)
-#define UWB_OBS_HISTOGRAM(name, buckets, value) \
-  do {                                          \
-  } while (false)
-
-#endif  // UWB_OBS_DISABLED

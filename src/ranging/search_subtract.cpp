@@ -54,7 +54,7 @@ struct SearchSubtractDetector::TemplateBank {
 
 // Per-CIR working set of the fast detection path: the residual, its
 // spectra, the per-template correlation outputs, and the subtraction
-// window. Pooled per thread, so a warm thread allocates nothing.
+// window. One per thread, so a warm thread allocates nothing.
 struct SearchSubtractDetector::FastState {
   CVec padded_cir;
   CVec residual;
@@ -110,13 +110,10 @@ BankCache& bank_cache() {
   return cache;
 }
 
-// Thread-local pool of fast-path working sets: slot 0 serves single-CIR
-// detect(); detect_batch holds one slot per in-flight CIR of a chunk.
-std::vector<SearchSubtractDetector::FastState>& fast_states(
-    std::size_t count) {
-  thread_local std::vector<SearchSubtractDetector::FastState> states;
-  if (states.size() < count) states.resize(count);
-  return states;
+// The calling thread's fast-path working set, reused by every detect().
+SearchSubtractDetector::FastState& fast_state() {
+  thread_local SearchSubtractDetector::FastState state;
+  return state;
 }
 
 }  // namespace
@@ -165,8 +162,7 @@ SearchSubtractDetector::bank_cache_stats() {
 
 SearchSubtractDetector::BankCacheStats
 SearchSubtractDetector::bank_cache_stats_total() {
-  // Registry-backed totals (obs shards sum per-thread counts). Zero in
-  // UWB_OBS_DISABLED builds, where the counting macros compile out.
+  // Registry-backed totals (obs shards sum per-thread counts).
   const auto snap = obs::MetricsRegistry::instance().aggregate();
   return {snap.counter("cache_bank_hits"), snap.counter("cache_bank_misses")};
 }
@@ -564,57 +560,10 @@ std::vector<DetectedResponse> SearchSubtractDetector::search_loop(
 
 std::vector<DetectedResponse> SearchSubtractDetector::detect_fast(
     const CVec& cir_taps, const TemplateBank& bank, int max_responses) const {
-  FastState& st = fast_states(1).front();
+  FastState& st = fast_state();
   prepare_residual(cir_taps, bank, st);
   bank_correlate(bank, st);
   return search_loop(bank, max_responses, st);
-}
-
-std::vector<std::vector<DetectedResponse>> SearchSubtractDetector::detect_batch(
-    const std::vector<CVec>& cirs, double ts_s, int max_responses) const {
-  UWB_EXPECTS(max_responses >= 1);
-  std::vector<std::vector<DetectedResponse>> out(cirs.size());
-  if (cirs.empty()) return out;
-  const std::size_t taps = cirs.front().size();
-  UWB_EXPECTS(taps >= 1);
-  for (const CVec& cir : cirs) UWB_EXPECTS(cir.size() == taps);
-  const TemplateBank& bank = bank_for(ts_s);
-
-  if (config_.exact_recompute) {
-    for (std::size_t i = 0; i < cirs.size(); ++i)
-      out[i] = detect_exact(cirs[i], bank, max_responses, nullptr);
-    return out;
-  }
-
-  // Stage-major execution over bounded chunks: first every CIR's upsample
-  // and forward spectra, then one template-major bank-correlation sweep
-  // (each template's spectrum is loaded once per chunk instead of once per
-  // CIR), then the per-CIR iterative search. The chunk is kept small so
-  // the per-item scratch (several kP-sized arrays each) stays
-  // cache-resident; results are identical to per-CIR detect() in any
-  // chunking.
-  constexpr std::size_t kChunk = 2;
-  const std::size_t n_shapes = bank.entries.size();
-  auto& states = fast_states(std::min<std::size_t>(kChunk, cirs.size()));
-  for (std::size_t base = 0; base < cirs.size(); base += kChunk) {
-    const std::size_t count = std::min(kChunk, cirs.size() - base);
-    for (std::size_t i = 0; i < count; ++i)
-      prepare_residual(cirs[base + i], bank, states[i]);
-    {
-      UWB_OBS_SPAN("bank_correlate");
-      for (std::size_t t = 0; t < n_shapes; ++t) {
-        for (std::size_t i = 0; i < count; ++i) {
-          FastState& st = states[i];
-          if (st.ys.size() < n_shapes) st.ys.resize(n_shapes);
-          bank.entries[t].filter.apply_spectrum(st.spec_p.data(), st.kP,
-                                                st.kM, st.ys[t]);
-        }
-      }
-    }
-    for (std::size_t i = 0; i < count; ++i)
-      out[base + i] = search_loop(bank, max_responses, states[i]);
-  }
-  return out;
 }
 
 }  // namespace uwb::ranging

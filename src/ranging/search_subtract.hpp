@@ -39,16 +39,6 @@ class SearchSubtractDetector final : public ResponseDetector {
   std::vector<DetectedResponse> detect(const CVec& cir_taps, double ts_s,
                                        int max_responses) const override;
 
-  /// Batched detection: push many CIRs (all of the same tap count and sample
-  /// period) through one template-bank/plan setup. Results are elementwise
-  /// identical to calling detect() per CIR — the batch only restages the
-  /// work: per-CIR upsample + forward spectra first, then a template-major
-  /// bank-correlation sweep (each template's spectrum stays hot in cache
-  /// across the whole chunk), then the per-CIR iterative search. Throughput
-  /// (CIRs/sec) is the headline bench metric of this path.
-  std::vector<std::vector<DetectedResponse>> detect_batch(
-      const std::vector<CVec>& cirs, double ts_s, int max_responses) const;
-
   /// Per-iteration record of the algorithm for visualisation (Fig. 4):
   /// the matched-filter output of the residual before each subtraction.
   struct DetectionTrace {
@@ -91,7 +81,7 @@ class SearchSubtractDetector final : public ResponseDetector {
   struct TemplateBank;
 
   /// Opaque per-CIR working set of the fast path (public only so the
-  /// thread-local scratch pool in the implementation can name it).
+  /// thread-local scratch in the implementation can name it).
   struct FastState;
 
  private:
@@ -106,8 +96,7 @@ class SearchSubtractDetector final : public ResponseDetector {
   std::vector<DetectedResponse> detect_fast(const CVec& cir_taps,
                                             const TemplateBank& bank,
                                             int max_responses) const;
-  // Stages of the fast path, shared by detect_fast (one CIR straight
-  // through) and detect_batch (stage-major over a chunk of CIRs).
+  // Stages of the fast path, run in order by detect_fast.
   void prepare_residual(const CVec& cir_taps, const TemplateBank& bank,
                         FastState& st) const;
   void bank_correlate(const TemplateBank& bank, FastState& st) const;

@@ -103,9 +103,7 @@ TrialResult MonteCarlo::run(int n_trials, const TrialFn& fn) const {
     ctx.worker = &WorkerContext::current();
     // Per-trial wall time lands in the worker's shard; the registry merge
     // yields one process-wide latency histogram (obs_trial_latency_* in the
-    // bench JSON). Recorded through the Shard API, not the macros, so the
-    // histogram exists even in UWB_OBS_DISABLED builds (tests rely on
-    // count == n_trials regardless of build flavour).
+    // bench JSON).
     const std::uint64_t t0 = obs::monotonic_ns();
     {
       UWB_OBS_SPAN("trial");

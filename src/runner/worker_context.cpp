@@ -1,6 +1,7 @@
 #include "runner/worker_context.hpp"
 
 #include "dw1000/pulse.hpp"
+#include "geom/image_source.hpp"
 #include "ranging/search_subtract.hpp"
 
 namespace uwb::runner {
@@ -8,17 +9,6 @@ namespace uwb::runner {
 WorkerContext& WorkerContext::current() {
   thread_local WorkerContext context;
   return context;
-}
-
-const CVec& WorkerContext::pulse_template(std::uint8_t tc_pgdelay,
-                                          double ts_s) const {
-  return dw::cached_pulse_template(tc_pgdelay, ts_s);
-}
-
-const std::vector<geom::SpecularPath>& WorkerContext::specular_paths(
-    const geom::Room& room, geom::Vec2 tx, geom::Vec2 rx,
-    int max_order) const {
-  return geom::compute_paths_cached(room, tx, rx, max_order);
 }
 
 obs::Shard& WorkerContext::metrics() const {

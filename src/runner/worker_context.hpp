@@ -5,17 +5,13 @@
 // are memoised in thread-local caches owned by the layer that computes
 // them (dw1000/pulse, ranging/search_subtract, geom/image_source), so
 // scenario construction per trial stops reallocating them. WorkerContext
-// is the handle a trial gets to that per-thread state: typed accessors
-// into the caches plus aggregated statistics, without the trial function
+// is the handle a trial gets to that per-thread state: aggregated cache
+// statistics, the metrics shard and a reset, without the trial function
 // having to know where each cache lives.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
-#include "common/types.hpp"
-#include "geom/image_source.hpp"
-#include "geom/room.hpp"
 #include "obs/metrics.hpp"
 
 namespace uwb::runner {
@@ -24,15 +20,6 @@ class WorkerContext {
  public:
   /// The calling thread's context (one per thread, created on first use).
   static WorkerContext& current();
-
-  /// Memoised pulse template (see dw::cached_pulse_template). The
-  /// reference stays valid for the thread's lifetime.
-  const CVec& pulse_template(std::uint8_t tc_pgdelay, double ts_s) const;
-
-  /// Memoised image-source solve (see geom::compute_paths_cached).
-  const std::vector<geom::SpecularPath>& specular_paths(
-      const geom::Room& room, geom::Vec2 tx, geom::Vec2 rx,
-      int max_order = 1) const;
 
   /// Aggregated hit/miss counters of this thread's caches.
   struct CacheStats {

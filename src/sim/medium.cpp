@@ -25,8 +25,7 @@ std::uint64_t link_stream(int tx_node_id, int rx_node_id) {
 
 Medium::Medium(Simulator& simulator, channel::ChannelModel model,
                MediumParams params, Rng rng)
-    : sim_(simulator), model_(std::move(model)), params_(params),
-      fanout_(obs::fanout_buckets()) {
+    : sim_(simulator), model_(std::move(model)), params_(params) {
   UWB_EXPECTS(params.detection_threshold_amp >= 0.0);
   // One draw anchors the whole per-(link, frame) seed hierarchy; the Rng
   // itself is not kept, so no shared mutable stream survives construction.
@@ -281,10 +280,6 @@ void Medium::transmit(int tx_node_id, const dw::MacFrame& frame,
       }
     }
   }
-
-  // First-class copy of the fan-out histogram: stays live in
-  // UWB_OBS_DISABLED builds (the registry copy below compiles out).
-  fanout_.observe(static_cast<double>(delivered));
 
   UWB_OBS_COUNT("medium_frames_delivered", delivered);
   UWB_OBS_COUNT("medium_receivers_culled", culled);

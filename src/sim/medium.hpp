@@ -42,7 +42,6 @@
 #include "fault/attack.hpp"
 #include "fault/fault.hpp"
 #include "geom/grid.hpp"
-#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace uwb::sim {
@@ -191,12 +190,6 @@ class Medium {
   /// key. Empty when culling is inactive.
   const std::vector<CellTraffic>& cell_traffic() const { return cell_traffic_; }
 
-  /// Per-frame delivery fan-out histogram (receivers reached per
-  /// transmission). A first-class stat maintained directly — unlike the
-  /// registry copy fed through UWB_OBS_HISTOGRAM, it stays live (and
-  /// testable) in UWB_OBS_DISABLED builds.
-  const obs::Histogram& frame_fanout() const { return fanout_; }
-
   /// Test hook: observe every AirFrame at the instant it is scheduled
   /// (before delivery). Used by the culling-identity tests.
   void set_delivery_probe(
@@ -247,7 +240,6 @@ class Medium {
 
   MediumStats stats_;
   std::vector<CellTraffic> cell_traffic_;
-  obs::Histogram fanout_;
   std::function<void(int, const AirFrame&)> delivery_probe_;
 };
 

@@ -1,7 +1,7 @@
 // Internal dispatch table shared by the per-level kernel translation units.
 // Each level fills one KernelTable with its implementations; simd.cpp picks
 // the table for the active level. Not installed into the public API — only
-// simd.cpp and the kernels_*.cpp files include this.
+// simd.cpp and kernels_avx2.cpp include this.
 #pragma once
 
 #include <cstddef>
@@ -33,10 +33,9 @@ struct KernelTable {
 /// vector tables must reproduce).
 const KernelTable& scalar_table();
 
-/// SSE2 / AVX2 tables, or nullptr when the binary was built without the
-/// corresponding instruction set (non-x86 targets, or a compiler without
-/// -mavx2). Runtime CPU support is checked separately by simd.cpp.
-const KernelTable* sse2_table_or_null();
+/// The AVX2 table, or nullptr when the binary was built without AVX2
+/// (non-x86 targets, or a compiler without -mavx2). Runtime CPU support is
+/// checked separately by simd.cpp.
 const KernelTable* avx2_table_or_null();
 
 }  // namespace uwb::simd::detail

@@ -2,9 +2,9 @@
 //
 // This is the only translation unit compiled with -mavx2 (see
 // src/simd/CMakeLists.txt); when the compiler cannot target AVX2 the file
-// degrades to a nullptr table and dispatch stops at SSE2. No FMA is used
-// anywhere — contraction would change rounding and break the bit-identity
-// contract of the elementwise kernels (simd.hpp).
+// degrades to a nullptr table and dispatch stays on the scalar reference.
+// No FMA is used anywhere — contraction would change rounding and break the
+// bit-identity contract of the elementwise kernels (simd.hpp).
 //
 // Elementwise kernels form the same products and combine them in the same
 // association as the scalar reference, per element, so their outputs are

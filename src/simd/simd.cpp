@@ -169,14 +169,6 @@ const KernelTable& scalar_table() {
 
 namespace {
 
-bool cpu_supports_sse2() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("sse2") != 0;
-#else
-  return false;
-#endif
-}
-
 bool cpu_supports_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
   return __builtin_cpu_supports("avx2") != 0;
@@ -189,8 +181,6 @@ const detail::KernelTable* table_for(Level level) {
   switch (level) {
     case Level::kScalar:
       return &detail::scalar_table();
-    case Level::kSse2:
-      return cpu_supports_sse2() ? detail::sse2_table_or_null() : nullptr;
     case Level::kAvx2:
       return cpu_supports_avx2() ? detail::avx2_table_or_null() : nullptr;
   }
@@ -203,8 +193,8 @@ const detail::KernelTable* table_for(Level level) {
 }
 
 /// Resolve the startup level: env override (hard error when unsupported —
-/// a forced CI leg must never silently run a narrower path) or the widest
-/// supported level.
+/// a forced CI leg must never silently run a narrower path) or AVX2 when
+/// the host has it, the scalar reference otherwise.
 Level resolve_startup_level() {
   // Process-wide dispatch pin, read exactly once at first use; an
   // unsupported value aborts instead of diverging, so results can depend
@@ -215,7 +205,7 @@ Level resolve_startup_level() {
   if (env != nullptr && env[0] != '\0') {
     const auto parsed = parse_level(env);
     if (!parsed)
-      die("UWB_SIMD_LEVEL is not one of scalar|sse2|avx2", env);
+      die("UWB_SIMD_LEVEL is not one of scalar|avx2", env);
     if (table_for(*parsed) == nullptr)
       die("UWB_SIMD_LEVEL requests a level this build/CPU cannot run", env);
     return *parsed;
@@ -248,8 +238,6 @@ const char* level_name(Level level) {
   switch (level) {
     case Level::kScalar:
       return "scalar";
-    case Level::kSse2:
-      return "sse2";
     case Level::kAvx2:
       return "avx2";
   }
@@ -258,15 +246,12 @@ const char* level_name(Level level) {
 
 std::optional<Level> parse_level(std::string_view name) {
   if (name == "scalar") return Level::kScalar;
-  if (name == "sse2") return Level::kSse2;
   if (name == "avx2") return Level::kAvx2;
   return std::nullopt;
 }
 
 Level runtime_max_level() {
-  if (table_for(Level::kAvx2) != nullptr) return Level::kAvx2;
-  if (table_for(Level::kSse2) != nullptr) return Level::kSse2;
-  return Level::kScalar;
+  return table_for(Level::kAvx2) != nullptr ? Level::kAvx2 : Level::kScalar;
 }
 
 Level active_level() {

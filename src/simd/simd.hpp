@@ -9,19 +9,18 @@
 // already used by the scalar fast path — so callers pass
 // `reinterpret_cast<double*>(CVec::data())` and a *complex* element count.
 //
-// Three dispatch levels: a scalar reference (plain loops, the semantics
-// contract), SSE2 (x86-64 baseline), and AVX2. The implementation for each
-// level lives in its own translation unit (only `kernels_avx2.cpp` is
-// compiled with `-mavx2`), selected at runtime through a function-pointer
-// table:
+// Two dispatch levels: a scalar reference (plain loops, the semantics
+// contract) and AVX2. The AVX2 kernels live in their own translation unit
+// (only `kernels_avx2.cpp` is compiled with `-mavx2`), selected at runtime
+// through a function-pointer table:
 //
-//   active level = UWB_SIMD_LEVEL env override  (scalar|sse2|avx2; forcing
-//                                                an unsupported level is a
+//   active level = UWB_SIMD_LEVEL env override  (scalar|avx2; forcing an
+//                                                unsupported level is a
 //                                                hard startup error so CI
 //                                                legs can never silently
 //                                                fall back)
 //                ∩ runtime CPU support          (__builtin_cpu_supports)
-//                ∩ compile-time availability    (per-TU #ifdef guards)
+//                ∩ compile-time availability    (#ifdef __AVX2__ guard)
 //
 // Equivalence contract: elementwise kernels (cmul*, scale, copy_scaled,
 // butterfly stages) perform the exact scalar operation sequence per element
@@ -41,12 +40,12 @@
 namespace uwb::simd {
 
 /// Dispatch level, ordered by width. Values are stable (bench args, logs).
-enum class Level : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class Level : int { kScalar = 0, kAvx2 = 2 };
 
 /// Lower-case name used by UWB_SIMD_LEVEL and diagnostics.
 const char* level_name(Level level);
 
-/// Parse a level name ("scalar", "sse2", "avx2"); nullopt on anything else.
+/// Parse a level name ("scalar", "avx2"); nullopt on anything else.
 std::optional<Level> parse_level(std::string_view name);
 
 /// Widest level this binary can execute on this machine (compile-time

@@ -6,10 +6,8 @@
 // non-ok responder status in a faulty session has at least one explaining
 // event.
 //
-// The shard/recorder class API is driven directly in the first tests so
-// they pass identically in UWB_OBS_DISABLED builds (the classes stay fully
-// functional there; only the UWB_FR_* record sites compile away). Tests
-// that need the instrumentation itself skip when it is compiled out.
+// The first tests drive the shard/recorder class API directly; the rest
+// record through the UWB_FR_* sites of real sessions.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -85,8 +83,6 @@ TEST_F(FlightRecorderTest, DisabledRecorderRecordsNothing) {
 // --- ring overflow ----------------------------------------------------------
 
 TEST_F(FlightRecorderTest, RingOverflowKeepsNewestAndCountsDropped) {
-  // Drives the shard API directly, so this also proves the classes stay
-  // functional in UWB_OBS_DISABLED builds.
   FlightRecorder::instance().set_capacity(8);
   {
     FrSessionScope scope(/*session=*/42, /*round=*/0);
@@ -120,7 +116,6 @@ TEST_F(FlightRecorderTest, RingOverflowKeepsNewestAndCountsDropped) {
 // --- golden-seed byte identity ----------------------------------------------
 
 TEST_F(FlightRecorderTest, GoldenSeedJsonlByteIdenticalAcrossThreadCounts) {
-  if (!kEnabled) GTEST_SKIP() << "record sites compiled out (UWB_OBS_DISABLED)";
   FlightRecorder::set_enabled(true);
 
   run_faulty_mc(1, 8);
@@ -139,7 +134,6 @@ TEST_F(FlightRecorderTest, GoldenSeedJsonlByteIdenticalAcrossThreadCounts) {
 // --- chain invariants -------------------------------------------------------
 
 TEST_F(FlightRecorderTest, EveryChainRootsAtTxWithMonotoneSimTime) {
-  if (!kEnabled) GTEST_SKIP() << "record sites compiled out (UWB_OBS_DISABLED)";
   FlightRecorder::set_enabled(true);
 
   run_faulty_mc(1, 4);
@@ -184,7 +178,6 @@ bool is_loss_event(const FrRecord& r) {
 }
 
 TEST_F(FlightRecorderTest, EveryNonOkStatusHasExplainingEvent) {
-  if (!kEnabled) GTEST_SKIP() << "record sites compiled out (UWB_OBS_DISABLED)";
   FlightRecorder::set_enabled(true);
 
   constexpr int kInitiator = -1;

@@ -3,10 +3,8 @@
 // worker counts, nested span integrity, and a round-trip parse of the
 // Chrome trace_event JSON.
 //
-// Everything here drives the obs classes directly (not through the
-// UWB_OBS_* macros), so the suite passes identically in UWB_OBS_DISABLED
-// builds — the classes stay fully functional there; only instrumentation
-// call sites compile away.
+// Everything but the last test drives the obs classes directly, not
+// through the UWB_OBS_* macros.
 
 #include <gtest/gtest.h>
 
@@ -174,7 +172,7 @@ TEST_F(ObsTest, MergeRejectsMismatchedLayouts) {
 // Record the same deterministic per-trial counts through the Monte-Carlo
 // runner at different thread counts: the merged registry aggregate must be
 // bit-identical (integer sums are order-independent). Uses the Shard API
-// via WorkerContext so the test also covers UWB_OBS_DISABLED builds.
+// via WorkerContext.
 Snapshot run_counting_trials(int threads, int n_trials) {
   MetricsRegistry::instance().reset();
   runner::MonteCarlo::Config cfg;
@@ -331,7 +329,8 @@ TEST_F(ObsTest, SpanTotalsAccumulateAcrossCalls) {
   for (int i = 0; i < 5; ++i) {
     Span s("repeated");
   }
-  const auto* total = MetricsRegistry::instance().aggregate().span("repeated");
+  const Snapshot snap = MetricsRegistry::instance().aggregate();
+  const auto* total = snap.span("repeated");
   ASSERT_NE(total, nullptr);
   EXPECT_EQ(total->count, 5u);
 }
@@ -523,15 +522,10 @@ TEST_F(ObsTest, MacrosRespectBuildFlavour) {
     UWB_OBS_GAUGE_SET("macro_gauge", 1.5);
   }
   const Snapshot snap = MetricsRegistry::instance().aggregate();
-  if (kEnabled) {
-    EXPECT_EQ(snap.counter("macro_counter"), 3u);
-    const auto* span = snap.span("macro_span");
-    ASSERT_NE(span, nullptr);
-    EXPECT_EQ(span->count, 1u);
-  } else {
-    EXPECT_EQ(snap.counter("macro_counter"), 0u);
-    EXPECT_EQ(snap.span("macro_span"), nullptr);
-  }
+  EXPECT_EQ(snap.counter("macro_counter"), 3u);
+  const auto* span = snap.span("macro_span");
+  ASSERT_NE(span, nullptr);
+  EXPECT_EQ(span->count, 1u);
 }
 
 }  // namespace

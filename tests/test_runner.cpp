@@ -247,13 +247,13 @@ TEST(WorkerContext, CachedPulseTemplateMatchesUncached) {
   auto& ctx = runner::WorkerContext::current();
   ctx.clear();
   const CVec direct = dw::sample_pulse_template(0xC8, 1e-10);
-  const CVec& cached = ctx.pulse_template(0xC8, 1e-10);
+  const CVec& cached = dw::cached_pulse_template(0xC8, 1e-10);
   ASSERT_EQ(cached.size(), direct.size());
   for (std::size_t i = 0; i < direct.size(); ++i)
     EXPECT_EQ(cached[i], direct[i]);
   // Second lookup is a hit and returns the same storage.
   const auto before = ctx.stats();
-  const CVec& again = ctx.pulse_template(0xC8, 1e-10);
+  const CVec& again = dw::cached_pulse_template(0xC8, 1e-10);
   EXPECT_EQ(&again, &cached);
   EXPECT_EQ(ctx.stats().pulse_hits, before.pulse_hits + 1);
 }
@@ -264,7 +264,7 @@ TEST(WorkerContext, CachedPathsMatchUncached) {
   const geom::Room room = geom::Room::rectangular(10.0, 6.0, 5.0);
   const geom::Vec2 tx{2.0, 1.2}, rx{7.5, 4.2};
   const auto direct = geom::compute_paths(room, tx, rx, 1);
-  const auto& cached = ctx.specular_paths(room, tx, rx, 1);
+  const auto& cached = geom::compute_paths_cached(room, tx, rx, 1);
   ASSERT_EQ(cached.size(), direct.size());
   for (std::size_t i = 0; i < direct.size(); ++i) {
     EXPECT_EQ(cached[i].length_m, direct[i].length_m);
@@ -272,7 +272,7 @@ TEST(WorkerContext, CachedPathsMatchUncached) {
     EXPECT_EQ(cached[i].reflection_loss_db, direct[i].reflection_loss_db);
   }
   const auto before = ctx.stats();
-  ctx.specular_paths(room, tx, rx, 1);
+  geom::compute_paths_cached(room, tx, rx, 1);
   EXPECT_EQ(ctx.stats().path_hits, before.path_hits + 1);
 }
 
@@ -281,8 +281,8 @@ TEST(WorkerContext, DistinctGeometriesDoNotCollide) {
   ctx.clear();
   const geom::Room a = geom::Room::rectangular(10.0, 6.0, 5.0);
   const geom::Room b = geom::Room::rectangular(10.0, 6.0, 8.0);  // loss diff
-  const auto& pa = ctx.specular_paths(a, {2.0, 1.0}, {7.0, 4.0}, 1);
-  const auto& pb = ctx.specular_paths(b, {2.0, 1.0}, {7.0, 4.0}, 1);
+  const auto& pa = geom::compute_paths_cached(a, {2.0, 1.0}, {7.0, 4.0}, 1);
+  const auto& pb = geom::compute_paths_cached(b, {2.0, 1.0}, {7.0, 4.0}, 1);
   ASSERT_FALSE(pa.empty());
   ASSERT_FALSE(pb.empty());
   bool any_diff = false;
@@ -294,7 +294,7 @@ TEST(WorkerContext, DistinctGeometriesDoNotCollide) {
 TEST(WorkerContext, EachThreadHasItsOwnCaches) {
   auto& main_ctx = runner::WorkerContext::current();
   main_ctx.clear();
-  main_ctx.pulse_template(0x93, 1e-10);
+  dw::cached_pulse_template(0x93, 1e-10);
   const auto main_stats = main_ctx.stats();
   std::size_t other_misses = 1;  // sentinel; overwritten by the thread
   std::thread([&other_misses] {
@@ -302,7 +302,7 @@ TEST(WorkerContext, EachThreadHasItsOwnCaches) {
     // though the main thread already cached this exact template.
     auto& ctx = runner::WorkerContext::current();
     other_misses = ctx.stats().pulse_misses;
-    ctx.pulse_template(0x93, 1e-10);
+    dw::cached_pulse_template(0x93, 1e-10);
     other_misses = ctx.stats().pulse_misses - other_misses;
   }).join();
   EXPECT_EQ(other_misses, 1u);

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "channel/channel_model.hpp"
@@ -15,6 +16,7 @@
 #include "common/hash.hpp"
 #include "geom/grid.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "ranging/session.hpp"
 #include "runner/monte_carlo.hpp"
@@ -357,6 +359,14 @@ TEST(CullingIdentityTest, MovedNodeRejoinsNeighborhood) {
   EXPECT_EQ(delivered, 2);
 }
 
+// Count and sum of the registry's medium_frame_fanout histogram so far.
+std::pair<std::uint64_t, double> fanout_totals() {
+  const obs::Snapshot snap = obs::MetricsRegistry::instance().aggregate();
+  const obs::Histogram* h = snap.histogram("medium_frame_fanout");
+  if (h == nullptr) return {0, 0.0};
+  return {h->count(), h->sum()};
+}
+
 TEST(CullingIdentityTest, CellTrafficAccountsEveryReceiver) {
   MediumStats stats;
   const FloorPlan plan = make_floor_plan(plan_for_nodes(40));
@@ -373,12 +383,14 @@ TEST(CullingIdentityTest, CellTrafficAccountsEveryReceiver) {
     nodes.push_back(
         std::make_unique<Node>(sim, medium, nc, Rng(derive_seed(9, i))));
   }
+  const auto [fanout_count0, fanout_sum0] = fanout_totals();
   dw::MacFrame f;
   for (int i = 0; i < 40; ++i) {
     sim.after(SimTime::from_micros(200.0 * i + 5.0),
               [&, i] { nodes[static_cast<std::size_t>(i)]->transmit_now(f); });
     sim.run();
   }
+  const auto [fanout_count1, fanout_sum1] = fanout_totals();
   stats = medium.stats();
   ASSERT_TRUE(medium.culling_active());
   EXPECT_EQ(stats.frames_transmitted, 40u);
@@ -401,11 +413,10 @@ TEST(CullingIdentityTest, CellTrafficAccountsEveryReceiver) {
   // receivers of every frame lands in exactly one bucket.
   EXPECT_EQ(cell_delivered + cell_culled + cell_below, 40u * 39u);
 
-  // The fan-out histogram is plain Medium state (not an UWB_OBS_* macro),
-  // so it must be live in every build flavour, one observation per
-  // transmitted frame, summing to the delivered totals.
-  EXPECT_EQ(medium.frame_fanout().count(), stats.frames_transmitted);
-  EXPECT_DOUBLE_EQ(medium.frame_fanout().sum(),
+  // The registry fan-out histogram gains one observation per transmitted
+  // frame, summing to the delivered totals.
+  EXPECT_EQ(fanout_count1 - fanout_count0, stats.frames_transmitted);
+  EXPECT_DOUBLE_EQ(fanout_sum1 - fanout_sum0,
                    static_cast<double>(stats.frames_delivered));
 }
 
@@ -454,7 +465,7 @@ TEST(RadiusGateTest, NoReceiverBeyondRadiusIsRealized) {
   // The scene must exercise the radius gate, not only the grid.
   ASSERT_GT(gated_in_neighborhood, 0u);
 
-  obs::FlightRecorder::set_enabled(obs::kEnabled);
+  obs::FlightRecorder::set_enabled(true);
   obs::FlightRecorder::instance().reset();
   dw::MacFrame f;
   for (int i = 0; i < kNodes; ++i) {
@@ -483,7 +494,6 @@ TEST(RadiusGateTest, NoReceiverBeyondRadiusIsRealized) {
     if (c.culled > 0) got_per_cell[c.key] = c.culled;
   EXPECT_EQ(got_per_cell, culled_per_cell);
 
-  if (!obs::kEnabled) return;  // record sites compiled out
   ASSERT_EQ(dropped, 0u);
   const auto link_distance = [&](const obs::FrRecord& e) {
     return geom::distance(positions[static_cast<std::size_t>(e.peer)],

@@ -39,10 +39,10 @@ every named key (repeat the flag; a trailing ``*`` matches a prefix). For
 the JsonReport schema the keys are the ``metrics`` object's; for
 google-benchmark output every numeric field of every benchmark entry is
 exposed as ``<benchmark name>.<field>`` (so per-benchmark counters like
-``BM_SearchSubtract_DetectBatch32.cirs_per_sec`` are addressable). CI uses
-it to assert that the fault/resilience keys and the batched-detection
-throughput counter actually made it into the bench JSON — a silent schema
-regression would otherwise turn the gates into a vacuous pass.
+``BM_FullConcurrentRound.rounds_per_sec`` are addressable). CI uses it to
+assert that the fault/resilience keys and the round-throughput counter
+actually made it into the bench JSON — a silent schema regression would
+otherwise turn the gates into a vacuous pass.
 
 Usage:
     check_bench_regression.py --baseline b.json --current c.json \

@@ -26,7 +26,7 @@ cannot know about:
                        vld1q_*) are confined to src/simd/ where the
                        dispatch layer guards ISA availability and the
                        equivalence contract is tested; a stray intrinsic
-                       elsewhere silently breaks the scalar/sse2/avx2
+                       elsewhere silently breaks the scalar/avx2
                        forced-dispatch CI legs.
   obs-event-literal    Flight-recorder and metrics record sites must name
                        their event with a string literal and their kind
