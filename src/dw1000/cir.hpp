@@ -5,6 +5,13 @@
 // arriving preamble (each responder's every propagation path) adds its pulse
 // shape into the same accumulator; this module performs that superposition
 // plus the accumulator noise.
+//
+// Synthesis runs in two steps. capture_cir() is taken when a receive batch
+// completes: it keeps the arrivals and draws the accumulator noise, so every
+// random draw happens at the receiver in simulation order. CirCapture::render()
+// superposes the pulses and adds the captured noise; it draws nothing, so it
+// runs only where a consumer reads the taps (in a ranging round, the
+// initiator) and yields the same taps whenever it runs.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +51,30 @@ struct CirEstimate {
   double first_path_index = 0.0;
 };
 
-/// Superpose all arrivals (evaluating each pulse shape at fractional delays)
-/// and add accumulator noise.
+/// The accumulator as captured at the end of a receive batch: the arrivals
+/// it superposes and the noise it drew, not yet rendered into taps.
+struct CirCapture {
+  std::vector<CirArrival> arrivals;
+  /// Accumulator noise, one sample per tap in tap order; empty when the
+  /// noise sigma is zero.
+  CVec noise;
+  int length = k::cir_len_prf64;
+  double ts_s = k::cir_ts_s;
+  /// Copied into CirEstimate::first_path_index by render().
+  double first_path_index = 0.0;
+
+  /// Superpose the arrivals (evaluating each pulse shape at fractional
+  /// delays) in arrival order, then add the noise tap by tap. Draw-free.
+  CirEstimate render() const;
+};
+
+/// Keep `arrivals` and draw the accumulator noise: `length` complex normal
+/// samples in tap order, none when `params.noise_sigma` is zero.
+CirCapture capture_cir(std::vector<CirArrival> arrivals,
+                       const CirParams& params, Rng& rng);
+
+/// capture_cir(arrivals, params, rng).render(): the one-step synthesis for
+/// callers that read the taps at once.
 CirEstimate synthesize_cir(const std::vector<CirArrival>& arrivals,
                            const CirParams& params, Rng& rng);
 

@@ -1,8 +1,10 @@
 #include "ranging/network.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/expects.hpp"
+#include "obs/obs.hpp"
 #include "ranging/twr.hpp"
 
 namespace uwb::ranging {
@@ -103,7 +105,7 @@ NetworkRound NetworkRangingSession::run_round(int initiator_index) {
 
   sim::Node& initiator = *nodes_[static_cast<std::size_t>(initiator_index)];
   initiator.set_rx_handler(
-      [this](const sim::RxResult& r) { initiator_result_ = r; });
+      [this](sim::RxResult&& r) { initiator_result_ = std::move(r); });
 
   // Arm every other node as a responder with its per-round identity.
   for (int i = 0; i < node_count(); ++i) {
@@ -170,7 +172,7 @@ NetworkRound NetworkRangingSession::run_round(int initiator_index) {
     initiator.exit_rx();
     return round;
   }
-  const sim::RxResult& r = *initiator_result_;
+  sim::RxResult& r = *initiator_result_;
   round.frames_in_batch = r.frames_in_batch;
   if (!r.frame || r.frame->type != dw::FrameType::Resp) return round;
   round.completed = true;
@@ -185,8 +187,12 @@ NetworkRound NetworkRangingSession::run_round(int initiator_index) {
   const int max_responses = std::max(
       node_count() - 1,
       config_.slot_aware_selection ? 2 * (node_count() - 1) : 0);
-  const auto detections =
-      detector_.detect(r.cir.taps, r.cir.ts_s, max_responses);
+  dw::CirEstimate cir;
+  {
+    UWB_OBS_SPAN("cir_render");
+    cir = std::exchange(r.cir, {}).render();
+  }
+  const auto detections = detector_.detect(cir.taps, cir.ts_s, max_responses);
   const int sync_slot =
       assign_responder(r.frame->responder_id, config_.ranging).slot;
   auto estimates =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/constants.hpp"
 #include "common/expects.hpp"
@@ -144,7 +145,7 @@ ConcurrentRangingScenario::ConcurrentRangingScenario(ScenarioConfig config)
       sim_, *medium_, make_node_config(kInitiatorId, config_.initiator_position),
       rng_.fork());
   initiator_->set_rx_handler(
-      [this](const sim::RxResult& r) { initiator_result_ = r; });
+      [this](sim::RxResult&& r) { initiator_result_ = std::move(r); });
 
   for (const ResponderSpec& spec : config_.responders) {
     UWB_EXPECTS(spec.id >= 0 && spec.id <= 255);
@@ -376,9 +377,15 @@ RoundOutcome ConcurrentRangingScenario::run_attempt() {
     initiator_->exit_rx();
     return out;
   }
-  const sim::RxResult& r = *initiator_result_;
+  sim::RxResult& r = *initiator_result_;
   out.completed = true;
-  out.cir = r.cir;
+  {
+    // The initiator is the round's only CIR consumer: responders timestamp
+    // the INIT and never render theirs. The capture is spent once rendered,
+    // so the round keeps the taps alone.
+    UWB_OBS_SPAN("cir_render");
+    out.cir = std::exchange(r.cir, {}).render();
+  }
   out.frames_in_batch = r.frames_in_batch;
   out.crc_error = r.crc_error;
 
@@ -404,7 +411,8 @@ RoundOutcome ConcurrentRangingScenario::run_attempt() {
                                 : static_cast<int>(responders_.size());
   {
     UWB_OBS_SPAN("detect");
-    out.detections = detector_.detect(r.cir.taps, r.cir.ts_s, max_responses);
+    out.detections =
+        detector_.detect(out.cir.taps, out.cir.ts_s, max_responses);
   }
   const int sync_slot =
       assign_responder(out.sync_responder_id, config_.ranging).slot;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/expects.hpp"
 #include "common/units.hpp"
@@ -167,7 +168,7 @@ void Node::finalize_batch() {
       sync = &af;
   }
 
-  // Superpose every tap of every batch frame into the CIR window anchored
+  // Every tap of every batch frame arrives in the CIR window anchored
   // `cir_anchor_taps` before the sync frame's first path.
   const double window_start_s =
       sync->preamble_start_arrival.seconds() -
@@ -188,10 +189,13 @@ void Node::finalize_batch() {
     }
   }
 
+  // Capture only: the accumulator noise is drawn here, before the timestamp
+  // and CFO draws, but the pulses are superposed only by a consumer that
+  // renders the taps (responders never do).
   RxResult result;
   {
     UWB_OBS_SPAN("cir_synthesis");
-    result.cir = dw::synthesize_cir(arrivals, config_.cir, rng_);
+    result.cir = dw::capture_cir(std::move(arrivals), config_.cir, rng_);
   }
   result.cir.first_path_index = static_cast<double>(config_.cir_anchor_taps);
   result.rx_timestamp =
@@ -263,7 +267,7 @@ void Node::finalize_batch() {
     // Events recorded while the protocol reacts to this reception (delayed
     // TX arming, fault decisions, detection) inherit the sync chain.
     UWB_FR_CHAIN_SCOPE(result.sync_chain);
-    rx_handler_(result);
+    rx_handler_(std::move(result));
   }
 }
 

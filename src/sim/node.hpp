@@ -3,7 +3,7 @@
 // Exposes the firmware-level API the ranging protocols program against:
 // enter/exit RX, immediate TX, delayed TX (with the hardware truncation),
 // and an RX-complete callback delivering the decoded frame, the RX
-// timestamp, and the superposed CIR estimate.
+// timestamp, and the captured CIR accumulator.
 #pragma once
 
 #include <functional>
@@ -68,8 +68,9 @@ struct RxResult {
   std::optional<dw::MacFrame> frame;
   /// Noisy device time of the sync frame's RMARKER arrival.
   dw::DwTimestamp rx_timestamp;
-  /// Superposed CIR over all concurrent frames.
-  dw::CirEstimate cir;
+  /// The accumulator over all concurrent frames, captured but not rendered:
+  /// call cir.render() for the taps.
+  dw::CirCapture cir;
   /// Estimated remote-minus-local clock drift [ppm] (noisy).
   double carrier_offset_ppm = 0.0;
   /// Number of frames superposed in this batch.
@@ -124,7 +125,9 @@ class Node {
   [[nodiscard]] bool schedule_delayed_tx(dw::MacFrame frame,
                                          dw::DwTimestamp quantized_rmarker);
 
-  void set_rx_handler(std::function<void(const RxResult&)> handler) {
+  /// The handler receives the result as an rvalue: a consumer may keep it
+  /// by moving from it instead of copying the CIR capture.
+  void set_rx_handler(std::function<void(RxResult&&)> handler) {
     rx_handler_ = std::move(handler);
   }
 
@@ -172,7 +175,7 @@ class Node {
   bool rx_enabled_ = false;
   SimTime rx_since_;
   std::vector<AirFrame> pending_;
-  std::function<void(const RxResult&)> rx_handler_;
+  std::function<void(RxResult&&)> rx_handler_;
 };
 
 }  // namespace uwb::sim

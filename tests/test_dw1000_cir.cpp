@@ -1,8 +1,12 @@
-// Unit tests: CIR synthesis, RX timestamping model, first-path detection,
-// and energy accounting.
+// Unit tests: CIR synthesis (capture and render), RX timestamping model,
+// first-path detection, and energy accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "common/constants.hpp"
 #include "common/expects.hpp"
@@ -118,6 +122,129 @@ TEST(CirTest, InvalidParamsThrow) {
   bad = CirParams{};
   bad.noise_sigma = -1.0;
   EXPECT_THROW(synthesize_cir({}, bad, rng), PreconditionError);
+}
+
+// --- capture/render split ----------------------------------------------------
+
+// The one-pass synthesis the capture/render split replaced: superpose every
+// pulse, then draw the noise straight into the taps. Kept here as the
+// reference the split must reproduce bit for bit.
+CirEstimate one_pass_reference(const std::vector<CirArrival>& arrivals,
+                               const CirParams& params, Rng& rng) {
+  CirEstimate out;
+  out.ts_s = params.ts_s;
+  out.taps.assign(static_cast<std::size_t>(params.length), Complex{});
+  for (const CirArrival& a : arrivals) {
+    const double half = pulse_duration_s(a.tc_pgdelay) / 2.0;
+    const auto lo = static_cast<std::ptrdiff_t>(
+        std::floor((a.time_into_window_s - half) / params.ts_s));
+    const auto hi = static_cast<std::ptrdiff_t>(
+        std::ceil((a.time_into_window_s + half) / params.ts_s));
+    const std::ptrdiff_t begin = std::max<std::ptrdiff_t>(0, lo);
+    const std::ptrdiff_t end =
+        std::min<std::ptrdiff_t>(params.length - 1, hi);
+    for (std::ptrdiff_t n = begin; n <= end; ++n) {
+      const double t =
+          static_cast<double>(n) * params.ts_s - a.time_into_window_s;
+      out.taps[static_cast<std::size_t>(n)] +=
+          a.amplitude * pulse_value(a.tc_pgdelay, t);
+    }
+  }
+  if (params.noise_sigma > 0.0) {
+    for (auto& tap : out.taps) tap += rng.complex_normal(params.noise_sigma);
+  }
+  return out;
+}
+
+// Random arrivals over the whole window with mixed pulse shapes, plus four
+// that straddle tap 0 or the last tap, peaking inside or just outside the
+// window (every pulse spans at least +-4.5 taps).
+std::vector<CirArrival> random_arrivals(std::uint64_t seed,
+                                        const CirParams& params) {
+  constexpr std::uint8_t kShapes[] = {k::tc_pgdelay_default, 0xA4, 0xC8,
+                                      0xE6};
+  Rng gen(seed);
+  const double ts = params.ts_s;
+  const double window_s = static_cast<double>(params.length) * ts;
+  std::vector<CirArrival> out;
+  const auto n = gen.uniform_int(20, 60);
+  for (std::int64_t i = 0; i < n; ++i) {
+    CirArrival a;
+    a.time_into_window_s = gen.uniform(-6.0 * ts, window_s + 6.0 * ts);
+    a.amplitude = gen.complex_normal(0.3);
+    a.tc_pgdelay = kShapes[static_cast<std::size_t>(i) % 4];
+    out.push_back(a);
+  }
+  const auto edge = [&](double taps, std::uint8_t shape) {
+    CirArrival a;
+    a.time_into_window_s = taps * ts;
+    a.amplitude = gen.complex_normal(0.5);
+    a.tc_pgdelay = shape;
+    out.push_back(a);
+  };
+  edge(-1.7, 0xE6);
+  edge(0.4, k::tc_pgdelay_default);
+  edge(static_cast<double>(params.length) - 1.3, 0xC8);
+  edge(static_cast<double>(params.length) + 0.6, 0xA4);
+  return out;
+}
+
+void expect_same_taps(const CirEstimate& got, const CirEstimate& want) {
+  EXPECT_EQ(got.ts_s, want.ts_s);
+  EXPECT_EQ(got.first_path_index, want.first_path_index);
+  ASSERT_EQ(got.taps.size(), want.taps.size());
+  std::size_t mismatched = 0;
+  for (std::size_t n = 0; n < got.taps.size(); ++n)
+    if (got.taps[n] != want.taps[n]) ++mismatched;
+  EXPECT_EQ(mismatched, 0u);
+}
+
+TEST(CirCaptureTest, RenderMatchesOnePassSynthesisBitForBit) {
+  for (const int length : {k::cir_len_prf64, k::cir_len_prf16}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE(testing::Message() << "length " << length << " seed "
+                                      << seed);
+      CirParams params;
+      params.length = length;
+      params.noise_sigma = 0.002 * static_cast<double>(seed);
+      const std::vector<CirArrival> arrivals = random_arrivals(seed, params);
+
+      Rng rng_ref(100 + seed), rng_split(100 + seed);
+      const CirEstimate want = one_pass_reference(arrivals, params, rng_ref);
+      const CirCapture capture = capture_cir(arrivals, params, rng_split);
+      // The capture drew exactly the reference's draws.
+      EXPECT_EQ(rng_split.uniform(0.0, 1.0), rng_ref.uniform(0.0, 1.0));
+      EXPECT_EQ(capture.noise.size(), static_cast<std::size_t>(length));
+      expect_same_taps(capture.render(), want);
+
+      // synthesize_cir is the same two steps in one call.
+      Rng rng_synth(100 + seed);
+      expect_same_taps(synthesize_cir(arrivals, params, rng_synth), want);
+    }
+  }
+}
+
+TEST(CirCaptureTest, ZeroNoiseDrawsNothing) {
+  const CirParams params = noiseless();
+  const std::vector<CirArrival> arrivals = random_arrivals(3, params);
+  Rng rng(77), untouched(77);
+  const CirCapture capture = capture_cir(arrivals, params, rng);
+  EXPECT_TRUE(capture.noise.empty());
+  EXPECT_EQ(rng.uniform(0.0, 1.0), untouched.uniform(0.0, 1.0));
+  Rng rng_ref(77);
+  expect_same_taps(capture.render(),
+                   one_pass_reference(arrivals, params, rng_ref));
+}
+
+TEST(CirCaptureTest, RenderIsRepeatableAndCarriesTheAnchor) {
+  CirParams params;
+  Rng rng(5);
+  CirCapture capture = capture_cir(random_arrivals(5, params), params, rng);
+  capture.first_path_index = 64.0;
+  const CirEstimate a = capture.render();
+  const CirEstimate b = capture.render();
+  EXPECT_EQ(a.first_path_index, 64.0);
+  expect_same_taps(a, b);
 }
 
 TEST(TimestampingTest, SigmaGrowsWithPulseWidth) {

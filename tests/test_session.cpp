@@ -1,10 +1,15 @@
 // Integration tests: full concurrent-ranging rounds through the simulator,
-// covering the paper's core scenarios (Sect. III-VIII).
+// covering the paper's core scenarios (Sect. III-VIII), and which receivers
+// render their CIR.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/constants.hpp"
+#include "obs/metrics.hpp"
+#include "ranging/dstwr.hpp"
+#include "ranging/network.hpp"
 #include "ranging/session.hpp"
 
 namespace uwb::ranging {
@@ -80,6 +85,90 @@ TEST(SessionTest, RepeatedRoundsAdvanceTime) {
   EXPECT_TRUE(b.completed);
   EXPECT_GT(mid, before);
   EXPECT_GT(scenario.simulator().now(), mid);
+}
+
+// --- who renders the CIR -----------------------------------------------------
+//
+// Every receiver captures its accumulator (`cir_synthesis` span); only the
+// consumer that reads the taps renders it (`cir_render`). Responders only
+// timestamp the frames they receive.
+
+std::uint64_t span_count(const char* name) {
+  const obs::Snapshot snap = obs::MetricsRegistry::instance().aggregate();
+  const obs::Snapshot::SpanTotal* span = snap.span(name);
+  return span == nullptr ? 0 : span->count;
+}
+
+struct SpanDelta {
+  std::uint64_t captured = span_count("cir_synthesis");
+  std::uint64_t rendered = span_count("cir_render");
+
+  std::uint64_t captures() const {
+    return span_count("cir_synthesis") - captured;
+  }
+  std::uint64_t renders() const { return span_count("cir_render") - rendered; }
+};
+
+TEST(CirRenderTest, Fig4RoundRendersOnlyTheInitiatorsCir) {
+  ScenarioConfig cfg = hallway_scenario(8);
+  cfg.responders = {{0, {5.0, 1.2}}, {1, {8.0, 1.2}}, {2, {12.0, 1.2}}};
+  ConcurrentRangingScenario scenario(cfg);
+  const SpanDelta delta;
+  const RoundOutcome out = scenario.run_round();
+  ASSERT_TRUE(out.payload_decoded);
+  EXPECT_EQ(out.attempts, 1);
+  // Three responders capture the INIT, the initiator the RESP batch.
+  EXPECT_EQ(delta.captures(), 4u);
+  EXPECT_EQ(delta.renders(), 1u);
+  EXPECT_EQ(out.cir.taps.size(), static_cast<std::size_t>(cfg.cir.length));
+}
+
+TEST(CirRenderTest, ResilientSessionRendersAtMostOncePerAttempt) {
+  ScenarioConfig cfg = hallway_scenario(31);
+  cfg.responders = {{0, {5.0, 1.2}}, {1, {8.0, 1.2}}, {2, {12.0, 1.2}}};
+  cfg.fault.enabled = true;
+  cfg.fault.preamble_miss_prob = 0.3;
+  cfg.fault.crc_error_prob = 0.3 / 4.0;
+  cfg.fault.late_tx_abort_prob = 0.3 / 4.0;
+  cfg.fault.dropout_prob = 0.3 / 8.0;
+  cfg.resilience.max_retries = 2;
+  ConcurrentRangingScenario scenario(cfg);
+  const SpanDelta delta;
+  constexpr int kRounds = 20;
+  std::uint64_t attempts = 0, completed = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const RoundOutcome out = scenario.run_round();
+    attempts += static_cast<std::uint64_t>(out.attempts);
+    if (out.completed) ++completed;
+  }
+  EXPECT_GT(attempts, static_cast<std::uint64_t>(kRounds));  // retries ran
+  EXPECT_LE(delta.renders(), attempts);
+  // Every outcome that carries a CIR rendered it.
+  EXPECT_GE(delta.renders(), completed);
+}
+
+TEST(CirRenderTest, NetworkRoundRendersOnce) {
+  NetworkConfig cfg;
+  cfg.room = geom::Room::rectangular(16.0, 10.0, 10.0);
+  cfg.node_positions = {{2.0, 2.0}, {13.0, 2.5}, {12.5, 8.0}, {3.0, 7.5}};
+  cfg.ranging.num_slots = 4;
+  cfg.ranging.slot_spacing_s = 150e-9;
+  cfg.seed = 1;
+  NetworkRangingSession session(cfg);
+  const SpanDelta delta;
+  const NetworkRound round = session.run_round(0);
+  ASSERT_TRUE(round.completed);
+  EXPECT_EQ(delta.captures(), 4u);
+  EXPECT_EQ(delta.renders(), 1u);
+}
+
+TEST(CirRenderTest, DsTwrNeverRenders) {
+  DsTwrSession session(DsTwrSessionConfig{});
+  const SpanDelta delta;
+  const DsTwrResult result = session.run_round();
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(delta.captures(), 3u);  // POLL, RESP, FINAL
+  EXPECT_EQ(delta.renders(), 0u);
 }
 
 }  // namespace
