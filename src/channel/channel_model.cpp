@@ -79,8 +79,11 @@ ChannelRealization ChannelModel::complete_diffuse(SpecularStage stage,
     }
   }
 
-  std::sort(out.taps.begin(), out.taps.end(),
-            [](const Tap& a, const Tap& b) { return a.delay_s < b.delay_s; });
+  // Stable: taps with equal delays keep image-source order, then draw
+  // order, on every standard library.
+  std::stable_sort(
+      out.taps.begin(), out.taps.end(),
+      [](const Tap& a, const Tap& b) { return a.delay_s < b.delay_s; });
   return out;
 }
 

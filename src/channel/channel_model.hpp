@@ -30,7 +30,8 @@ struct Tap {
 
 /// A drawn channel between one TX and one RX.
 struct ChannelRealization {
-  /// Taps sorted by increasing delay. The first deterministic tap is the
+  /// Taps sorted by increasing delay; taps with equal delays keep
+  /// image-source order, then draw order. The first deterministic tap is the
   /// direct path (possibly attenuated by obstacles).
   std::vector<Tap> taps;
   /// Propagation delay of the geometric direct path [s] (even if blocked).
@@ -81,7 +82,8 @@ class ChannelModel {
   SpecularStage realize_specular(geom::Vec2 tx, geom::Vec2 rx, Rng& rng) const;
 
   /// Stage 2 of realize(): appends the diffuse tail, drawn from `rng` where
-  /// the specular stage left it, and sorts the taps by delay.
+  /// the specular stage left it, and sorts the taps by delay (stable: ties
+  /// keep image-source order, then draw order).
   ChannelRealization complete_diffuse(SpecularStage stage, Rng& rng) const;
 
   /// Upper bound on the TX-RX distance at which a specular tap can still

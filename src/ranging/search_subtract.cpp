@@ -459,7 +459,11 @@ std::vector<DetectedResponse> SearchSubtractDetector::search_loop(
     const CVec& best_y = st.ys[static_cast<std::size_t>(best.shape)];
     best.mag = std::abs(best_y[best.index]);
 
-    const double noise = dsp::noise_sigma_estimate(best_y);
+    double noise = 0.0;
+    {
+    UWB_OBS_SPAN("noise_estimate");
+    noise = dsp::noise_sigma_estimate(best_y);
+    }
     if (best.mag < config_.noise_threshold_factor * noise) {
       UWB_FR_EVENT(.kind = obs::FrKind::kDetect, .name = "peak_rejected",
                    .detail = "below_noise", .v0 = {"mag", best.mag},

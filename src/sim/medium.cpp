@@ -96,11 +96,18 @@ Medium::DeliverOutcome Medium::deliver(
 
   // Eq. 1 detectability: the preamble detector locks to a deterministic
   // component, so the specular taps alone decide whether the frame is out
-  // of range — before the diffuse tail is drawn.
+  // of range — before the diffuse tail is drawn — and where it locks: the
+  // earliest tap strong enough, the first in image-source order on a tie.
   double strongest_amp = 0.0;
-  for (const channel::Tap& tap : stage.channel.taps)
-    strongest_amp = std::max(strongest_amp, std::abs(tap.amplitude));
-  if (strongest_amp < params_.detection_threshold_amp) {
+  const channel::Tap* first = nullptr;
+  for (const channel::Tap& tap : stage.channel.taps) {
+    const double amp = std::abs(tap.amplitude);
+    strongest_amp = std::max(strongest_amp, amp);
+    if (amp >= params_.detection_threshold_amp &&
+        (first == nullptr || tap.delay_s < first->delay_s))
+      first = &tap;
+  }
+  if (first == nullptr) {
     ++stats_.below_threshold;
     UWB_FR_EVENT(.kind = obs::FrKind::kChannel, .name = "below_threshold",
                  .chain = frame_seed, .t_ps = preamble_start.ps(),
@@ -110,51 +117,36 @@ Medium::DeliverOutcome Medium::deliver(
     return DeliverOutcome::kBelowThreshold;
   }
 
-  // The frame delivers: complete the channel on the same stream, then lock
-  // to the earliest specular tap strong enough.
-  channel::ChannelRealization ch =
-      model_.complete_diffuse(std::move(stage), link_rng);
-  const channel::Tap* first = nullptr;
-  for (const channel::Tap& tap : ch.taps) {
-    if (tap.deterministic &&
-        std::abs(tap.amplitude) >= params_.detection_threshold_amp) {
-      first = &tap;
-      break;
-    }
-  }
-
   AirFrame af;
   af.tx_node_id = tx_node_id;
   af.chain = frame_seed;
   af.frame = frame;
   af.tc_pgdelay = tc_pgdelay;
   af.tx_drift_ppm = tx_drift_ppm;
-  af.taps = std::move(ch.taps);
   af.first_detectable_delay = Seconds(first->delay_s);
   af.first_path_amplitude = std::abs(first->amplitude);
   af.preamble_start_arrival =
       preamble_start + SimTime::from_seconds(first->delay_s);
   af.rmarker_arrival = af.preamble_start_arrival + shr_sim;
   af.frame_end_arrival = af.preamble_start_arrival + frame_sim;
+  // The frame carries the rest of its channel to the receiver: the
+  // specular stage and the link stream where that stage left it.
+  af.taps = std::move(stage.channel.taps);
+  af.los_delay_s = stage.channel.los_delay_s;
+  af.diffuse_ref_amp = stage.diffuse_ref_amp;
+  af.link_rng.emplace(std::move(link_rng));
   if (injector != nullptr)
     af.preamble_missed =
         injector->miss_preamble(rx.id(), af.first_path_amplitude, frame_seed);
 
-  // Ghost-peak attack: adversarial taps ahead of the legitimate first path.
-  // Appended after the detectability scan on purpose — ghosts corrupt the
+  // Ghost-peak attack: adversarial taps ahead of the legitimate first path,
+  // drawn after the detectability decision on purpose — ghosts corrupt the
   // rendered CIR (where first-path search happens) without changing which
   // frames are deliverable, so a zero-strength plan stays byte-identical.
-  // `first` points into af.taps' buffer and the push_back may reallocate
-  // it, so the pointer is dead past this block — read the saved copies.
-  if (attack != nullptr) {
-    ghost_scratch_.clear();
-    attack->ghost_taps(tx_node_id, rx.id(), frame_seed, first->delay_s,
-                       af.first_path_amplitude, ghost_scratch_);
-    af.taps.reserve(af.taps.size() + ghost_scratch_.size());
-    for (const fault::GhostTap& g : ghost_scratch_)
-      af.taps.push_back(channel::Tap{g.delay_s, g.amplitude, false, 0});
-    first = nullptr;
-  }
+  if (attack != nullptr)
+    attack->ghost_taps(tx_node_id, rx.id(), frame_seed,
+                       af.first_detectable_delay.value(),
+                       af.first_path_amplitude, af.ghost_taps);
 
   UWB_FR_EVENT(.kind = obs::FrKind::kChannel, .name = "delivered",
                .chain = frame_seed, .t_ps = preamble_start.ps(),
@@ -162,7 +154,13 @@ Medium::DeliverOutcome Medium::deliver(
                .v0 = {"first_path_amp", af.first_path_amplitude},
                .v1 = {"delay_s", af.first_detectable_delay.value()});
 
-  if (delivery_probe_) delivery_probe_(rx.id(), af);
+  if (delivery_probe_) {
+    // The probe sees the frame as a receiver would superpose it; the copy
+    // of the link stream leaves the scheduled frame's draws untouched.
+    AirFrame seen = af;
+    complete_channel(seen);
+    delivery_probe_(rx.id(), seen);
+  }
 
   Node* target = &rx;
   sim_.at(af.preamble_start_arrival, [target, af = std::move(af)]() mutable {
@@ -170,6 +168,19 @@ Medium::DeliverOutcome Medium::deliver(
   });
   ++stats_.frames_delivered;
   return DeliverOutcome::kDelivered;
+}
+
+void Medium::complete_channel(AirFrame& af) const {
+  UWB_EXPECTS(af.link_rng.has_value());
+  channel::ChannelRealization ch = model_.complete_diffuse(
+      channel::SpecularStage{{std::move(af.taps), af.los_delay_s},
+                             af.diffuse_ref_amp},
+      *af.link_rng);
+  af.link_rng.reset();
+  ch.taps.reserve(ch.taps.size() + af.ghost_taps.size());
+  for (const fault::GhostTap& g : af.ghost_taps)
+    ch.taps.push_back(channel::Tap{g.delay_s, g.amplitude, false, 0});
+  af.taps = std::move(ch.taps);
 }
 
 void Medium::transmit(int tx_node_id, const dw::MacFrame& frame,

@@ -1,10 +1,9 @@
 // Shared radio medium with spatial interference culling (DESIGN.md Sect. 13).
 //
 // Propagates every transmission through the channel model (drawing a fresh
-// channel realisation per link per frame) and delivers an AirFrame carrying
-// the full tap list to each receiver that can detect it. Receivers superpose
-// overlapping AirFrames into one CIR — the physical mechanism behind
-// concurrent ranging.
+// channel realisation per link per frame) and delivers an AirFrame to each
+// receiver that can detect it. Receivers superpose overlapping AirFrames
+// into one CIR — the physical mechanism behind concurrent ranging.
 //
 // Each link is decided from cheap evidence before its channel is paid for:
 //
@@ -18,20 +17,27 @@
 // * Specular gate. Following the paper's Eq. 1, h = sum_k alpha_k
 //   delta(t - tau_k) + nu(t), the deterministic taps alpha_k alone decide
 //   whether the receiver's preamble detector can lock, and where (the
-//   earliest specular tap at or above the threshold). Only links that
-//   deliver pay for the diffuse tail nu(t) and the tap sort.
+//   earliest specular tap at or above the threshold).
+//
+// The transmitter decides; the receiver completes. A detectable frame
+// travels with its specular stage and its link stream, and the diffuse
+// tail nu(t) and the tap sort are drawn by complete_channel() only when a
+// receiver superposes the frame into a CIR (Node::finalize_batch): a frame
+// that reaches a radio that is off, arrives late for a batch or is
+// abandoned never pays for its tail.
 //
 // Channel randomness comes from a per-(link, frame) stream forked with
 // derive_seed (the same pattern src/fault uses for per-node fault streams),
 // and the diffuse completion continues the link's own stream, so neither
-// gate perturbs the draws of the links that remain: culled and unculled
-// runs are bit-identical for every delivered frame, and every delivered
-// frame carries exactly ChannelModel::realize() on its link stream, at any
-// thread count.
+// the gates nor the deferral perturb the draws of the links that remain:
+// culled and unculled runs are bit-identical for every delivered frame,
+// and every completed frame carries exactly ChannelModel::realize() on its
+// link stream, at any thread count.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "channel/channel_model.hpp"
@@ -61,8 +67,20 @@ struct AirFrame {
   /// TX crystal drift (ground truth, used for the receiver's carrier
   /// frequency offset estimate).
   double tx_drift_ppm = 0.0;
-  /// Channel taps (absolute propagation delays TX->RX).
+  /// Channel taps (absolute propagation delays TX->RX). In flight, the
+  /// specular stage only, in image-source order; Medium::complete_channel
+  /// replaces them with the full realization (sorted by delay, diffuse tail
+  /// included) followed by the ghost taps.
   std::vector<channel::Tap> taps;
+  /// Geometric direct-path delay [s] and diffuse reference amplitude of the
+  /// specular stage (see channel::SpecularStage): the tail's anchor.
+  double los_delay_s = 0.0;
+  double diffuse_ref_amp = 0.0;
+  /// Adversarial taps, appended after the completed channel.
+  std::vector<fault::GhostTap> ghost_taps;
+  /// The link's channel stream where the specular stage left it; the
+  /// diffuse tail continues it. Empty once the channel is complete.
+  std::optional<Rng> link_rng;
   /// Delay of the first path strong enough for the receiver to detect.
   Seconds first_detectable_delay{};
   /// Amplitude magnitude of that first detectable path.
@@ -103,7 +121,8 @@ struct MediumParams {
 struct MediumStats {
   std::uint64_t frames_transmitted = 0;
   /// AirFrames scheduled for delivery (a specular tap at or above the
-  /// detection threshold). Only these links draw their diffuse tail.
+  /// detection threshold). Of these, only the frames a receiver superposes
+  /// into a CIR draw their diffuse tail (the `channel_diffuse` span count).
   std::uint64_t frames_delivered = 0;
   /// Receivers skipped without a path lookup or a draw: outside the
   /// transmitter's 3x3 grid neighborhood, or inside it but farther than
@@ -190,8 +209,15 @@ class Medium {
   /// key. Empty when culling is inactive.
   const std::vector<CellTraffic>& cell_traffic() const { return cell_traffic_; }
 
+  /// Draw the rest of a delivered frame's channel: the diffuse tail on the
+  /// frame's link stream, the tap sort, then the ghost taps. Exactly once
+  /// per frame; the receiver calls it for the frames it superposes.
+  void complete_channel(AirFrame& af) const;
+
   /// Test hook: observe every AirFrame at the instant it is scheduled
-  /// (before delivery). Used by the culling-identity tests.
+  /// (before delivery), its channel completed on a copy of the link stream
+  /// while the scheduled frame stays incomplete. Used by the
+  /// culling-identity tests.
   void set_delivery_probe(
       std::function<void(int rx_node_id, const AirFrame&)> probe) {
     delivery_probe_ = std::move(probe);
@@ -201,8 +227,8 @@ class Medium {
   enum class DeliverOutcome { kDelivered, kBelowThreshold };
 
   void ensure_spatial_index();
-  /// Realize the link's specular taps; if one is detectable, complete the
-  /// channel with its diffuse tail and schedule the AirFrame.
+  /// Realize the link's specular taps; if one is detectable, schedule the
+  /// AirFrame carrying them and the link stream.
   DeliverOutcome deliver(Node& rx, int tx_node_id, geom::Vec2 tx_pos,
                          std::uint64_t frame_seed, const dw::MacFrame& frame,
                          std::uint8_t tc_pgdelay, SimTime preamble_start,
@@ -216,8 +242,6 @@ class Medium {
   MediumParams params_;
   fault::FaultInjector* fault_ = nullptr;
   fault::AttackInjector* attack_ = nullptr;
-  /// Scratch for ghost-tap queries (avoids per-delivery allocation).
-  std::vector<fault::GhostTap> ghost_scratch_;
 
   /// Base of the per-(link, frame) channel seed hierarchy: one draw from
   /// the Rng the medium was constructed with, so existing scenario seeding

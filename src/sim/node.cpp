@@ -156,6 +156,13 @@ void Node::on_air_frame(AirFrame af) {
 void Node::finalize_batch() {
   if (!rx_enabled_ || pending_.empty()) return;
 
+  // Eq. 1's diffuse tail is drawn here, for the frames this radio actually
+  // superposes, on each frame's own link stream (DESIGN.md Sect. 13.2).
+  for (AirFrame& af : pending_) {
+    UWB_OBS_SPAN("channel_diffuse");
+    medium_.complete_channel(af);
+  }
+
   // Sync selection: earliest detectable preamble wins unless a much
   // stronger overlapping frame captures the correlator. Frames whose
   // preamble detection was faulted out can never take the lock (the leader

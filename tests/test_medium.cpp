@@ -1,11 +1,16 @@
 // Unit tests: Medium propagation details and the detector trace API.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <memory>
 #include <optional>
 
 #include "common/constants.hpp"
+#include "common/hash.hpp"
 #include "dw1000/cir.hpp"
+#include "fault/attack.hpp"
 #include "ranging/search_subtract.hpp"
 #include "sim/medium.hpp"
 #include "sim/node.hpp"
@@ -120,6 +125,107 @@ TEST(MediumTest, ObstructedDirectPathLocksToReflection) {
   const double tof = got->rx_timestamp.diff_seconds(tx_ts).value();
   // Direct path is 10 m; the shortest reflection is noticeably longer.
   EXPECT_GT(tof, 10.5 / k::c_air);
+}
+
+// --- the receiver completes the channel the probe saw ----------------------
+//
+// A frame travels with its specular stage and link stream; the receiver
+// that superposes it draws the diffuse tail. The probe completes a copy at
+// TX time, so the two must agree bit for bit.
+
+/// Three concurrent transmitters, one listening node. Returns the number of
+/// arrivals the listener superposed; every one must equal, in order, the
+/// probe's taps of the batch frames concatenated in arrival order.
+std::size_t expect_listener_superposes_probe_taps(
+    fault::AttackInjector* attack, int ghosts_from, int ghost_count) {
+  Bench bench(0.02, 5);
+  bench.medium->set_attack_injector(attack);
+  Node rx(bench.sim, *bench.medium, node_cfg(0, {10.0, 25.0}), Rng(2));
+  std::vector<std::unique_ptr<Node>> txs;
+  for (int i = 1; i <= 3; ++i)
+    txs.push_back(std::make_unique<Node>(
+        bench.sim, *bench.medium,
+        node_cfg(i, {10.0 + 3.0 * i, 25.0 + 0.5 * i}), Rng(10 + i)));
+
+  struct Seen {
+    std::vector<channel::Tap> taps;
+    double first_delay_s = 0.0;
+  };
+  std::map<int, Seen> seen;  // tx id -> the frame the probe saw at rx
+  bench.medium->set_delivery_probe([&](int rx_id, const AirFrame& af) {
+    if (rx_id == rx.id())
+      seen[af.tx_node_id] = {af.taps, af.first_detectable_delay.value()};
+  });
+  std::optional<RxResult> got;
+  rx.set_rx_handler([&](RxResult&& r) { got = std::move(r); });
+  rx.enter_rx();
+  dw::MacFrame f;
+  f.type = dw::FrameType::Resp;
+  bench.sim.after(SimTime::from_micros(5.0), [&] {
+    for (auto& tx : txs) tx->transmit_now(f);
+  });
+  bench.sim.run();
+
+  EXPECT_TRUE(got.has_value());
+  if (!got) return 0;
+  EXPECT_EQ(got->batch_tx_node_ids.size(), txs.size());
+  std::vector<Complex> want;
+  for (const int tx : got->batch_tx_node_ids) {
+    const Seen& frame = seen.at(tx);
+    const auto& taps = frame.taps;
+    // The channel is sorted by delay; an attacker's ghosts follow it, all
+    // ahead of the legitimate first path.
+    const std::size_t n_ghosts =
+        tx == ghosts_from ? static_cast<std::size_t>(ghost_count) : 0;
+    EXPECT_GT(taps.size(), n_ghosts);
+    const auto channel_end =
+        taps.end() - static_cast<std::ptrdiff_t>(n_ghosts);
+    EXPECT_TRUE(std::is_sorted(
+        taps.begin(), channel_end,
+        [](const channel::Tap& a, const channel::Tap& b) {
+          return a.delay_s < b.delay_s;
+        }));
+    // The diffuse tail is there.
+    EXPECT_TRUE(std::any_of(taps.begin(), channel_end,
+                            [](const channel::Tap& t) {
+                              return !t.deterministic;
+                            }));
+    for (auto it = channel_end; it != taps.end(); ++it) {
+      EXPECT_FALSE(it->deterministic);
+      EXPECT_LT(it->delay_s, frame.first_delay_s);
+    }
+    for (const channel::Tap& t : taps) want.push_back(t.amplitude);
+  }
+  const std::vector<dw::CirArrival>& arrivals = got->cir.arrivals;
+  EXPECT_EQ(arrivals.size(), want.size());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < std::min(arrivals.size(), want.size()); ++i)
+    if (double_bits(arrivals[i].amplitude.real()) !=
+            double_bits(want[i].real()) ||
+        double_bits(arrivals[i].amplitude.imag()) !=
+            double_bits(want[i].imag()))
+      ++differing;
+  EXPECT_EQ(differing, 0u);
+  return arrivals.size();
+}
+
+TEST(ChannelCompletionTest, ListenerSuperposesTheProbesTaps) {
+  EXPECT_GT(expect_listener_superposes_probe_taps(nullptr, -1, 0), 3u);
+}
+
+TEST(ChannelCompletionTest, GhostTapsFollowTheCompletedChannel) {
+  fault::AttackSpec spec;
+  spec.attacker_id = 2;
+  spec.kind = fault::AttackKind::kGhostPeak;
+  spec.ghost_advance_s = 3e-9;
+  spec.ghost_rel_amplitude = 0.8;
+  spec.ghost_count = 2;
+  fault::AttackPlan plan;
+  plan.enabled = true;
+  plan.specs = {spec};
+  fault::AttackInjector attack(plan, 99);
+  EXPECT_GT(expect_listener_superposes_probe_taps(&attack, 2, 2), 3u);
+  EXPECT_GT(attack.counters().ghost_taps, 0u);
 }
 
 TEST(DetectorTraceTest, TraceMatchesDetect) {

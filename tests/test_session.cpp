@@ -1,12 +1,14 @@
 // Integration tests: full concurrent-ranging rounds through the simulator,
-// covering the paper's core scenarios (Sect. III-VIII), and which receivers
-// render their CIR.
+// covering the paper's core scenarios (Sect. III-VIII), which receivers
+// render their CIR, and which frames draw their diffuse tail.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 #include "common/constants.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "ranging/dstwr.hpp"
 #include "ranging/network.hpp"
@@ -169,6 +171,93 @@ TEST(CirRenderTest, DsTwrNeverRenders) {
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(delta.captures(), 3u);  // POLL, RESP, FINAL
   EXPECT_EQ(delta.renders(), 0u);
+}
+
+// --- who draws the diffuse tail ---------------------------------------------
+//
+// The medium decides a frame from its specular taps and schedules it with
+// its link stream; only a receiver that superposes the frame into a CIR
+// completes nu(t) (`channel_diffuse` span). Frames for a radio that is off,
+// late for a batch or abandoned never draw one.
+
+/// Tails drawn and frames delivered since construction; records the flight
+/// recorder meanwhile, to count the frames that reached a finalize_batch.
+class TailDelta {
+ public:
+  TailDelta() {
+    obs::FlightRecorder::instance().reset();
+    obs::FlightRecorder::set_enabled(true);
+  }
+  ~TailDelta() {
+    obs::FlightRecorder::set_enabled(false);
+    obs::FlightRecorder::instance().reset();
+  }
+  TailDelta(const TailDelta&) = delete;
+  TailDelta& operator=(const TailDelta&) = delete;
+
+  std::uint64_t tails() const { return span_count("channel_diffuse") - tails_; }
+  std::uint64_t delivered() const { return delivered_count() - delivered_; }
+  /// Batch leads and joins, minus the frames exit_rx abandoned.
+  std::uint64_t superposed() const {
+    std::uint64_t n = 0, abandoned = 0;
+    for (const obs::FrRecord& r : obs::FlightRecorder::instance().collect()) {
+      if (std::strcmp(r.name, "rx_batch_lead") == 0 ||
+          std::strcmp(r.name, "rx_batch_join") == 0)
+        ++n;
+      if (std::strcmp(r.name, "rx_abandoned") == 0) ++abandoned;
+    }
+    return n - abandoned;
+  }
+
+ private:
+  static std::uint64_t delivered_count() {
+    return obs::MetricsRegistry::instance().aggregate().counter(
+        "medium_frames_delivered");
+  }
+
+  std::uint64_t tails_ = span_count("channel_diffuse");
+  std::uint64_t delivered_ = delivered_count();
+};
+
+TEST(DiffuseTailTest, Fig4RoundDrawsOnlySuperposedTails) {
+  ScenarioConfig cfg = hallway_scenario(8);
+  cfg.responders = {{0, {5.0, 1.2}}, {1, {8.0, 1.2}}, {2, {12.0, 1.2}}};
+  ConcurrentRangingScenario scenario(cfg);
+  const TailDelta delta;
+  const RoundOutcome out = scenario.run_round();
+  ASSERT_TRUE(out.payload_decoded);
+  EXPECT_EQ(out.attempts, 1);
+  // INIT to 3 responders, 3 RESPs to the initiator and to the 2 other
+  // responders, whose radios are off by then.
+  EXPECT_EQ(delta.delivered(), 12u);
+  EXPECT_EQ(delta.tails(), 6u);
+  EXPECT_EQ(delta.tails(), delta.superposed());
+}
+
+TEST(DiffuseTailTest, NetworkRoundDrawsOnlySuperposedTails) {
+  NetworkConfig cfg;
+  cfg.room = geom::Room::rectangular(16.0, 10.0, 10.0);
+  cfg.node_positions = {{2.0, 2.0}, {13.0, 2.5}, {12.5, 8.0}, {3.0, 7.5}};
+  cfg.ranging.num_slots = 4;
+  cfg.ranging.slot_spacing_s = 150e-9;
+  cfg.seed = 1;
+  NetworkRangingSession session(cfg);
+  const TailDelta delta;
+  const NetworkRound round = session.run_round(0);
+  ASSERT_TRUE(round.completed);
+  EXPECT_EQ(delta.tails(), delta.superposed());
+  EXPECT_EQ(delta.tails(), 6u);
+  EXPECT_EQ(delta.delivered(), 12u);
+}
+
+TEST(DiffuseTailTest, DsTwrDrawsOnlySuperposedTails) {
+  DsTwrSession session(DsTwrSessionConfig{});
+  const TailDelta delta;
+  const DsTwrResult result = session.run_round();
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(delta.tails(), delta.superposed());
+  EXPECT_EQ(delta.tails(), 3u);  // POLL, RESP, FINAL
+  EXPECT_EQ(delta.delivered(), 3u);
 }
 
 }  // namespace

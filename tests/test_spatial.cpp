@@ -5,6 +5,7 @@
 // specular-first (Eq. 1) detectability decision.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -591,11 +592,13 @@ bool same_taps(const std::vector<channel::Tap>& a,
   return true;
 }
 
-/// Frames checked by check_deliveries_against_realize, and how many of
-/// them locked to a reflection (the LOS tap below threshold).
+/// Frames checked by check_deliveries_against_realize, how many of them
+/// locked to a reflection (the LOS tap below threshold), and how many had
+/// another qualifying specular tap at exactly the first path's delay.
 struct GateCheck {
   std::uint64_t frames = 0;
   std::uint64_t reflection_first = 0;
+  std::uint64_t ties = 0;
 };
 
 /// Runs `rounds` rounds of `cfg` and checks every AirFrame the delivery
@@ -617,19 +620,37 @@ void check_deliveries_against_realize(const ranging::ScenarioConfig& cfg,
         model.realize(position.at(af.tx_node_id), position.at(rx), rng);
     EXPECT_TRUE(same_taps(af.taps, ch.taps))
         << af.tx_node_id << " -> " << rx;
-    // The first path is the earliest specular tap at or above threshold.
+    // The first path is the earliest specular tap at or above threshold,
+    // the first in image-source order on a tie.
+    Rng stage_rng(derive_seed(af.chain, link_stream(af.tx_node_id, rx)));
+    const channel::SpecularStage stage = model.realize_specular(
+        position.at(af.tx_node_id), position.at(rx), stage_rng);
     const channel::Tap* first = nullptr;
-    for (const channel::Tap& t : ch.taps)
-      if (t.deterministic && std::abs(t.amplitude) >= threshold) {
+    bool tie = false;
+    for (const channel::Tap& t : stage.channel.taps) {
+      if (std::abs(t.amplitude) < threshold) continue;
+      if (first == nullptr || t.delay_s < first->delay_s) {
         first = &t;
-        break;
+        tie = false;
+      } else if (t.delay_s == first->delay_s) {
+        tie = true;
       }
+    }
     ASSERT_NE(first, nullptr);
     EXPECT_EQ(double_bits(af.first_detectable_delay.value()),
               double_bits(first->delay_s));
     EXPECT_EQ(double_bits(af.first_path_amplitude),
               double_bits(std::abs(first->amplitude)));
+    // The sorted realization lists that tap first among its equals.
+    const auto sorted_first = std::find_if(
+        ch.taps.begin(), ch.taps.end(), [&](const channel::Tap& t) {
+          return t.deterministic && std::abs(t.amplitude) >= threshold;
+        });
+    ASSERT_NE(sorted_first, ch.taps.end());
+    EXPECT_EQ(double_bits(std::abs(sorted_first->amplitude)),
+              double_bits(std::abs(first->amplitude)));
     if (first->order > 0) ++out.reflection_first;
+    if (tie) ++out.ties;
   });
   for (int r = 0; r < rounds; ++r) scenario.run_round();
   EXPECT_EQ(checked, scenario.medium().stats().frames_delivered);
@@ -642,10 +663,13 @@ TEST(SpecularGateTest, HallwayDeliveriesCarryRealizeTaps) {
   // path to the two far responders behind a cabinet, so their frames lock
   // to a wall reflection — the case where the choice of first path
   // matters. Mirroring the line across the hallway (y = 1.4 m) swaps which
-  // wall gives the earlier reflection.
+  // wall gives the earlier reflection; on the hallway's axis (y = 1.2 m)
+  // the two reflections have the same length, so they tie exactly and the
+  // first path is the first of them in image-source order, whatever the
+  // standard library's sort does with equal keys.
   GateCheck check;
-  for (const int variant : {0, 1, 2}) {
-    const double y = variant == 2 ? 1.4 : 1.0;
+  for (const int variant : {0, 1, 2, 3}) {
+    const double y = variant == 2 ? 1.4 : variant == 3 ? 1.2 : 1.0;
     for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
       ranging::ScenarioConfig cfg;
       cfg.room = geom::Room::hallway(40.0, 2.4, /*reflection_loss_db=*/15.0);
@@ -660,6 +684,7 @@ TEST(SpecularGateTest, HallwayDeliveriesCarryRealizeTaps) {
   }
   EXPECT_GT(check.frames, 0u);
   EXPECT_GT(check.reflection_first, 0u);
+  EXPECT_GT(check.ties, 0u);
 }
 
 TEST(SpecularGateTest, BuildingDeliveriesCarryRealizeTaps) {
