@@ -17,6 +17,8 @@
 // exits 2.
 #pragma once
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -104,6 +106,25 @@ inline runner::MonteCarlo monte_carlo(const BenchOptions& opts,
   cfg.threads = opts.threads;
   cfg.base_seed = base_seed;
   return runner::MonteCarlo(cfg);
+}
+
+/// Peak resident set of this process [MB]: VmHWM, which unlike getrusage's
+/// maxrss leaves out a parent's peak from before exec; getrusage when /proc
+/// is unreadable.
+inline double peak_rss_mb() {
+  double kb = 0.0;
+  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    while (std::fgets(line, sizeof(line), f) != nullptr)
+      if (std::sscanf(line, "VmHWM: %lf kB", &kb) == 1) break;
+    std::fclose(f);
+  }
+  if (kb <= 0.0) {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    kb = static_cast<double>(usage.ru_maxrss);
+  }
+  return kb / 1024.0;
 }
 
 /// Machine-readable record of one bench run:
@@ -281,6 +302,10 @@ class JsonReport {
       metrics.emplace_back("obs_medium_fanout_max", number(h->max()));
       metrics.emplace_back("obs_medium_fanout_mean", number(h->mean()));
     }
+
+    // Memory high-water mark of the whole run (CI caps it: a per-thread
+    // memo that grows with the workload fails the gate).
+    metrics.emplace_back("obs_peak_rss_mb", number(peak_rss_mb()));
   }
 
   static std::string number(double v) {

@@ -8,11 +8,14 @@
 #include "channel/path_loss.hpp"
 #include "common/constants.hpp"
 #include "common/expects.hpp"
+#include "geom/image_source.hpp"
 
 namespace uwb::channel {
 
 ChannelModel::ChannelModel(geom::Room room, ChannelModelParams params)
-    : room_(std::move(room)), params_(params) {
+    : room_(std::move(room)),
+      obstacle_grid_(room_.obstacle_grid()),
+      params_(params) {
   UWB_EXPECTS(params.path_loss_exponent >= 0.0);
   UWB_EXPECTS(params.max_reflection_order >= 0 &&
               params.max_reflection_order <= 2);
@@ -29,10 +32,8 @@ SpecularStage ChannelModel::realize_specular(geom::Vec2 tx, geom::Vec2 rx,
   UWB_EXPECTS(geom::distance(tx, rx) > 0.0);
   SpecularStage out;
 
-  // Memoised image-source solve: geometry is static across the rounds of a
-  // scenario, so all but the first frame per (tx, rx) pair hit the cache.
-  const auto& specular =
-      geom::compute_paths_cached(room_, tx, rx, params_.max_reflection_order);
+  const std::vector<geom::SpecularPath> specular = geom::compute_paths(
+      room_, obstacle_grid_, tx, rx, params_.max_reflection_order);
   UWB_ENSURES(!specular.empty());
   out.channel.los_delay_s = specular.front().length_m / k::c_air;
   out.channel.taps.reserve(specular.size());

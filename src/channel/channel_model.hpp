@@ -11,7 +11,7 @@
 #include "common/random.hpp"
 #include "common/types.hpp"
 #include "common/units.hpp"
-#include "geom/image_source.hpp"
+#include "geom/grid.hpp"
 #include "geom/room.hpp"
 
 namespace uwb::channel {
@@ -70,6 +70,8 @@ struct ChannelModelParams {
 /// Generates channel realisations for node pairs placed in a Room.
 class ChannelModel {
  public:
+  /// Takes the room by value and indexes its obstacles once: the room is
+  /// immutable from here on, so the grid stays valid for every realization.
   ChannelModel(geom::Room room, ChannelModelParams params);
 
   /// Draw a realisation for a TX at `tx` and an RX at `rx` [m]: exactly
@@ -78,7 +80,9 @@ class ChannelModel {
 
   /// Stage 1 of realize(): the specular taps, each drawing its fading and
   /// phase from `rng`. Enough to decide whether a receiver can detect the
-  /// link (see sim::Medium) without paying for the diffuse tail.
+  /// link (see sim::Medium) without paying for the diffuse tail. The
+  /// image-source solve is fresh per call, its obstruction losses from the
+  /// room's obstacle grid.
   SpecularStage realize_specular(geom::Vec2 tx, geom::Vec2 rx, Rng& rng) const;
 
   /// Stage 2 of realize(): appends the diffuse tail, drawn from `rng` where
@@ -104,6 +108,7 @@ class ChannelModel {
 
  private:
   geom::Room room_;
+  geom::UniformGrid obstacle_grid_;  // room_.obstacle_grid()
   ChannelModelParams params_;
 };
 

@@ -1,10 +1,6 @@
 #include "geom/image_source.hpp"
 
-#include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <string>
-#include <unordered_map>
 
 #include "common/expects.hpp"
 
@@ -32,10 +28,11 @@ double side_of(const Segment& wall, Vec2 p) {
   return cross(wall.b - wall.a, p - wall.a);
 }
 
-}  // namespace
-
-std::vector<SpecularPath> compute_paths(const Room& room, Vec2 tx, Vec2 rx,
-                                        int max_order) {
+// The solve, with each leg's obstruction loss from `obstruction_loss_db`.
+template <class ObstructionLoss>
+std::vector<SpecularPath> solve(const Room& room, Vec2 tx, Vec2 rx,
+                                int max_order,
+                                ObstructionLoss&& obstruction_loss_db) {
   UWB_EXPECTS(max_order >= 0 && max_order <= 2);
   std::vector<SpecularPath> paths;
   // LOS + one first-order path per wall + one second-order path per
@@ -47,7 +44,7 @@ std::vector<SpecularPath> compute_paths(const Room& room, Vec2 tx, Vec2 rx,
 
   SpecularPath los;
   los.length_m = distance(tx, rx);
-  los.obstruction_loss_db = room.obstruction_loss_db(tx, rx);
+  los.obstruction_loss_db = obstruction_loss_db(tx, rx);
   paths.push_back(los);
   if (max_order == 0) return paths;
 
@@ -63,7 +60,7 @@ std::vector<SpecularPath> compute_paths(const Room& room, Vec2 tx, Vec2 rx,
     sp.length_m = distance(image, rx);
     sp.reflection_loss_db = walls[i].reflection_loss_db;
     sp.obstruction_loss_db =
-        room.obstruction_loss_db(tx, p) + room.obstruction_loss_db(p, rx);
+        obstruction_loss_db(tx, p) + obstruction_loss_db(p, rx);
     sp.order = 1;
     sp.wall_indices = {static_cast<int>(i)};
     paths.push_back(sp);
@@ -82,16 +79,16 @@ std::vector<SpecularPath> compute_paths(const Room& room, Vec2 tx, Vec2 rx,
       if (!reflection_point(wj, image2, rx, pj)) continue;
       Vec2 pi;
       if (!reflection_point(wi, image1, pj, pi)) continue;
-      // The leg from TX to the first bounce must not cross the second wall
-      // and vice versa; for convex rooms the segment checks above suffice,
-      // but validate the bounce order geometrically.
+      // Both bounce points lie inside their wall segments and legs; no
+      // check that a leg avoids the other walls. That holds in a convex
+      // room, the case this solver assumes.
       SpecularPath sp;
       sp.length_m = distance(image2, rx);
       sp.reflection_loss_db =
           walls[i].reflection_loss_db + walls[j].reflection_loss_db;
-      sp.obstruction_loss_db = room.obstruction_loss_db(tx, pi) +
-                               room.obstruction_loss_db(pi, pj) +
-                               room.obstruction_loss_db(pj, rx);
+      sp.obstruction_loss_db = obstruction_loss_db(tx, pi) +
+                               obstruction_loss_db(pi, pj) +
+                               obstruction_loss_db(pj, rx);
       sp.order = 2;
       sp.wall_indices = {static_cast<int>(i), static_cast<int>(j)};
       paths.push_back(sp);
@@ -100,91 +97,25 @@ std::vector<SpecularPath> compute_paths(const Room& room, Vec2 tx, Vec2 rx,
   return paths;
 }
 
-namespace {
-
-void append_double(std::string& key, double x) {
-  char bits[sizeof(double)];
-  std::memcpy(bits, &x, sizeof(bits));
-  key.append(bits, sizeof(bits));
-}
-
-void append_size(std::string& key, std::size_t n) {
-  const auto v = static_cast<std::uint32_t>(n);
-  char bits[sizeof(v)];
-  std::memcpy(bits, &v, sizeof(bits));
-  key.append(bits, sizeof(bits));
-}
-
-void append_segment(std::string& key, const Segment& s) {
-  append_double(key, s.a.x);
-  append_double(key, s.a.y);
-  append_double(key, s.b.x);
-  append_double(key, s.b.y);
-}
-
-// Exact byte-wise key over everything compute_paths reads: the key matches
-// iff a fresh computation would return the identical result, so a cache hit
-// can never change behaviour.
-std::string geometry_key(const Room& room, Vec2 tx, Vec2 rx, int max_order) {
-  std::string key;
-  key.reserve(16 + 40 * (room.walls().size() + room.obstacles().size()) + 40);
-  key.push_back(static_cast<char>(max_order));
-  append_size(key, room.walls().size());
-  for (const Wall& w : room.walls()) {
-    append_segment(key, w.segment);
-    append_double(key, w.reflection_loss_db);
-  }
-  append_size(key, room.obstacles().size());
-  for (const Obstacle& o : room.obstacles()) {
-    append_segment(key, o.segment);
-    append_double(key, o.transmission_loss_db);
-  }
-  append_double(key, tx.x);
-  append_double(key, tx.y);
-  append_double(key, rx.x);
-  append_double(key, rx.y);
-  return key;
-}
-
-struct PathCache {
-  std::unordered_map<std::string, std::vector<SpecularPath>> entries;
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-};
-
-PathCache& path_cache() {
-  thread_local PathCache cache;
-  return cache;
-}
-
-// Bound on distinct (geometry, endpoints) pairs kept per thread; sweeps with
-// continuously moving nodes would otherwise grow without limit.
-constexpr std::size_t kMaxPathCacheEntries = 4096;
-
 }  // namespace
 
-const std::vector<SpecularPath>& compute_paths_cached(const Room& room,
-                                                      Vec2 tx, Vec2 rx,
-                                                      int max_order) {
-  PathCache& cache = path_cache();
-  std::string key = geometry_key(room, tx, rx, max_order);
-  const auto it = cache.entries.find(key);
-  if (it != cache.entries.end()) {
-    ++cache.hits;
-    return it->second;
-  }
-  ++cache.misses;
-  if (cache.entries.size() >= kMaxPathCacheEntries) cache.entries.clear();
-  return cache.entries
-      .emplace(std::move(key), compute_paths(room, tx, rx, max_order))
-      .first->second;
+std::vector<SpecularPath> compute_paths(const Room& room, Vec2 tx, Vec2 rx,
+                                        int max_order) {
+  return solve(room, tx, rx, max_order, [&room](Vec2 a, Vec2 b) {
+    return room.obstruction_loss_db(a, b);
+  });
 }
 
-PathCacheStats path_cache_stats() {
-  const PathCache& cache = path_cache();
-  return {cache.hits, cache.misses, cache.entries.size()};
+std::vector<SpecularPath> compute_paths(const Room& room,
+                                        const UniformGrid& obstacle_grid,
+                                        Vec2 tx, Vec2 rx, int max_order) {
+  std::vector<std::int32_t> candidates;
+  candidates.reserve(obstacle_grid.entry_count());
+  return solve(room, tx, rx, max_order,
+               [&room, &obstacle_grid, &candidates](Vec2 a, Vec2 b) {
+                 return room.obstruction_loss_db(a, b, obstacle_grid,
+                                                 candidates);
+               });
 }
-
-void clear_path_cache() { path_cache() = PathCache{}; }
 
 }  // namespace uwb::geom

@@ -34,4 +34,30 @@ double Room::obstruction_loss_db(Vec2 a, Vec2 b) const {
   return loss;
 }
 
+UniformGrid Room::obstacle_grid() const {
+  std::vector<Segment> segments;
+  segments.reserve(obstacles_.size());
+  for (const Obstacle& o : obstacles_) segments.push_back(o.segment);
+  return UniformGrid(segments);
+}
+
+double Room::obstruction_loss_db(Vec2 a, Vec2 b, const UniformGrid& grid,
+                                 std::vector<std::int32_t>& candidates) const {
+  if (obstacles_.empty()) return 0.0;
+  UWB_EXPECTS(grid.point_count() == obstacles_.size());
+  // A crossing obstacle shares a point with the ray, so the grid lists it;
+  // the rest fail the test as they do in the full loop. Ascending indices
+  // add the same losses in the same order.
+  candidates.clear();
+  const Segment ray{a, b};
+  grid.along_segment(ray, candidates);
+  double loss = 0.0;
+  for (const std::int32_t i : candidates) {
+    const Obstacle& o = obstacles_[static_cast<std::size_t>(i)];
+    if (segments_intersect(ray, o.segment, /*strict=*/true))
+      loss += o.transmission_loss_db;
+  }
+  return loss;
+}
+
 }  // namespace uwb::geom

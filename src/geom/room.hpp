@@ -4,9 +4,11 @@
 // that pass through them (used for the NLOS extension study).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "geom/grid.hpp"
 #include "geom/vec2.hpp"
 
 namespace uwb::geom {
@@ -49,8 +51,21 @@ class Room {
   const std::vector<Obstacle>& obstacles() const { return obstacles_; }
 
   /// Total obstacle transmission loss (dB) along the open segment from a to
-  /// b; 0 when the path is clear.
+  /// b; 0 when the path is clear. Tests every obstacle: the reference the
+  /// indexed overload below is held to.
   double obstruction_loss_db(Vec2 a, Vec2 b) const;
+
+  /// The obstacles bucketed on a segment grid (UniformGrid's segment
+  /// constructor), for the indexed obstruction_loss_db.
+  UniformGrid obstacle_grid() const;
+
+  /// obstruction_loss_db(a, b), bit for bit, testing only the obstacles
+  /// `grid` (this room's obstacle_grid()) lists along the segment and
+  /// summing their losses in ascending obstacle index, the full loop's
+  /// order. `candidates` is scratch space; reserve grid.entry_count() once
+  /// and no call allocates. With no obstacles a call is one size check.
+  double obstruction_loss_db(Vec2 a, Vec2 b, const UniformGrid& grid,
+                             std::vector<std::int32_t>& candidates) const;
 
  private:
   std::vector<Wall> walls_;

@@ -1,13 +1,12 @@
 // Per-worker-thread context for Monte-Carlo trials.
 //
-// The expensive immutables of a trial — pulse templates, matched-filter
-// template banks (with their FFT spectra), and image-source path solves —
-// are memoised in thread-local caches owned by the layer that computes
-// them (dw1000/pulse, ranging/search_subtract, geom/image_source), so
-// scenario construction per trial stops reallocating them. WorkerContext
-// is the handle a trial gets to that per-thread state: aggregated cache
-// statistics, the metrics shard and a reset, without the trial function
-// having to know where each cache lives.
+// The expensive immutables of a trial — pulse templates and matched-filter
+// template banks (with their FFT spectra) — are memoised in thread-local
+// caches owned by the layer that computes them (dw1000/pulse,
+// ranging/search_subtract), so scenario construction per trial stops
+// reallocating them. WorkerContext is the handle a trial gets to that
+// per-thread state: aggregated cache statistics, the metrics shard and a
+// reset, without the trial function having to know where each cache lives.
 #pragma once
 
 #include <cstddef>
@@ -25,8 +24,6 @@ class WorkerContext {
   struct CacheStats {
     std::size_t pulse_hits = 0;
     std::size_t pulse_misses = 0;
-    std::size_t path_hits = 0;
-    std::size_t path_misses = 0;
     std::size_t bank_hits = 0;
     std::size_t bank_misses = 0;
   };

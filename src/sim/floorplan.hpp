@@ -4,11 +4,12 @@
 // Produces a rooms_x x rooms_y grid of rooms: four reflecting outer walls
 // and interior partitions modelled as attenuating Obstacles with a centered
 // doorway gap per room edge. Partitions are Obstacles rather than Walls on
-// purpose — the image-source solver is O(walls^order) per (tx, rx) pair and
-// its memo keys on exact positions, so hundreds of reflecting interior
-// segments would thrash the cache at building scale while contributing
-// little beyond attenuation. Node placement is deterministic from a seed
-// via derive_seed, round-robining rooms so density stays uniform.
+// purpose — the image-source solver is O(walls^order) per (tx, rx) pair,
+// so hundreds of reflecting interior segments would multiply every solve
+// while contributing little beyond attenuation; as obstacles each leg pays
+// one obstruction query over the channel model's obstacle grid. Node
+// placement is deterministic from a seed via derive_seed, round-robining
+// rooms so density stays uniform.
 #pragma once
 
 #include <cstdint>

@@ -228,6 +228,10 @@ void Medium::transmit(int tx_node_id, const dw::MacFrame& frame,
   std::uint64_t delivered = 0;
   std::uint64_t culled = 0;
 
+  // The fan-out to the end of the frame: every receiver's gates, specular
+  // stage and schedule. Not in deliver, which must not reach the span's
+  // bookkeeping (uwb-hot-path).
+  UWB_OBS_SPAN("medium_fanout");
   ensure_spatial_index();
   if (culling_active()) {
     candidates_.clear();

@@ -11,7 +11,6 @@
 #include "common/random.hpp"
 #include "dw1000/pulse.hpp"
 #include "obs/metrics.hpp"
-#include "geom/image_source.hpp"
 #include "ranging/session.hpp"
 #include "runner/monte_carlo.hpp"
 #include "runner/thread_pool.hpp"
@@ -256,39 +255,6 @@ TEST(WorkerContext, CachedPulseTemplateMatchesUncached) {
   const CVec& again = dw::cached_pulse_template(0xC8, 1e-10);
   EXPECT_EQ(&again, &cached);
   EXPECT_EQ(ctx.stats().pulse_hits, before.pulse_hits + 1);
-}
-
-TEST(WorkerContext, CachedPathsMatchUncached) {
-  auto& ctx = runner::WorkerContext::current();
-  ctx.clear();
-  const geom::Room room = geom::Room::rectangular(10.0, 6.0, 5.0);
-  const geom::Vec2 tx{2.0, 1.2}, rx{7.5, 4.2};
-  const auto direct = geom::compute_paths(room, tx, rx, 1);
-  const auto& cached = geom::compute_paths_cached(room, tx, rx, 1);
-  ASSERT_EQ(cached.size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(cached[i].length_m, direct[i].length_m);
-    EXPECT_EQ(cached[i].order, direct[i].order);
-    EXPECT_EQ(cached[i].reflection_loss_db, direct[i].reflection_loss_db);
-  }
-  const auto before = ctx.stats();
-  geom::compute_paths_cached(room, tx, rx, 1);
-  EXPECT_EQ(ctx.stats().path_hits, before.path_hits + 1);
-}
-
-TEST(WorkerContext, DistinctGeometriesDoNotCollide) {
-  auto& ctx = runner::WorkerContext::current();
-  ctx.clear();
-  const geom::Room a = geom::Room::rectangular(10.0, 6.0, 5.0);
-  const geom::Room b = geom::Room::rectangular(10.0, 6.0, 8.0);  // loss diff
-  const auto& pa = geom::compute_paths_cached(a, {2.0, 1.0}, {7.0, 4.0}, 1);
-  const auto& pb = geom::compute_paths_cached(b, {2.0, 1.0}, {7.0, 4.0}, 1);
-  ASSERT_FALSE(pa.empty());
-  ASSERT_FALSE(pb.empty());
-  bool any_diff = false;
-  for (std::size_t i = 0; i < std::min(pa.size(), pb.size()); ++i)
-    if (pa[i].reflection_loss_db != pb[i].reflection_loss_db) any_diff = true;
-  EXPECT_TRUE(any_diff);
 }
 
 TEST(WorkerContext, EachThreadHasItsOwnCaches) {

@@ -224,6 +224,9 @@ TEST(DiffuseTailTest, Fig4RoundDrawsOnlySuperposedTails) {
   cfg.responders = {{0, {5.0, 1.2}}, {1, {8.0, 1.2}}, {2, {12.0, 1.2}}};
   ConcurrentRangingScenario scenario(cfg);
   const TailDelta delta;
+  const std::uint64_t fanouts = span_count("medium_fanout");
+  const std::uint64_t transmitted =
+      scenario.medium().stats().frames_transmitted;
   const RoundOutcome out = scenario.run_round();
   ASSERT_TRUE(out.payload_decoded);
   EXPECT_EQ(out.attempts, 1);
@@ -232,6 +235,11 @@ TEST(DiffuseTailTest, Fig4RoundDrawsOnlySuperposedTails) {
   EXPECT_EQ(delta.delivered(), 12u);
   EXPECT_EQ(delta.tails(), 6u);
   EXPECT_EQ(delta.tails(), delta.superposed());
+  // One medium_fanout span per transmitted frame (INIT + 3 RESPs).
+  const std::uint64_t sent =
+      scenario.medium().stats().frames_transmitted - transmitted;
+  EXPECT_EQ(sent, 4u);
+  EXPECT_EQ(span_count("medium_fanout") - fanouts, sent);
 }
 
 TEST(DiffuseTailTest, NetworkRoundDrawsOnlySuperposedTails) {

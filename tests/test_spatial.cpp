@@ -174,8 +174,8 @@ TEST(FloorPlanTest, PartitionsAttenuateButDoorwaysDoNot) {
 
 channel::ChannelModelParams scale_channel() {
   channel::ChannelModelParams ch;
-  // Through-building propagation: steeper decay, no image-source solve
-  // (hundreds of partition segments would defeat the memo), diffuse on.
+  // Through-building propagation: steeper decay, LOS only (the partitions
+  // attenuate; they are not image-source walls), diffuse on.
   ch.path_loss_exponent = 3.5;
   ch.max_reflection_order = 0;
   return ch;

@@ -44,12 +44,18 @@ assert that the fault/resilience keys and the round-throughput counter
 actually made it into the bench JSON — a silent schema regression would
 otherwise turn the gates into a vacuous pass.
 
+``--max NAME=LIMIT`` (repeatable; default and ``--require-key`` modes, or
+alone with ``--current``) adds a ceiling: metric NAME of ``--current`` must
+be present and at most LIMIT. CI caps ``obs_peak_rss_mb`` this way, so a
+memo that grows with the workload cannot come back unnoticed.
+
 Usage:
     check_bench_regression.py --baseline b.json --current c.json \
         [--warn 1.75] [--fail 3.0] [--exact 'n*_channels_realized' ...]
     check_bench_regression.py --determinism --baseline a.json --current b.json
     check_bench_regression.py --current c.json \
         --require-key fault_injected_total --require-key 'l30_n4_*'
+    check_bench_regression.py --current c.json --max obs_peak_rss_mb=64
 """
 
 from __future__ import annotations
@@ -249,6 +255,48 @@ def check_required_keys(args: argparse.Namespace) -> int:
     return 0
 
 
+def parse_ceilings(specs: list[str]) -> list[tuple[str, float]]:
+    """NAME=LIMIT specs as (name, limit) pairs."""
+    ceilings = []
+    for spec in specs:
+        name, sep, limit = spec.partition("=")
+        try:
+            value = float(limit)
+        except ValueError:
+            value = None
+        if not sep or not name or value is None:
+            fatal(f"--max expects NAME=LIMIT with a numeric LIMIT, got {spec!r}")
+        ceilings.append((name, value))
+    return ceilings
+
+
+def check_max(args: argparse.Namespace) -> int:
+    """Ceiling gate: every named metric is present and at most its limit."""
+    if not args.max:
+        return 0
+    ceilings = parse_ceilings(args.max)
+    metrics = metrics_of(load_json(args.current), args.current)
+
+    failures = []
+    for name, limit in ceilings:
+        value = metrics.get(name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            shown = "absent" if name not in metrics else repr(value)
+            print(f"FAIL   {name}: {shown} (limit {limit:g})")
+            failures.append(name)
+        elif value > limit:
+            print(f"FAIL   {name}: {value:g} > {limit:g}")
+            failures.append(name)
+        else:
+            print(f"ok     {name}: {value:g} <= {limit:g}")
+
+    print(f"\n{len(ceilings)} ceiling(s) checked, {len(failures)} failure(s)")
+    if failures:
+        print("ceiling gate FAILED:", ", ".join(failures))
+        return 1
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline")
@@ -269,21 +317,29 @@ def main() -> int:
                         metavar="KEY",
                         help="assert KEY exists in --current's metrics "
                              "(repeatable; trailing * matches a prefix)")
+    parser.add_argument("--max", action="append", default=[],
+                        metavar="NAME=LIMIT",
+                        help="fail unless metric NAME of --current is present "
+                             "and at most LIMIT (repeatable)")
     args = parser.parse_args()
 
+    if args.determinism and args.max:
+        fatal("--max belongs to the default and --require-key modes")
     if args.require_key:
         if args.determinism or args.baseline:
             fatal("--require-key is a standalone mode (no --baseline / "
                   "--determinism)")
-        return check_required_keys(args)
+        return max(check_required_keys(args), check_max(args))
     if args.baseline is None:
-        fatal("--baseline is required outside --require-key mode")
+        if args.max:
+            return check_max(args)
+        fatal("--baseline is required outside --require-key and --max modes")
     if args.determinism:
         if args.exact:
             fatal("--exact belongs to the default mode (--determinism "
                   "already compares every metric exactly)")
         return check_determinism(args)
-    return check_regression(args)
+    return max(check_regression(args), check_max(args))
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 """Self-tests for tools/check_bench_regression.py.
 
 Covers the exact work-counter gate (``--exact``) next to the wall-clock
-gate it rides on, on small JsonReport files written to a temporary
-directory. Run directly or via `python3 -m unittest discover tools`.
+gate it rides on, and the ceiling gate (``--max``), on small JsonReport
+files written to a temporary directory. Run directly or via
+`python3 -m unittest discover tools`.
 """
 
 import json
@@ -28,7 +29,7 @@ BASELINE = report(1000.0, n200_channels_realized=650,
                   sessions_per_sec=168.1)
 
 
-class ExactGateTest(unittest.TestCase):
+class GateTestCase(unittest.TestCase):
     def setUp(self):
         self._tmp = tempfile.TemporaryDirectory()
 
@@ -41,14 +42,18 @@ class ExactGateTest(unittest.TestCase):
             json.dump(doc, f)
         return path
 
-    def run_gate(self, current, *extra, baseline=BASELINE):
-        proc = subprocess.run(
-            [sys.executable, SCRIPT,
-             "--baseline", self.write("baseline.json", baseline),
-             "--current", self.write("current.json", current), *extra],
-            capture_output=True, text=True)
+    def run_script(self, *args):
+        proc = subprocess.run([sys.executable, SCRIPT, *args],
+                              capture_output=True, text=True)
         return proc.returncode, proc.stdout + proc.stderr
 
+    def run_gate(self, current, *extra, baseline=BASELINE):
+        return self.run_script(
+            "--baseline", self.write("baseline.json", baseline),
+            "--current", self.write("current.json", current), *extra)
+
+
+class ExactGateTest(GateTestCase):
     def test_identical_counters_pass(self):
         # Wall time and the ungated throughput may move; counters may not.
         current = dict(BASELINE, wall_ms=1500.0)
@@ -101,6 +106,65 @@ class ExactGateTest(unittest.TestCase):
     def test_exact_rejected_in_determinism_mode(self):
         code, out = self.run_gate(BASELINE, "--determinism",
                                   "--exact", "cell_*_total")
+        self.assertEqual(code, 2, out)
+
+
+class CeilingGateTest(GateTestCase):
+    def run_ceiling(self, metrics, *extra):
+        return self.run_script(
+            "--current", self.write("current.json", report(900.0, **metrics)),
+            *extra)
+
+    def test_value_at_or_below_limit_passes(self):
+        code, out = self.run_ceiling({"obs_peak_rss_mb": 19.0},
+                                     "--max", "obs_peak_rss_mb=64")
+        self.assertEqual(code, 0, out)
+        self.assertIn("ok     obs_peak_rss_mb: 19 <= 64", out)
+        code, out = self.run_ceiling({"obs_peak_rss_mb": 64.0},
+                                     "--max", "obs_peak_rss_mb=64")
+        self.assertEqual(code, 0, out)
+
+    def test_value_above_limit_fails(self):
+        code, out = self.run_ceiling({"obs_peak_rss_mb": 267.0},
+                                     "--max", "obs_peak_rss_mb=64")
+        self.assertEqual(code, 1, out)
+        self.assertIn("FAIL   obs_peak_rss_mb: 267 > 64", out)
+
+    def test_absent_or_null_key_fails(self):
+        code, out = self.run_ceiling({"sessions_per_sec": 168.1},
+                                     "--max", "obs_peak_rss_mb=64")
+        self.assertEqual(code, 1, out)
+        self.assertIn("obs_peak_rss_mb: absent", out)
+        code, out = self.run_ceiling({"obs_peak_rss_mb": None},
+                                     "--max", "obs_peak_rss_mb=64")
+        self.assertEqual(code, 1, out)
+
+    def test_every_ceiling_is_checked(self):
+        code, out = self.run_ceiling(
+            {"obs_peak_rss_mb": 19.0, "wall_frac": 0.9},
+            "--max", "obs_peak_rss_mb=64", "--max", "wall_frac=0.5")
+        self.assertEqual(code, 1, out)
+        self.assertIn("2 ceiling(s) checked, 1 failure(s)", out)
+
+    def test_rides_on_require_key_and_default_modes(self):
+        code, out = self.run_ceiling({"obs_peak_rss_mb": 267.0},
+                                     "--require-key", "obs_peak_rss_mb",
+                                     "--max", "obs_peak_rss_mb=64")
+        self.assertEqual(code, 1, out)
+        self.assertIn("0 missing", out)
+        current = dict(BASELINE)
+        current["metrics"] = dict(BASELINE["metrics"], obs_peak_rss_mb=267.0)
+        code, out = self.run_gate(current, "--max", "obs_peak_rss_mb=64")
+        self.assertEqual(code, 1, out)
+        self.assertIn("0 failure(s), 0 warning(s)", out)
+
+    def test_malformed_limit_or_determinism_mode_is_a_usage_error(self):
+        for spec in ("obs_peak_rss_mb", "obs_peak_rss_mb=lots", "=64"):
+            code, out = self.run_ceiling({"obs_peak_rss_mb": 19.0},
+                                         "--max", spec)
+            self.assertEqual(code, 2, out)
+        code, out = self.run_gate(BASELINE, "--determinism",
+                                  "--max", "obs_peak_rss_mb=64")
         self.assertEqual(code, 2, out)
 
 
