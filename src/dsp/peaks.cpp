@@ -1,7 +1,11 @@
 #include "dsp/peaks.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/expects.hpp"
 #include "dsp/signal.hpp"
@@ -59,17 +63,58 @@ std::vector<Peak> local_maxima(const CVec& x, double threshold,
 
 double noise_sigma_estimate(const CVec& x) {
   UWB_EXPECTS(!x.empty());
+  UWB_EXPECTS(x.size() <= std::numeric_limits<std::uint32_t>::max());
   // Select the median of |x|^2 (same element as the median of |x|, one
   // sqrt instead of a hypot per sample) in a reused per-thread buffer:
   // the detector calls this once per search-and-subtract iteration.
   thread_local RVec sq;
   sq.resize(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) sq[i] = std::norm(x[i]);
-  const std::size_t mid = sq.size() / 2;
-  std::nth_element(sq.begin(), sq.begin() + static_cast<std::ptrdiff_t>(mid),
-                   sq.end());
+
+  // Radix select: non-negative doubles (+0, subnormals, +inf included)
+  // order like their IEEE-754 bit patterns, so the median is found digit by
+  // digit from the top: histogram one 11-bit digit (the exponent field
+  // first; the sign bit is clear), keep the bucket that holds the wanted
+  // rank at the front of the buffer, and repeat on the next digit. The last
+  // digit overlaps the one before it, which its survivors already share.
+  // nth_element finishes once few values are left, so the result is the
+  // element nth_element alone would select. NaN is unspecified, as there.
+  constexpr int kDigitBits = 11;
+  constexpr std::uint64_t kDigitMask = (std::uint64_t{1} << kDigitBits) - 1;
+  constexpr std::size_t kFinishBelow = 32;
+  const auto digit = [](double v, int shift) {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+    return static_cast<std::size_t>((bits >> shift) & kDigitMask);
+  };
+  std::array<std::uint32_t, std::size_t{1} << kDigitBits> hist{};
+  int shift = 64 - 1 - kDigitBits;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    sq[i] = std::norm(x[i]);
+    ++hist[digit(sq[i], shift)];
+  }
+  std::size_t size = sq.size();
+  std::size_t rank = size / 2;
+  while (size > kFinishBelow) {
+    std::size_t bucket = 0;
+    while (rank >= hist[bucket]) rank -= hist[bucket++];
+    // Branch-free: the kept bucket often holds a third of the values, so a
+    // branch on it would mispredict.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < size; ++i) {
+      const double v = sq[i];
+      sq[kept] = v;
+      kept += digit(v, shift) == bucket ? 1 : 0;
+    }
+    size = kept;
+    if (shift == 0) break;  // every bit compared: the survivors are equal
+    shift = std::max(shift - kDigitBits, 0);
+    hist.fill(0);
+    for (std::size_t i = 0; i < size; ++i) ++hist[digit(sq[i], shift)];
+  }
+  const auto mid = sq.begin() + static_cast<std::ptrdiff_t>(rank);
+  std::nth_element(sq.begin(), mid,
+                   sq.begin() + static_cast<std::ptrdiff_t>(size));
   // Rayleigh median = sigma * sqrt(2 ln 2).
-  return std::sqrt(sq[mid]) / std::sqrt(2.0 * std::log(2.0));
+  return std::sqrt(*mid) / std::sqrt(2.0 * std::log(2.0));
 }
 
 }  // namespace uwb::dsp

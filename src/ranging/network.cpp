@@ -189,6 +189,7 @@ NetworkRound NetworkRangingSession::run_round(int initiator_index) {
       config_.slot_aware_selection ? 2 * (node_count() - 1) : 0);
   dw::CirEstimate cir;
   {
+    // The round's only render; it completes a lone RESP's channel.
     UWB_OBS_SPAN("cir_render");
     cir = std::exchange(r.cir, {}).render();
   }

@@ -382,7 +382,8 @@ RoundOutcome ConcurrentRangingScenario::run_attempt() {
   {
     // The initiator is the round's only CIR consumer: responders timestamp
     // the INIT and never render theirs. The capture is spent once rendered,
-    // so the round keeps the taps alone.
+    // so the round keeps the taps alone. A lone RESP's diffuse tail is
+    // drawn by this render (sim::BatchCapture).
     UWB_OBS_SPAN("cir_render");
     out.cir = std::exchange(r.cir, {}).render();
   }

@@ -19,12 +19,15 @@
 //   whether the receiver's preamble detector can lock, and where (the
 //   earliest specular tap at or above the threshold).
 //
-// The transmitter decides; the receiver completes. A detectable frame
+// The transmitter decides; the reader completes. A detectable frame
 // travels with its specular stage and its link stream, and the diffuse
-// tail nu(t) and the tap sort are drawn by complete_channel() only when a
-// receiver superposes the frame into a CIR (Node::finalize_batch): a frame
-// that reaches a radio that is off, arrives late for a batch or is
-// abandoned never pays for its tail.
+// tail nu(t) and the tap sort are drawn by complete_channel() only where
+// something reads them: at the receiver (Node::finalize_batch) when the
+// frame shares its batch with others, whose SIR check sums every frame's
+// power, and for a frame alone in its batch only when a consumer renders
+// the CIR (BatchCapture::render). A frame that reaches a radio that is off,
+// arrives late for a batch, is abandoned, or sits alone in a capture no one
+// renders never pays for its tail.
 //
 // Channel randomness comes from a per-(link, frame) stream forked with
 // derive_seed (the same pattern src/fault uses for per-node fault streams),
@@ -121,8 +124,9 @@ struct MediumParams {
 struct MediumStats {
   std::uint64_t frames_transmitted = 0;
   /// AirFrames scheduled for delivery (a specular tap at or above the
-  /// detection threshold). Of these, only the frames a receiver superposes
-  /// into a CIR draw their diffuse tail (the `channel_diffuse` span count).
+  /// detection threshold). Of these, only the frames of multi-frame batches
+  /// and the lone frames of rendered captures draw their diffuse tail (the
+  /// `channel_diffuse` span count).
   std::uint64_t frames_delivered = 0;
   /// Receivers skipped without a path lookup or a draw: outside the
   /// transmitter's 3x3 grid neighborhood, or inside it but farther than
@@ -210,8 +214,10 @@ class Medium {
   const std::vector<CellTraffic>& cell_traffic() const { return cell_traffic_; }
 
   /// Draw the rest of a delivered frame's channel: the diffuse tail on the
-  /// frame's link stream, the tap sort, then the ghost taps. Exactly once
-  /// per frame; the receiver calls it for the frames it superposes.
+  /// frame's link stream, the tap sort, then the ghost taps. The receiver
+  /// calls it on each frame of a multi-frame batch; BatchCapture::render
+  /// and the delivery probe call it on copies, so a frame's own stream is
+  /// spent at most once.
   void complete_channel(AirFrame& af) const;
 
   /// Test hook: observe every AirFrame at the instant it is scheduled

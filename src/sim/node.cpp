@@ -15,7 +15,46 @@ namespace {
 /// Processing margin after the last sample of a frame before the receiver
 /// reports the result.
 const SimTime kFinalizeMargin = SimTime::from_micros(2.0);
+
+/// Append every tap of a completed frame as a pulse arrival, timed into the
+/// CIR window that starts at `window_start_s` (global time).
+void append_arrivals(const AirFrame& af, double window_start_s,
+                     std::vector<dw::CirArrival>& arrivals) {
+  const double tx_ref_s =
+      af.preamble_start_arrival.seconds() - af.first_detectable_delay.value();
+  // A no-op when the caller reserved the whole batch.
+  arrivals.reserve(arrivals.size() + af.taps.size());
+  for (const channel::Tap& tap : af.taps) {
+    dw::CirArrival a;
+    a.time_into_window_s = tx_ref_s + tap.delay_s - window_start_s;
+    a.amplitude = tap.amplitude;
+    a.tc_pgdelay = af.tc_pgdelay;
+    arrivals.push_back(a);
+  }
+}
 }  // namespace
+
+BatchCapture::BatchCapture(dw::CirCapture accumulator,
+                           std::optional<AirFrame> lone_frame,
+                           double window_start_s, const Medium& medium)
+    : dw::CirCapture(std::move(accumulator)),
+      lone_frame_(std::move(lone_frame)),
+      window_start_s_(window_start_s),
+      medium_(&medium) {}
+
+dw::CirEstimate BatchCapture::render() const {
+  if (!lone_frame_) return dw::CirCapture::render();
+  // The copy carries a copy of the link stream: the capture keeps the
+  // frame as delivered, so every render draws the same tail.
+  AirFrame af = *lone_frame_;
+  {
+    UWB_OBS_SPAN("channel_diffuse");
+    medium_->complete_channel(af);
+  }
+  dw::CirCapture full = *this;
+  append_arrivals(af, window_start_s_, full.arrivals);
+  return full.render();
+}
 
 Node::Node(Simulator& simulator, Medium& medium, NodeConfig config, Rng rng)
     : sim_(simulator), medium_(medium), config_(config),
@@ -156,13 +195,6 @@ void Node::on_air_frame(AirFrame af) {
 void Node::finalize_batch() {
   if (!rx_enabled_ || pending_.empty()) return;
 
-  // Eq. 1's diffuse tail is drawn here, for the frames this radio actually
-  // superposes, on each frame's own link stream (DESIGN.md Sect. 13.2).
-  for (AirFrame& af : pending_) {
-    UWB_OBS_SPAN("channel_diffuse");
-    medium_.complete_channel(af);
-  }
-
   // Sync selection: earliest detectable preamble wins unless a much
   // stronger overlapping frame captures the correlator. Frames whose
   // preamble detection was faulted out can never take the lock (the leader
@@ -180,31 +212,35 @@ void Node::finalize_batch() {
   const double window_start_s =
       sync->preamble_start_arrival.seconds() -
       static_cast<double>(config_.cir_anchor_taps) * config_.cir.ts_s;
+
+  // Eq. 1's diffuse tail is drawn, on each frame's own link stream, where
+  // it is first read (DESIGN.md Sect. 13.2): here when the batch holds
+  // several frames, because the SIR check below sums each frame's power;
+  // for a lone frame, only if a consumer renders the capture.
+  const bool lone = pending_.size() == 1;
   std::vector<dw::CirArrival> arrivals;
-  std::size_t n_taps = 0;
-  for (const AirFrame& af : pending_) n_taps += af.taps.size();
-  arrivals.reserve(n_taps);
-  for (const AirFrame& af : pending_) {
-    const double tx_ref_s =
-        af.preamble_start_arrival.seconds() - af.first_detectable_delay.value();
-    for (const channel::Tap& tap : af.taps) {
-      dw::CirArrival a;
-      a.time_into_window_s = tx_ref_s + tap.delay_s - window_start_s;
-      a.amplitude = tap.amplitude;
-      a.tc_pgdelay = af.tc_pgdelay;
-      arrivals.push_back(a);
+  if (!lone) {
+    for (AirFrame& af : pending_) {
+      UWB_OBS_SPAN("channel_diffuse");
+      medium_.complete_channel(af);
     }
+    std::size_t n_taps = 0;
+    for (const AirFrame& af : pending_) n_taps += af.taps.size();
+    arrivals.reserve(n_taps);
+    for (const AirFrame& af : pending_)
+      append_arrivals(af, window_start_s, arrivals);
   }
 
   // Capture only: the accumulator noise is drawn here, before the timestamp
   // and CFO draws, but the pulses are superposed only by a consumer that
   // renders the taps (responders never do).
-  RxResult result;
+  dw::CirCapture accumulator;
   {
     UWB_OBS_SPAN("cir_synthesis");
-    result.cir = dw::capture_cir(std::move(arrivals), config_.cir, rng_);
+    accumulator = dw::capture_cir(std::move(arrivals), config_.cir, rng_);
   }
-  result.cir.first_path_index = static_cast<double>(config_.cir_anchor_taps);
+  accumulator.first_path_index = static_cast<double>(config_.cir_anchor_taps);
+  RxResult result;
   result.rx_timestamp =
       dw::noisy_rx_timestamp(config_.timestamping, sync->tc_pgdelay,
                              clock_.device_time(sync->rmarker_arrival), rng_)
@@ -219,34 +255,36 @@ void Node::finalize_batch() {
     result.batch_tx_node_ids.push_back(af.tx_node_id);
   result.completed_at = sim_.now();
 
-  // Payload decode: the sync frame survives if its first-path power clears
-  // the configured SIR against the strongest other frame. (Concurrent RESP
+  // Payload decode: the sync frame survives if its full power clears the
+  // configured SIR against the strongest other frame. (Concurrent RESP
   // payloads are chip-offset copies, so corruption is dominated by the
   // strongest colliding frame rather than the incoherent sum — consistent
   // with the paper's observation that one payload stays decodable even with
-  // several equal-power responders.)
-  const auto frame_power = [](const AirFrame& af) {
-    double p = 0.0;
-    for (const channel::Tap& tap : af.taps) p += std::norm(tap.amplitude);
-    return p;
-  };
-  double interference = 0.0;
-  for (const AirFrame& af : pending_) {
-    if (&af == sync) continue;
-    interference = std::max(interference, frame_power(af));
-  }
-  const double sync_power = frame_power(*sync);
-  const double sir_db = interference == 0.0
-                            ? 0.0
-                            : linear_to_db(sync_power / interference);
-  bool decodable =
-      interference == 0.0 || sir_db >= config_.decode_min_sir_db;
-  if (!decodable) {
-    UWB_FR_EVENT(.kind = obs::FrKind::kRx, .name = "rx_decode_failed",
-                 .chain = sync->chain, .node = config_.id,
-                 .peer = sync->tx_node_id, .detail = "low_sir",
-                 .v0 = {"sir_db", sir_db},
-                 .v1 = {"min_sir_db", config_.decode_min_sir_db});
+  // several equal-power responders.) A lone frame has no interference.
+  bool decodable = true;
+  if (!lone) {
+    const auto frame_power = [](const AirFrame& af) {
+      UWB_EXPECTS(!af.link_rng.has_value());  // completed above
+      double p = 0.0;
+      for (const channel::Tap& tap : af.taps) p += std::norm(tap.amplitude);
+      return p;
+    };
+    double interference = 0.0;
+    for (const AirFrame& af : pending_) {
+      if (&af == sync) continue;
+      interference = std::max(interference, frame_power(af));
+    }
+    if (interference != 0.0) {
+      const double sir_db = linear_to_db(frame_power(*sync) / interference);
+      decodable = sir_db >= config_.decode_min_sir_db;
+      if (!decodable) {
+        UWB_FR_EVENT(.kind = obs::FrKind::kRx, .name = "rx_decode_failed",
+                     .chain = sync->chain, .node = config_.id,
+                     .peer = sync->tx_node_id, .detail = "low_sir",
+                     .v0 = {"sir_db", sir_db},
+                     .v1 = {"min_sir_db", config_.decode_min_sir_db});
+      }
+    }
   }
   // Injected CRC fault: the payload demodulates but its FCS fails, so the
   // MAC discards it. Either failure path surfaces as crc_error.
@@ -265,6 +303,13 @@ void Node::finalize_batch() {
                .detail = decodable ? "decoded" : "crc_error",
                .v0 = {"frames_in_batch",
                       static_cast<double>(result.frames_in_batch)});
+
+  // The lone frame moves into the capture last: `sync` points at it.
+  result.cir = BatchCapture(
+      std::move(accumulator),
+      lone ? std::optional<AirFrame>(std::move(pending_.front()))
+           : std::nullopt,
+      window_start_s, medium_);
 
   energy_.add_rx((sim_.now() - rx_since_).seconds());
   rx_enabled_ = false;

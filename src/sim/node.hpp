@@ -61,6 +61,40 @@ struct NodeConfig {
   Seconds antenna_delay{};
 };
 
+/// The accumulator of one receive batch as the radio captured it: the
+/// accumulator noise, drawn at RX, and the batch's frames, superposed only
+/// by render() (DESIGN.md Sect. 17).
+///
+/// A batch of several frames has its channels completed at RX, because the
+/// SIR decode check reads each frame's full power; their arrivals are
+/// captured. Nothing at RX reads a lone frame's channel, so the capture
+/// keeps that frame as delivered (specular taps, ghost taps, link stream)
+/// with no arrivals, and render() completes a copy of it. Rendering twice
+/// gives the same taps; a capture dropped unrendered never draws the tail.
+/// The Medium must outlive the render.
+class BatchCapture : private dw::CirCapture {
+ public:
+  BatchCapture() = default;
+  BatchCapture(dw::CirCapture accumulator, std::optional<AirFrame> lone_frame,
+               double window_start_s, const Medium& medium);
+
+  /// The completed frames' arrivals (empty for a lone frame) and the
+  /// accumulator noise, one sample per tap.
+  using dw::CirCapture::arrivals;
+  using dw::CirCapture::noise;
+
+  /// Complete the lone frame's channel on a copy of its link stream (one
+  /// `channel_diffuse` span), then superpose every arrival and add the
+  /// noise. Leaves the capture unchanged.
+  dw::CirEstimate render() const;
+
+ private:
+  std::optional<AirFrame> lone_frame_;
+  /// Global time [s] of the CIR window's first tap.
+  double window_start_s_ = 0.0;
+  const Medium* medium_ = nullptr;
+};
+
 /// Outcome of one receive operation (one frame, or one concurrent batch).
 struct RxResult {
   /// Decoded payload of the frame the radio synchronised on; nullopt when
@@ -69,8 +103,9 @@ struct RxResult {
   /// Noisy device time of the sync frame's RMARKER arrival.
   dw::DwTimestamp rx_timestamp;
   /// The accumulator over all concurrent frames, captured but not rendered:
-  /// call cir.render() for the taps.
-  dw::CirCapture cir;
+  /// call cir.render() for the taps. A lone frame's diffuse tail is drawn
+  /// only there.
+  BatchCapture cir;
   /// Estimated remote-minus-local clock drift [ppm] (noisy).
   double carrier_offset_ppm = 0.0;
   /// Number of frames superposed in this batch.

@@ -1,7 +1,11 @@
 // Unit tests: signal helpers, matched filter, peak search, stats, windows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "common/expects.hpp"
 #include "common/random.hpp"
@@ -188,6 +192,51 @@ TEST(PeaksTest, NoiseSigmaRobustToStrongTaps) {
   // A handful of very strong "signal" taps should barely move the estimate.
   for (int i = 0; i < 20; ++i) x[static_cast<std::size_t>(i * 100)] = {50.0, 0.0};
   EXPECT_NEAR(noise_sigma_estimate(x), 0.1, 0.02);
+}
+
+/// The estimate as a plain nth_element median of |x|^2 computes it.
+double nth_element_noise_sigma(const CVec& x) {
+  RVec sq(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) sq[i] = std::norm(x[i]);
+  const auto mid = sq.begin() + static_cast<std::ptrdiff_t>(sq.size() / 2);
+  std::nth_element(sq.begin(), mid, sq.end());
+  return std::sqrt(*mid) / std::sqrt(2.0 * std::log(2.0));
+}
+
+TEST(PeaksTest, NoiseSigmaEstimateSelectsTheNthElementMedian) {
+  // The radix select must return the very double nth_element selects, so
+  // no detector stop decision moves. NaN stays unspecified, as there.
+  Rng rng(12);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::size_t n : {1u, 2u, 7u, 33u, 1001u, 8192u}) {
+    SCOPED_TRACE(n);
+    const auto noise = [&](double sigma) {
+      CVec x(n);
+      for (auto& v : x) v = rng.complex_normal(sigma);
+      return x;
+    };
+    std::vector<CVec> inputs;
+    inputs.push_back(noise(0.3));
+    inputs.push_back(CVec(n, Complex{}));
+    CVec ties(n);  // three levels only, -0.0 among them
+    for (auto& v : ties) {
+      const std::int64_t level = rng.uniform_int(0, 2);
+      v = level == 0 ? Complex{-0.0, 0.0}
+                     : Complex{0.5 * static_cast<double>(level), 0.0};
+    }
+    inputs.push_back(ties);
+    CVec peaks = noise(0.01);
+    for (std::size_t i = 0; i < n; i += 97) peaks[i] = {1e150, -1e150};
+    inputs.push_back(peaks);
+    // Squares in the subnormal range, some flushed to zero.
+    inputs.push_back(noise(1e-160));
+    CVec infinite = noise(1.0);  // more than half +inf: an infinite median
+    for (std::size_t i = 0; i < n; i += 3) infinite[i] = {1e200, 0.0};
+    for (std::size_t i = 1; i < n; i += 3) infinite[i] = {inf, 1.0};
+    inputs.push_back(infinite);
+    for (const CVec& x : inputs)
+      EXPECT_EQ(noise_sigma_estimate(x), nth_element_noise_sigma(x));
+  }
 }
 
 TEST(StatsTest, BasicMoments) {

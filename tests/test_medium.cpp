@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -11,6 +13,7 @@
 #include "common/hash.hpp"
 #include "dw1000/cir.hpp"
 #include "fault/attack.hpp"
+#include "obs/metrics.hpp"
 #include "ranging/search_subtract.hpp"
 #include "sim/medium.hpp"
 #include "sim/node.hpp"
@@ -226,6 +229,118 @@ TEST(ChannelCompletionTest, GhostTapsFollowTheCompletedChannel) {
   fault::AttackInjector attack(plan, 99);
   EXPECT_GT(expect_listener_superposes_probe_taps(&attack, 2, 2), 3u);
   EXPECT_GT(attack.counters().ghost_taps, 0u);
+}
+
+// --- a lone frame is completed by the render --------------------------------
+//
+// Nothing at RX reads the channel of a frame alone in its batch, so the
+// capture keeps the frame as delivered and render() completes a copy.
+
+std::uint64_t tails_drawn() {
+  const obs::Snapshot snap = obs::MetricsRegistry::instance().aggregate();
+  const obs::Snapshot::SpanTotal* span = snap.span("channel_diffuse");
+  return span == nullptr ? 0 : span->count;
+}
+
+/// One transmitter, one listener. The medium lives as long as the link, so
+/// a result kept by the handler can be rendered afterwards.
+struct LoneFrameLink {
+  Bench bench{0.02, 5};
+  NodeConfig rx_config = node_cfg(0, {10.0, 25.0});
+  Node rx{bench.sim, *bench.medium, rx_config, Rng(2)};
+  Node tx{bench.sim, *bench.medium, node_cfg(1, {13.0, 25.5}), Rng(11)};
+  /// The frame as the delivery probe saw it: completed on a copy of its
+  /// link stream.
+  std::optional<AirFrame> seen;
+
+  /// Send one frame; `handler` receives the listener's result.
+  void send(std::function<void(RxResult&&)> handler) {
+    bench.medium->set_delivery_probe([this](int rx_id, const AirFrame& af) {
+      if (rx_id == rx.id()) seen = af;
+    });
+    rx.set_rx_handler(std::move(handler));
+    rx.enter_rx();
+    bench.sim.after(SimTime::from_micros(5.0),
+                    [this] { tx.transmit_now(dw::MacFrame{}); });
+    bench.sim.run();
+  }
+};
+
+TEST(ChannelCompletionTest, LoneFrameRenderIsTheProbesTapsOverTheNoise) {
+  LoneFrameLink link;
+  std::optional<RxResult> got;
+  link.send([&](RxResult&& r) { got = std::move(r); });
+  ASSERT_TRUE(got.has_value());
+  ASSERT_TRUE(link.seen.has_value());
+  ASSERT_EQ(got->frames_in_batch, 1);
+  // Nothing was superposed at RX: the capture holds the noise alone.
+  EXPECT_TRUE(got->cir.arrivals.empty());
+  const dw::CirParams& params = link.rx_config.cir;
+  ASSERT_EQ(got->cir.noise.size(), static_cast<std::size_t>(params.length));
+
+  // The probe's taps, timed into the window anchored `cir_anchor_taps`
+  // before the frame's first path, over the captured noise.
+  const AirFrame& seen = *link.seen;
+  const double anchor = static_cast<double>(link.rx_config.cir_anchor_taps);
+  dw::CirCapture want;
+  want.length = params.length;
+  want.ts_s = params.ts_s;
+  want.first_path_index = anchor;
+  want.noise = got->cir.noise;
+  const double window_start_s =
+      seen.preamble_start_arrival.seconds() - anchor * params.ts_s;
+  const double tx_ref_s = seen.preamble_start_arrival.seconds() -
+                          seen.first_detectable_delay.value();
+  for (const channel::Tap& tap : seen.taps) {
+    dw::CirArrival a;
+    a.time_into_window_s = tx_ref_s + tap.delay_s - window_start_s;
+    a.amplitude = tap.amplitude;
+    a.tc_pgdelay = seen.tc_pgdelay;
+    want.arrivals.push_back(a);
+  }
+  EXPECT_GT(want.arrivals.size(), 3u);
+  const dw::CirEstimate expected = want.render();
+  const dw::CirEstimate cir = got->cir.render();
+  EXPECT_EQ(cir.first_path_index, expected.first_path_index);
+  ASSERT_EQ(cir.taps.size(), expected.taps.size());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < cir.taps.size(); ++i)
+    if (double_bits(cir.taps[i].real()) !=
+            double_bits(expected.taps[i].real()) ||
+        double_bits(cir.taps[i].imag()) != double_bits(expected.taps[i].imag()))
+      ++differing;
+  EXPECT_EQ(differing, 0u);
+}
+
+TEST(ChannelCompletionTest, LoneFrameRendersTheSameTapsTwice) {
+  LoneFrameLink link;
+  std::optional<RxResult> got;
+  link.send([&](RxResult&& r) { got = std::move(r); });
+  ASSERT_TRUE(got.has_value());
+  ASSERT_EQ(got->frames_in_batch, 1);
+  const CVec first = got->cir.render().taps;
+  const RxResult copy = *got;
+  EXPECT_EQ(got->cir.render().taps, first);
+  EXPECT_EQ(copy.cir.render().taps, first);
+}
+
+TEST(ChannelCompletionTest, LoneFrameDrawsItsTailOnlyWhenRendered) {
+  {
+    LoneFrameLink link;
+    const std::uint64_t before = tails_drawn();
+    bool got = false;
+    link.send([&](RxResult&&) { got = true; });  // dropped unrendered
+    ASSERT_TRUE(got);
+    EXPECT_EQ(tails_drawn() - before, 0u);
+  }
+  LoneFrameLink link;
+  const std::uint64_t before = tails_drawn();
+  std::optional<RxResult> got;
+  link.send([&](RxResult&& r) { got = std::move(r); });
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(tails_drawn() - before, 0u);  // the probe's copy is not counted
+  EXPECT_FALSE(got->cir.render().taps.empty());
+  EXPECT_EQ(tails_drawn() - before, 1u);
 }
 
 TEST(DetectorTraceTest, TraceMatchesDetect) {

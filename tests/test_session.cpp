@@ -176,12 +176,14 @@ TEST(CirRenderTest, DsTwrNeverRenders) {
 // --- who draws the diffuse tail ---------------------------------------------
 //
 // The medium decides a frame from its specular taps and schedules it with
-// its link stream; only a receiver that superposes the frame into a CIR
-// completes nu(t) (`channel_diffuse` span). Frames for a radio that is off,
-// late for a batch or abandoned never draw one.
+// its link stream; nu(t) is completed (`channel_diffuse` span) only where it
+// is read: at RX for every frame of a multi-frame batch, whose SIR check
+// sums each frame's power, and for a lone frame only when its capture is
+// rendered. Frames for a radio that is off, late for a batch, abandoned or
+// alone in a capture nobody renders never draw one.
 
 /// Tails drawn and frames delivered since construction; records the flight
-/// recorder meanwhile, to count the frames that reached a finalize_batch.
+/// recorder meanwhile, to count the frames that RX completes.
 class TailDelta {
  public:
   TailDelta() {
@@ -197,16 +199,17 @@ class TailDelta {
 
   std::uint64_t tails() const { return span_count("channel_diffuse") - tails_; }
   std::uint64_t delivered() const { return delivered_count() - delivered_; }
-  /// Batch leads and joins, minus the frames exit_rx abandoned.
-  std::uint64_t superposed() const {
-    std::uint64_t n = 0, abandoned = 0;
+  /// Frames of the completed batches that held more than one frame
+  /// (`rx_batch_complete` carries the batch size in v0).
+  std::uint64_t multi_frame() const {
+    std::uint64_t n = 0;
     for (const obs::FrRecord& r : obs::FlightRecorder::instance().collect()) {
-      if (std::strcmp(r.name, "rx_batch_lead") == 0 ||
-          std::strcmp(r.name, "rx_batch_join") == 0)
-        ++n;
-      if (std::strcmp(r.name, "rx_abandoned") == 0) ++abandoned;
+      if (std::strcmp(r.name, "rx_batch_complete") != 0) continue;
+      EXPECT_STREQ(r.v0.key, "frames_in_batch");
+      const auto frames = static_cast<std::uint64_t>(r.v0.value);
+      if (frames > 1) n += frames;
     }
-    return n - abandoned;
+    return n;
   }
 
  private:
@@ -230,16 +233,37 @@ TEST(DiffuseTailTest, Fig4RoundDrawsOnlySuperposedTails) {
   const RoundOutcome out = scenario.run_round();
   ASSERT_TRUE(out.payload_decoded);
   EXPECT_EQ(out.attempts, 1);
+  EXPECT_EQ(out.frames_in_batch, 3);
   // INIT to 3 responders, 3 RESPs to the initiator and to the 2 other
-  // responders, whose radios are off by then.
+  // responders, whose radios are off by then. Only the initiator's batch
+  // of 3 draws tails: each responder's INIT is a lone frame, never
+  // rendered.
   EXPECT_EQ(delta.delivered(), 12u);
-  EXPECT_EQ(delta.tails(), 6u);
-  EXPECT_EQ(delta.tails(), delta.superposed());
+  EXPECT_EQ(delta.tails(), 3u);
+  EXPECT_EQ(delta.tails(), delta.multi_frame());
   // One medium_fanout span per transmitted frame (INIT + 3 RESPs).
   const std::uint64_t sent =
       scenario.medium().stats().frames_transmitted - transmitted;
   EXPECT_EQ(sent, 4u);
   EXPECT_EQ(span_count("medium_fanout") - fanouts, sent);
+}
+
+TEST(DiffuseTailTest, SingleResponderRoundDrawsTheTailAtRender) {
+  // The initiator's batch holds one RESP: nothing at RX reads its tail, so
+  // it is drawn once, when the initiator renders its CIR.
+  ScenarioConfig cfg = hallway_scenario(8);
+  cfg.responders = {{0, {5.0, 1.2}}};
+  ConcurrentRangingScenario scenario(cfg);
+  const TailDelta delta;
+  const SpanDelta renders;
+  const RoundOutcome out = scenario.run_round();
+  ASSERT_TRUE(out.payload_decoded);
+  EXPECT_EQ(out.attempts, 1);
+  EXPECT_EQ(out.frames_in_batch, 1);
+  EXPECT_EQ(renders.renders(), 1u);
+  EXPECT_EQ(delta.delivered(), 2u);  // INIT, RESP
+  EXPECT_EQ(delta.multi_frame(), 0u);
+  EXPECT_EQ(delta.tails(), 1u);
 }
 
 TEST(DiffuseTailTest, NetworkRoundDrawsOnlySuperposedTails) {
@@ -253,18 +277,20 @@ TEST(DiffuseTailTest, NetworkRoundDrawsOnlySuperposedTails) {
   const TailDelta delta;
   const NetworkRound round = session.run_round(0);
   ASSERT_TRUE(round.completed);
-  EXPECT_EQ(delta.tails(), delta.superposed());
-  EXPECT_EQ(delta.tails(), 6u);
+  EXPECT_EQ(round.frames_in_batch, 3);
+  EXPECT_EQ(delta.tails(), delta.multi_frame());
+  EXPECT_EQ(delta.tails(), 3u);
   EXPECT_EQ(delta.delivered(), 12u);
 }
 
 TEST(DiffuseTailTest, DsTwrDrawsOnlySuperposedTails) {
+  // POLL, RESP and FINAL each arrive alone, and DS-TWR renders no CIR.
   DsTwrSession session(DsTwrSessionConfig{});
   const TailDelta delta;
   const DsTwrResult result = session.run_round();
   ASSERT_TRUE(result.ok);
-  EXPECT_EQ(delta.tails(), delta.superposed());
-  EXPECT_EQ(delta.tails(), 3u);  // POLL, RESP, FINAL
+  EXPECT_EQ(delta.multi_frame(), 0u);
+  EXPECT_EQ(delta.tails(), 0u);
   EXPECT_EQ(delta.delivered(), 3u);
 }
 
