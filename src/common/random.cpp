@@ -19,12 +19,14 @@ std::uint64_t mix64(std::uint64_t z) {
 
 }  // namespace
 
-std::uint64_t derive_seed(std::uint64_t base, std::uint64_t stream) {
+StreamSeed derive_seed(std::uint64_t base, std::uint64_t stream) {
   // Advance the base by the golden-gamma increment per stream index, then
   // finalize twice so nearby (base, stream) pairs decorrelate fully.
   const std::uint64_t z = base + (stream + 1) * 0x9E3779B97F4A7C15ULL;
-  return mix64(mix64(z) ^ 0x8BADF00D5AFEC0DEULL);
+  return StreamSeed(mix64(mix64(z) ^ 0x8BADF00D5AFEC0DEULL));
 }
+
+Rng::Rng(std::uint64_t seed) : engine_(seed) {}
 
 double Rng::uniform(double lo, double hi) {
   UWB_EXPECTS(lo <= hi);

@@ -178,6 +178,8 @@ void FftPlan::transform(const Complex* x, Complex* y, bool inverse) const {
 namespace {
 
 struct PlanCache {
+  // Lookup only: find and emplace, never iterated.
+  // uwb-lint: allow(unordered-container)
   std::unordered_map<std::size_t, std::unique_ptr<FftPlan>> plans;
   const FftPlan* last = nullptr;
   std::size_t last_n = 0;
@@ -206,7 +208,6 @@ const FftPlan& plan_for(std::size_t n) {
     UWB_OBS_COUNT("cache_fft_plan_misses", 1);
     // One allocation per distinct transform size, then cached for the
     // process lifetime; the detect loop runs on the last_n fast path.
-    // uwb-lint: allow(hot-path-alloc)
     it = cache.plans.emplace(n, std::make_unique<FftPlan>(n)).first;
   } else {
     ++cache.hits;

@@ -9,7 +9,6 @@ namespace uwb::dw {
 bool save_cir_csv(const CirEstimate& cir, const std::string& path) {
   // Offline trace export invoked from tools/benches after a run completes;
   // nothing on the simulated timeline calls it.
-  // uwb-lint: allow(sim-host-io)
   std::ofstream out(path);
   if (!out) return false;
   char header[96];
@@ -29,7 +28,6 @@ bool save_cir_csv(const CirEstimate& cir, const std::string& path) {
 std::optional<CirEstimate> load_cir_csv(const std::string& path) {
   // Offline import of recorded hardware CIR traces at setup time, before
   // the simulated timeline starts.
-  // uwb-lint: allow(sim-host-io)
   std::ifstream in(path);
   if (!in) return std::nullopt;
   CirEstimate cir;

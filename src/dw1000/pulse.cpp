@@ -100,6 +100,8 @@ struct PulseCache {
           hash_combine(hash_mix(key.first), key.second));
     }
   };
+  // Lookup only: find and emplace, never iterated.
+  // uwb-lint: allow(unordered-container)
   std::unordered_map<Key, CVec, KeyHash> entries;
   PulseCacheStats stats;
 };

@@ -47,7 +47,7 @@ FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t fallback_seed)
 FaultInjector::NodeState& FaultInjector::state(int node_id) {
   auto it = states_.find(node_id);
   if (it == states_.end()) {
-    const std::uint64_t seed = derive_seed(
+    const StreamSeed seed = derive_seed(
         stream_base_,
         static_cast<std::uint64_t>(static_cast<std::int64_t>(node_id)));
     it = states_.emplace(node_id, NodeState(seed)).first;

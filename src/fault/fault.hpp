@@ -171,7 +171,7 @@ class FaultInjector {
     int mute_rounds_left = 0;
     /// Round number responder_muted() last drew for.
     std::uint64_t mute_drawn_round = 0;
-    explicit NodeState(std::uint64_t seed) : rng(seed) {}
+    explicit NodeState(StreamSeed seed) : rng(seed) {}
   };
 
   NodeState& state(int node_id);

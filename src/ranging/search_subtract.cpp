@@ -98,6 +98,8 @@ struct BankCache {
       return static_cast<std::size_t>(h);
     }
   };
+  // Lookup only: find and emplace, never iterated.
+  // uwb-lint: allow(unordered-container)
   std::unordered_map<Key, std::shared_ptr<const SearchSubtractDetector::TemplateBank>,
                      KeyHash>
       entries;
@@ -414,7 +416,8 @@ void SearchSubtractDetector::prepare_residual(const CVec& cir_taps,
 }
 
 // uwb-hot-path: the per-template correlation inner loop dominates detect
-// latency (bench_detect); lint enforces that no transitive callee allocates.
+// latency (the bank_correlate span of bench_fig4_detection). It allocates
+// nothing: HotPathAllocTest.BankCorrelateAllocatesNothing pins it.
 void SearchSubtractDetector::bank_correlate(const TemplateBank& bank,
                                             FastState& st) const {
   // Step 2 (first iteration): one pointwise multiply + inverse transform

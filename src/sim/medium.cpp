@@ -81,7 +81,10 @@ CellTraffic& Medium::cell_traffic_entry(geom::CellKey key) {
 
 // uwb-hot-path: runs once per (tx, rx) pair within the interference radius
 // per frame — the medium's fan-out loop is the scale bottleneck
-// (bench_ext_scale).
+// (bench_ext_scale). Not allocation-free yet: a delivered frame allocates
+// its path list, each reflected path's bounce-wall list twice, its taps and
+// its event closure, 7 in the Fig. 4 hallway
+// (HotPathAllocTest.MediumDeliverAllocatesSevenPerCall pins that).
 Medium::DeliverOutcome Medium::deliver(
     Node& rx, int tx_node_id, geom::Vec2 tx_pos, std::uint64_t frame_seed,
     const dw::MacFrame& frame, std::uint8_t tc_pgdelay, SimTime preamble_start,
@@ -229,8 +232,8 @@ void Medium::transmit(int tx_node_id, const dw::MacFrame& frame,
   std::uint64_t culled = 0;
 
   // The fan-out to the end of the frame: every receiver's gates, specular
-  // stage and schedule. Not in deliver, which must not reach the span's
-  // bookkeeping (uwb-hot-path).
+  // stage and schedule. Not in deliver, where a new span name would grow
+  // the shard's span table (Shard::span_stat) on the hot path.
   UWB_OBS_SPAN("medium_fanout");
   ensure_spatial_index();
   if (culling_active()) {

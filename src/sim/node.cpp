@@ -174,7 +174,7 @@ void Node::on_air_frame(AirFrame af) {
     sim_.at(af.frame_end_arrival + kFinalizeMargin, [this]() { finalize_batch(); });
     // clear() keeps capacity, so pending_ reallocates only while ramping
     // to the largest batch seen; steady state is allocation-free.
-    pending_.push_back(std::move(af));  // uwb-lint: allow(hot-path-alloc)
+    pending_.push_back(std::move(af));
     return;
   }
   // Later frames join the batch only if their preamble overlaps the
@@ -185,7 +185,7 @@ void Node::on_air_frame(AirFrame af) {
                  .chain = af.chain, .node = config_.id, .peer = af.tx_node_id,
                  .v0 = {"batch_size", static_cast<double>(pending_.size() + 1)});
     // Same steady-state-capacity argument as the batch-leader push above.
-    pending_.push_back(std::move(af));  // uwb-lint: allow(hot-path-alloc)
+    pending_.push_back(std::move(af));
   } else {
     UWB_FR_EVENT(.kind = obs::FrKind::kRx, .name = "rx_late_for_batch",
                  .chain = af.chain, .node = config_.id, .peer = af.tx_node_id);

@@ -200,7 +200,6 @@ Level resolve_startup_level() {
   // unsupported value aborts instead of diverging, so results can depend
   // on it only by refusing to run (the forced-dispatch CI legs rely on
   // exactly this).
-  // uwb-lint: allow(sim-host-io)
   const char* env = std::getenv("UWB_SIMD_LEVEL");
   if (env != nullptr && env[0] != '\0') {
     const auto parsed = parse_level(env);

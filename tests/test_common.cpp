@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <type_traits>
 
 #include "common/constants.hpp"
 #include "common/expects.hpp"
@@ -203,6 +205,22 @@ TEST(RngTest, PreconditionViolations) {
   EXPECT_THROW(rng.normal(0.0, -1.0), PreconditionError);
   EXPECT_THROW(rng.chance(1.5), PreconditionError);
   EXPECT_THROW(rng.exponential(0.0), PreconditionError);
+}
+
+// Only derive_seed mints a StreamSeed; every use of a plain seed still
+// reads it as its value.
+static_assert(!std::is_constructible_v<StreamSeed, std::uint64_t>);
+static_assert(std::is_convertible_v<StreamSeed, std::uint64_t>);
+
+TEST(StreamSeedTest, SeedsTheSameStreamAsItsValue) {
+  for (const std::uint64_t base : {0ull, 1ull, 404ull, ~0ull}) {
+    for (const std::uint64_t stream : {0ull, 3ull, 1ull << 40}) {
+      Rng derived(derive_seed(base, stream));
+      Rng raw(std::uint64_t{derive_seed(base, stream)});
+      for (int i = 0; i < 16; ++i)
+        ASSERT_EQ(derived.engine()(), raw.engine()()) << base << "/" << stream;
+    }
+  }
 }
 
 }  // namespace

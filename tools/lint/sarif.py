@@ -13,31 +13,11 @@ SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
                 "master/Schemata/sarif-schema-2.1.0.json")
 
-_RULE_HELP = {
-    "no-raw-random": "Route randomness through uwb::Rng / derive_seed.",
-    "no-wall-clock-in-sim": "Simulation code reads SimTime, never the "
-                            "host clock.",
-    "unordered-iteration": "Iterate deterministic containers in "
-                           "result-producing code.",
-    "nodiscard-result": "Status/Result returns must be [[nodiscard]].",
-    "magic-tick-constant": "Tick constants live in common/constants.hpp.",
-    "raw-intrinsics": "SIMD intrinsics are confined to src/simd/.",
-    "obs-event-literal": "Event names are string literals; kinds are "
-                         "FrKind enum constants.",
-    "rng-provenance": "Every Rng construction is transitively fed from "
-                      "derive_seed along the call graph.",
-    "sim-host-io": "No host clock/filesystem/env API is reachable from "
-                   "the simulation layers.",
-    "float-ordering": "No float reduction over unordered/pointer-keyed "
-                      "sources; no FMA outside src/simd/.",
-    "hot-path-alloc": "// uwb-hot-path functions must not reach heap "
-                      "allocation, even transitively.",
-}
 
-
-def to_sarif(findings, tool_version="1.0"):
-    """Build the SARIF log dict for a list of uwb_lint Finding objects."""
-    rule_ids = sorted({f.rule for f in findings} | set(_RULE_HELP))
+def to_sarif(findings, rules, tool_version="1.0"):
+    """Build the SARIF log dict for a list of uwb_lint Finding objects.
+    `rules` maps each rule name to its one-line description."""
+    rule_ids = sorted({f.rule for f in findings} | set(rules))
     rule_index = {rid: i for i, rid in enumerate(rule_ids)}
     return {
         "$schema": SARIF_SCHEMA,
@@ -52,7 +32,7 @@ def to_sarif(findings, tool_version="1.0"):
                     "rules": [{
                         "id": rid,
                         "shortDescription": {
-                            "text": _RULE_HELP.get(rid, rid)},
+                            "text": rules.get(rid, rid)},
                         "defaultConfiguration": {"level": "error"},
                     } for rid in rule_ids],
                 }
@@ -80,8 +60,8 @@ def to_sarif(findings, tool_version="1.0"):
     }
 
 
-def write_sarif(findings, path, tool_version="1.0"):
+def write_sarif(findings, rules, path, tool_version="1.0"):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_sarif(findings, tool_version), fh, indent=2,
+        json.dump(to_sarif(findings, rules, tool_version), fh, indent=2,
                   sort_keys=True)
         fh.write("\n")

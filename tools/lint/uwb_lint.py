@@ -33,6 +33,15 @@ cannot know about:
                        with an FrKind enum constant; computed names would
                        make the recording schema ungreppable and break the
                        explain pipeline's vocabulary.
+  explicit-fma         std::fma, __builtin_fma and FP_CONTRACT pragmas are
+                       confined to src/simd/. Every target builds with
+                       -ffp-contract=off, so an explicit fused multiply-add
+                       is the one way left to change rounding.
+  unordered-container  src/ declares no unordered or pointer-keyed
+                       container: their iteration order, and so the order
+                       of any reduction over them, depends on the platform
+                       or on allocation addresses. Lookup-only memo caches
+                       carry an allow marker.
 
 Implementation: when libclang is importable the checker could parse real
 ASTs, but the baked toolchain ships without it, so the real path is a
@@ -54,6 +63,8 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+
+import sarif
 
 # --------------------------------------------------------------------------
 # Source model: physical lines with comments/strings removed, plus the
@@ -542,6 +553,70 @@ def check_obs_event_literal(src):
 
 
 # --------------------------------------------------------------------------
+# explicit-fma
+
+
+_FMA_RE = re.compile(
+    r"(?<![\w.])(?:std\s*::\s*|::\s*)?fma[fl]?\s*\(|__builtin_fma[fl]?\b|"
+    r"\bFP_CONTRACT\b|#\s*pragma\s+(?:clang\s+fp\s+contract|fp_contract)\b")
+
+# The dispatch-tested kernels: the one place a fused multiply-add may be
+# spelled out.
+_FMA_ALLOWED = ("src/simd/",)
+
+
+@rule("explicit-fma")
+def check_explicit_fma(src):
+    """Fused multiply-adds and contraction pragmas stay in src/simd/."""
+    if _in_dirs(src.path, _FMA_ALLOWED):
+        return []
+    findings = []
+    for i, line in enumerate(src.code_lines, start=1):
+        m = _FMA_RE.search(line)
+        if m:
+            findings.append(Finding(
+                src.path, i, "explicit-fma",
+                f"'{m.group(0).rstrip('(').strip()}' outside src/simd/ "
+                "fuses a multiply and an add, changing result bits against "
+                "the -ffp-contract=off build; keep FMA inside the "
+                "dispatch-tested kernels"))
+    return findings
+
+
+# --------------------------------------------------------------------------
+# unordered-container
+
+
+_UNORDERED_TYPE_RE = re.compile(
+    r"std\s*::\s*unordered_(?:map|set|multimap|multiset)\b")
+_PTR_KEY_TYPE_RE = re.compile(
+    r"std\s*::\s*(?:map|set|multimap|multiset)\s*<\s*[^,<>;]*\*\s*[,>]")
+_CONTAINER_SCOPE = ("src/",)
+
+
+@rule("unordered-container")
+def check_unordered_container(src):
+    """src/ holds no unordered or pointer-keyed container."""
+    if not _in_dirs(src.path, _CONTAINER_SCOPE):
+        return []
+    findings = []
+    for i, line in enumerate(src.code_lines, start=1):
+        if _UNORDERED_TYPE_RE.search(line):
+            findings.append(Finding(
+                src.path, i, "unordered-container",
+                "unordered container: iteration order, and any float "
+                "reduction over it, differs across standard libraries; use "
+                "an ordered container or a sorted vector"))
+        elif _PTR_KEY_TYPE_RE.search(line):
+            findings.append(Finding(
+                src.path, i, "unordered-container",
+                "pointer-keyed container: iteration follows allocation "
+                "addresses, which differ from run to run; key it by a "
+                "stable id"))
+    return findings
+
+
+# --------------------------------------------------------------------------
 # Driver.
 
 
@@ -569,6 +644,11 @@ def discover_files(root, paths):
     return sorted(rels)
 
 
+def rule_help():
+    """Rule name -> its docstring on one line."""
+    return {name: " ".join(fn.__doc__.split()) for name, fn in RULES.items()}
+
+
 def lint_file(root, relpath, rules):
     src = load_source(root, relpath)
     findings = []
@@ -578,24 +658,6 @@ def lint_file(root, relpath, rules):
                 continue
             findings.append(f)
     return findings
-
-
-def _changed_files(root, base):
-    """Repo-relative paths changed vs `base` (git diff + untracked)."""
-    import subprocess
-    out = []
-    for cmd in (["git", "diff", "--name-only", base],
-                ["git", "ls-files", "--others", "--exclude-standard"]):
-        try:
-            res = subprocess.run(cmd, cwd=root, capture_output=True,
-                                 text=True, check=True)
-        except (subprocess.CalledProcessError, OSError) as e:
-            print(f"uwb_lint: --changed-only: {' '.join(cmd)} failed: {e}",
-                  file=sys.stderr)
-            return None
-        out.extend(line.strip() for line in res.stdout.splitlines()
-                   if line.strip())
-    return sorted(set(out))
 
 
 def main(argv=None):
@@ -611,84 +673,33 @@ def main(argv=None):
                         help="run only this rule (repeatable)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print rule names and exit")
-    parser.add_argument("--no-flow", action="store_true",
-                        help="skip the call-graph-aware flow rules "
-                             "(cpp_index + flow_rules)")
     parser.add_argument("--sarif", metavar="FILE",
                         help="also write findings as SARIF 2.1.0 to FILE")
-    parser.add_argument("--index-cache", metavar="FILE", default=None,
-                        help="index cache path (default: "
-                             "<root>/.uwb-lint-cache/index.json; "
-                             "'none' disables caching)")
-    parser.add_argument("--changed-only", metavar="BASE", nargs="?",
-                        const="origin/main",
-                        help="report findings only in files changed vs BASE "
-                             "(default origin/main) plus untracked files; "
-                             "the flow analysis still sees the whole tree "
-                             "through the index cache")
     args = parser.parse_args(argv)
 
-    # Flow rules are registered lazily: importing flow_rules here (not at
-    # module top) keeps the uwb_lint -> cpp_index -> uwb_lint import
-    # relationship one-directional at load time.
-    import flow_rules as _flow
-    import cpp_index as _idx
-    import sarif as _sarif
-
     if args.list_rules:
-        for name in sorted(RULES):
-            print(f"{name}: {RULES[name].__doc__.strip()}")
-        for name in _flow.FLOW_RULES:
-            doc = (_flow._CHECKS[name].__doc__ or "").strip()
-            print(f"{name}: (flow) {doc}")
+        for name, text in sorted(rule_help().items()):
+            print(f"{name}: {text}")
         return 0
 
-    all_rules = sorted(RULES) + list(_flow.FLOW_RULES)
-    rules = args.rules or all_rules
-    unknown = [r for r in rules if r not in all_rules]
+    rules = args.rules or sorted(RULES)
+    unknown = [r for r in rules if r not in RULES]
     if unknown:
         print(f"uwb_lint: unknown rule(s): {', '.join(unknown)}",
               file=sys.stderr)
         return 2
-    file_rules = [r for r in rules if r in RULES]
-    flow_rules = [r for r in rules if r in _flow.FLOW_RULES]
-    if args.no_flow:
-        flow_rules = []
 
     root = args.root or os.path.dirname(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-    only = None
-    if args.changed_only is not None:
-        changed = _changed_files(root, args.changed_only)
-        if changed is None:
-            return 2
-        only = set(changed)
-
-    relpaths = discover_files(root, args.paths)
     findings = []
-    for relpath in relpaths:
-        norm = relpath.replace(os.sep, "/")
-        if only is not None and norm not in only:
-            continue
-        findings.extend(lint_file(root, relpath, file_rules))
-
-    if flow_rules:
-        cache_path = args.index_cache
-        if cache_path is None:
-            cache_path = os.path.join(root, ".uwb-lint-cache", "index.json")
-        elif cache_path == "none":
-            cache_path = None
-        index, _stats = _idx.build_index(root, relpaths, cache_path)
-        for f in _flow.run_flow_rules(index, flow_rules):
-            if only is not None and f.path not in only:
-                continue
-            findings.append(f)
+    for relpath in discover_files(root, args.paths):
+        findings.extend(lint_file(root, relpath, rules))
 
     for f in findings:
         print(f.render())
     if args.sarif:
-        _sarif.write_sarif(findings, args.sarif)
+        sarif.write_sarif(findings, rule_help(), args.sarif)
     if findings:
         print(f"uwb_lint: {len(findings)} finding(s)", file=sys.stderr)
         return 1

@@ -363,6 +363,118 @@ class LintFixtureTest(unittest.TestCase):
             "int bad = rand();\n"))
         self.assert_findings(p, "no-raw-random", [2])
 
+    # -- explicit-fma -----------------------------------------------------
+    # Float ordering, FMA half.
+
+    def test_fma_outside_simd_violation_inside_simd_clean(self):
+        bad = self.write("src/dsp/x.cpp", (
+            "namespace uwb {\n"
+            "double mac(double a, double b, double c) {\n"
+            "  return std::fma(a, b, c);\n"
+            "}\n"
+            "}\n"))
+        good = self.write("src/simd/k.cpp", (
+            "namespace uwb::simd {\n"
+            "double mac(double a, double b, double c) {\n"
+            "  return std::fma(a, b, c);\n"
+            "}\n"
+            "}\n"))
+        self.assert_findings(bad, "explicit-fma", [3])
+        self.assert_findings(good, "explicit-fma", [])
+
+    def test_fp_contract_pragma_outside_simd_violation(self):
+        p = self.write("src/dsp/x.cpp", (
+            "#pragma STDC FP_CONTRACT ON\n"
+            "namespace uwb { double f(double a) { return a; } }\n"))
+        self.assert_findings(p, "explicit-fma", [1])
+
+    def test_builtin_fma_and_unqualified_fma_violation(self):
+        p = self.write("tests/x.cpp", (
+            "double a = __builtin_fma(1.0, 2.0, 3.0);\n"
+            "double b = fmaf(1.0f, 2.0f, 3.0f);\n"
+            "#pragma clang fp contract(fast)\n"))
+        self.assert_findings(p, "explicit-fma", [1, 2, 3])
+
+    def test_fma_lookalikes_and_prose_clean(self):
+        p = self.write("src/dsp/x.cpp", (
+            "// std::fma would change the bits here\n"
+            "double y = my_fma(1.0, 2.0, 3.0) + k.fma(1.0);\n"
+            "const char* s = \"FP_CONTRACT\";\n"))
+        self.assert_findings(p, "explicit-fma", [])
+
+    # -- unordered-container ----------------------------------------------
+    # Float ordering, reduction half: the declaration is flagged, so no
+    # reduction over it can exist.
+
+    def test_local_unordered_under_accumulate_violation(self):
+        p = self.write("src/loc/x.cpp", (
+            "namespace uwb {\n"
+            "double total() {\n"
+            "  std::unordered_map<int, double> m;\n"
+            "  return std::accumulate(m.begin(), m.end(), 0.0, add);\n"
+            "}\n"
+            "}\n"))
+        self.assert_findings(p, "unordered-container", [3])
+
+    def test_pointer_keyed_map_violation(self):
+        p = self.write("src/loc/x.cpp", (
+            "namespace uwb {\n"
+            "struct Node;\n"
+            "double total() {\n"
+            "  std::map<Node*, double> m;\n"
+            "  double s = 0.0;\n"
+            "  for (const auto& kv : m) s += kv.second;\n"
+            "  return s;\n"
+            "}\n"
+            "}\n"))
+        self.assert_findings(p, "unordered-container", [4])
+
+    def test_member_unordered_declared_in_header_violation(self):
+        # The reduction lives in the .cpp; the member is flagged where the
+        # class declares it.
+        h = self.write("src/obs/m.hpp", (
+            "namespace uwb {\n"
+            "class Registry {\n"
+            " public:\n"
+            "  double total();\n"
+            " private:\n"
+            "  std::unordered_map<int, double> shards_;\n"
+            "};\n"
+            "}\n"))
+        self.assert_findings(h, "unordered-container", [6])
+
+    def test_unordered_return_type_violation(self):
+        p = self.write("src/obs/x.cpp", (
+            "namespace uwb {\n"
+            "std::unordered_map<int, double> snapshot() { return {}; }\n"
+            "double total() {\n"
+            "  return std::accumulate(snapshot().begin(), snapshot().end(),\n"
+            "                         0.0, add);\n"
+            "}\n"
+            "}\n"))
+        self.assert_findings(p, "unordered-container", [2])
+
+    def test_ordered_containers_and_other_dirs_clean(self):
+        src = self.write("src/loc/x.cpp", (
+            "#include <unordered_map>\n"
+            "std::map<int, double> by_id;\n"
+            "std::set<std::pair<int, int>> links;\n"
+            "std::map<std::uint64_t, Node*> by_key;\n"
+            "double total(const std::vector<double>& v) {\n"
+            "  return std::accumulate(v.begin(), v.end(), 0.0);\n"
+            "}\n"))
+        test = self.write("tests/x.cpp",
+                          "std::unordered_map<int, double> expected;\n")
+        self.assert_findings(src, "unordered-container", [])
+        self.assert_findings(test, "unordered-container", [])
+
+    def test_memo_cache_allow_marker(self):
+        p = self.write("src/dsp/x.cpp", (
+            "// Lookup only: find and emplace, never iterated.\n"
+            "// uwb-lint: allow(unordered-container)\n"
+            "std::unordered_map<std::size_t, int> plans;\n"))
+        self.assert_findings(p, "unordered-container", [])
+
     # -- driver behaviour -------------------------------------------------
 
     def test_main_exit_codes(self):
@@ -408,7 +520,7 @@ class SarifOutputTest(unittest.TestCase):
         self.assertEqual(loc["artifactLocation"]["uri"], "src/sim/bad.cpp")
         self.assertEqual(loc["region"]["startLine"], 1)
         rule_ids = [r["id"] for r in log["runs"][0]["tool"]["driver"]["rules"]]
-        self.assertIn("rng-provenance", rule_ids)
+        self.assertIn("explicit-fma", rule_ids)
 
     def test_sarif_written_empty_on_clean_tree(self):
         import json
@@ -419,73 +531,6 @@ class SarifOutputTest(unittest.TestCase):
         with open(out) as f:
             log = json.load(f)
         self.assertEqual(log["runs"][0]["results"], [])
-
-
-class ChangedOnlyTest(unittest.TestCase):
-    """--changed-only filters *reported* findings to changed/untracked
-    files while the flow analysis still spans the whole tree."""
-
-    def setUp(self):
-        import subprocess
-        self._tmp = tempfile.TemporaryDirectory()
-        self.root = self._tmp.name
-        env = dict(os.environ,
-                   GIT_AUTHOR_NAME="t", GIT_AUTHOR_EMAIL="t@t",
-                   GIT_COMMITTER_NAME="t", GIT_COMMITTER_EMAIL="t@t")
-        self.env = env
-
-        def git(*args):
-            subprocess.run(["git", *args], cwd=self.root, env=env,
-                           check=True, capture_output=True)
-        self.git = git
-        git("init", "-q")
-
-    def tearDown(self):
-        self._tmp.cleanup()
-
-    def write(self, relpath, content):
-        path = os.path.join(self.root, relpath)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as f:
-            f.write(content)
-        return relpath
-
-    def test_findings_limited_to_changed_files(self):
-        self.write("src/sim/old.cpp", "int a = rand();\n")
-        self.git("add", "-A")
-        self.git("commit", "-q", "-m", "base")
-        self.write("src/sim/new.cpp", "int b = rand();\n")
-        # Full run sees both; changed-only reports just the new file.
-        self.assertEqual(uwb_lint.main(["--root", self.root]), 1)
-        import io
-        from contextlib import redirect_stdout
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            rc = uwb_lint.main(
-                ["--root", self.root, "--changed-only", "HEAD"])
-        self.assertEqual(rc, 1)
-        out = buf.getvalue()
-        self.assertIn("src/sim/new.cpp", out)
-        self.assertNotIn("src/sim/old.cpp", out)
-
-    def test_flow_analysis_still_sees_unchanged_callers(self):
-        # The derive_seed provenance for the *changed* file lives in an
-        # unchanged caller: the full-tree index must still clear it.
-        self.write("src/sim/top.cpp", (
-            "namespace uwb {\n"
-            "void leafy(std::uint64_t seed);\n"
-            "void top(std::uint64_t b) { leafy(derive_seed(b, 1)); }\n"
-            "}\n"))
-        self.git("add", "-A")
-        self.git("commit", "-q", "-m", "base")
-        self.write("src/sim/leaf.cpp", (
-            "namespace uwb {\n"
-            "void leafy(std::uint64_t seed) { Rng r(seed); (void)r; }\n"
-            "}\n"))
-        rc = uwb_lint.main(
-            ["--root", self.root, "--changed-only", "HEAD",
-             "--rule", "rng-provenance"])
-        self.assertEqual(rc, 0)
 
 
 if __name__ == "__main__":
