@@ -1,11 +1,11 @@
 #include "dw1000/cir.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <optional>
 #include <utility>
 
 #include "common/expects.hpp"
 #include "dw1000/pulse.hpp"
+#include "obs/obs.hpp"
 
 namespace uwb::dw {
 
@@ -33,20 +33,17 @@ CirEstimate CirCapture::render() const {
   out.first_path_index = first_path_index;
   out.taps.assign(static_cast<std::size_t>(length), Complex{});
 
+  // Arrivals come in runs of one transmitter's frame, so one stepper
+  // serves every arrival until the register changes.
+  std::optional<PulseStepper> stepper;
+  std::size_t taps_touched = 0;
   for (const CirArrival& a : arrivals) {
-    const double half = pulse_duration_s(a.tc_pgdelay) / 2.0;
-    const auto lo = static_cast<std::ptrdiff_t>(
-        std::floor((a.time_into_window_s - half) / ts_s));
-    const auto hi = static_cast<std::ptrdiff_t>(
-        std::ceil((a.time_into_window_s + half) / ts_s));
-    const std::ptrdiff_t begin = std::max<std::ptrdiff_t>(0, lo);
-    const std::ptrdiff_t end = std::min<std::ptrdiff_t>(length - 1, hi);
-    for (std::ptrdiff_t n = begin; n <= end; ++n) {
-      const double t = static_cast<double>(n) * ts_s - a.time_into_window_s;
-      out.taps[static_cast<std::size_t>(n)] +=
-          a.amplitude * pulse_value(a.tc_pgdelay, t);
-    }
+    if (!stepper || stepper->tc_pgdelay() != a.tc_pgdelay)
+      stepper.emplace(a.tc_pgdelay, ts_s);
+    taps_touched += stepper->add(out.taps, a.time_into_window_s, a.amplitude);
   }
+  UWB_OBS_COUNT("cir_render_arrivals", arrivals.size());
+  UWB_OBS_COUNT("cir_render_taps", taps_touched);
 
   // Noise after every pulse: floating-point addition is not associative,
   // and in this order each tap equals drawing the noise straight into the

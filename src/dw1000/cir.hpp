@@ -63,8 +63,11 @@ struct CirCapture {
   /// Copied into CirEstimate::first_path_index by render().
   double first_path_index = 0.0;
 
-  /// Superpose the arrivals (evaluating each pulse shape at fractional
-  /// delays) in arrival order, then add the noise tap by tap. Draw-free.
+  /// Superpose the arrivals in arrival order, each over its pulse support
+  /// by a PulseStepper (one per run of equal registers), then add the noise
+  /// tap by tap. Draw-free. Counts the arrivals and the taps they touch
+  /// (`cir_render_arrivals`, `cir_render_taps`). An arrival time must be
+  /// finite.
   CirEstimate render() const;
 };
 

@@ -1,5 +1,6 @@
 #include "dw1000/pulse.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <unordered_map>
@@ -31,10 +32,21 @@ constexpr double kBaseFreqHz = 60e6;     // residual oscillation at the default
 // the true template breaks down.
 constexpr double kFreqSlopeHz = 2.5e6;
 constexpr double kRingAmp = 0.25;        // trailing ring lobe amplitude
+// Ring lobe delay and width, in units of the main-lobe sigma.
+constexpr double kRingDelay = 1.9;
+constexpr double kRingWidth = 0.6;
 
 int register_delta(std::uint8_t reg) {
   UWB_EXPECTS(reg >= k::tc_pgdelay_default);
   return reg - k::tc_pgdelay_default;
+}
+
+double main_sigma_s(int delta) {
+  return kBaseSigmaS * (1.0 + kWidthSlope * delta);
+}
+
+double carrier_rad_s(int delta) {
+  return 2.0 * std::numbers::pi * (kBaseFreqHz + kFreqSlopeHz * delta);
 }
 
 double gauss(double t, double sigma) {
@@ -50,10 +62,65 @@ double pulse_width_factor(std::uint8_t tc_pgdelay) {
 
 double pulse_value(std::uint8_t tc_pgdelay, double t_s) {
   const int delta = register_delta(tc_pgdelay);
-  const double sigma = kBaseSigmaS * (1.0 + kWidthSlope * delta);
-  const double freq = kBaseFreqHz + kFreqSlopeHz * delta;
-  return gauss(t_s, sigma) * std::cos(2.0 * std::numbers::pi * freq * t_s) -
-         kRingAmp * gauss(t_s - 1.9 * sigma, 0.6 * sigma);
+  const double sigma = main_sigma_s(delta);
+  return gauss(t_s, sigma) * std::cos(carrier_rad_s(delta) * t_s) -
+         kRingAmp * gauss(t_s - kRingDelay * sigma, kRingWidth * sigma);
+}
+
+PulseStepper::PulseStepper(std::uint8_t tc_pgdelay, double ts_s)
+    : tc_pgdelay_(tc_pgdelay),
+      ts_s_(ts_s),
+      half_support_s_(pulse_duration_s(tc_pgdelay) / 2.0),
+      sigma_s_(main_sigma_s(register_delta(tc_pgdelay))),
+      ring_delay_s_(kRingDelay * sigma_s_),
+      ring_sigma_s_(kRingWidth * sigma_s_),
+      main_step_(ts_s / sigma_s_),
+      main_ratio_step_(std::exp(-main_step_ * main_step_)),
+      ring_step_(ts_s / ring_sigma_s_),
+      ring_ratio_step_(std::exp(-ring_step_ * ring_step_)),
+      omega_rad_s_(carrier_rad_s(register_delta(tc_pgdelay))),
+      carrier_step_cos_(std::cos(omega_rad_s_ * ts_s)),
+      carrier_step_sin_(std::sin(omega_rad_s_ * ts_s)) {
+  UWB_EXPECTS(ts_s > 0.0);
+}
+
+std::size_t PulseStepper::add(CVec& taps, double t_s,
+                              Complex amplitude) const {
+  UWB_EXPECTS(std::isfinite(t_s));
+  // Clip in double: the unclipped bounds of a far-away pulse need not fit
+  // an integer type.
+  const double first =
+      std::max(0.0, std::floor((t_s - half_support_s_) / ts_s_));
+  const double last = std::min(static_cast<double>(taps.size()) - 1.0,
+                               std::ceil((t_s + half_support_s_) / ts_s_));
+  if (first > last) return 0;
+  const auto begin = static_cast<std::size_t>(first);
+  const auto end = static_cast<std::size_t>(last) + 1;
+
+  // Each Gaussian e^(-z^2/2), z = t/sigma, starts at the first tap with its
+  // ratio to the next tap, e^(-(z + u/2)*u) for u = Ts/sigma.
+  const double t0 = static_cast<double>(begin) * ts_s_ - t_s;
+  const double z = t0 / sigma_s_;
+  double main = std::exp(-0.5 * z * z);
+  double main_ratio = std::exp(-(z + 0.5 * main_step_) * main_step_);
+  const double zr = (t0 - ring_delay_s_) / ring_sigma_s_;
+  double ring = std::exp(-0.5 * zr * zr);
+  double ring_ratio = std::exp(-(zr + 0.5 * ring_step_) * ring_step_);
+  double carrier_cos = std::cos(omega_rad_s_ * t0);
+  double carrier_sin = std::sin(omega_rad_s_ * t0);
+  for (std::size_t n = begin; n < end; ++n) {
+    taps[n] += amplitude * (main * carrier_cos - kRingAmp * ring);
+    main *= main_ratio;
+    main_ratio *= main_ratio_step_;
+    ring *= ring_ratio;
+    ring_ratio *= ring_ratio_step_;
+    const double next_cos =
+        carrier_cos * carrier_step_cos_ - carrier_sin * carrier_step_sin_;
+    carrier_sin =
+        carrier_sin * carrier_step_cos_ + carrier_cos * carrier_step_sin_;
+    carrier_cos = next_cos;
+  }
+  return end - begin;
 }
 
 double pulse_duration_s(std::uint8_t tc_pgdelay) {

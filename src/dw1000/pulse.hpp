@@ -11,6 +11,7 @@
 // to 0xFF give the paper's "up to 108" distinct shapes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/types.hpp"
@@ -22,7 +23,9 @@ namespace uwb::dw {
 double pulse_width_factor(std::uint8_t tc_pgdelay);
 
 /// Continuous pulse shape s(t) for a register value; peak ~1.0 at t = 0,
-/// t in seconds. Deterministic and cheap (a few exp() calls).
+/// t in seconds. Deterministic; two exp() and one cos() per call. The
+/// detector's templates and subtractions call it directly; the CIR render
+/// steps it along a tap grid with PulseStepper, and tests compare the two.
 double pulse_value(std::uint8_t tc_pgdelay, double t_s);
 
 /// Effective pulse support T_p: s(t) is negligible outside
@@ -37,6 +40,44 @@ double pulse_main_lobe_s(std::uint8_t tc_pgdelay);
 
 /// Nominal -10 dB bandwidth [Hz] (900 MHz / width factor at channel 7).
 double pulse_bandwidth_hz(std::uint8_t tc_pgdelay);
+
+/// Adds one register's pulse to taps of spacing Ts by recurrence: the CIR
+/// render's inner loop. Along an arrival's support each Gaussian factor of
+/// s(t) steps as g <- g*r, r <- r*e^(-Ts^2/sigma^2), and the carrier phasor
+/// as p <- p*e^(j*omega*Ts). An arrival costs 4 exp() and one sin/cos pair
+/// at its first tap, where pulse_value() costs three calls per tap; every
+/// tap stays within 1e-12*|amplitude| of the pulse_value() sum. Built once
+/// per (register, Ts) from pulse_value()'s constants; add() keeps no state.
+class PulseStepper {
+ public:
+  PulseStepper(std::uint8_t tc_pgdelay, double ts_s);
+
+  std::uint8_t tc_pgdelay() const { return tc_pgdelay_; }
+
+  /// taps[n] += amplitude * s(n*Ts - t_s) for n from
+  /// floor((t_s - T_p/2)/Ts) to ceil((t_s + T_p/2)/Ts), T_p the
+  /// pulse_duration_s(), clipped to the taps. Returns the number of taps
+  /// touched, 0 for a pulse wholly outside them. t_s must be finite.
+  std::size_t add(CVec& taps, double t_s, Complex amplitude) const;
+
+ private:
+  std::uint8_t tc_pgdelay_;
+  double ts_s_;
+  double half_support_s_;
+  double sigma_s_;
+  double ring_delay_s_;
+  double ring_sigma_s_;
+  // Ts in units of each Gaussian's sigma, and e^(-u^2), the ratio between
+  // successive ratios g(t+Ts)/g(t).
+  double main_step_;
+  double main_ratio_step_;
+  double ring_step_;
+  double ring_ratio_step_;
+  double omega_rad_s_;
+  // e^(j*omega*Ts).
+  double carrier_step_cos_;
+  double carrier_step_sin_;
+};
 
 /// Sampled template at spacing `ts_s` (odd length, peak at the centre
 /// sample). Suitable for MatchedFilter construction; not normalised.

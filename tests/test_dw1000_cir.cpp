@@ -2,10 +2,10 @@
 // first-path detection, and energy accounting.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/constants.hpp"
@@ -122,34 +122,30 @@ TEST(CirTest, InvalidParamsThrow) {
   bad = CirParams{};
   bad.noise_sigma = -1.0;
   EXPECT_THROW(synthesize_cir({}, bad, rng), PreconditionError);
+  for (const double t : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    CirArrival a;
+    a.time_into_window_s = t;
+    EXPECT_THROW(synthesize_cir({a}, noiseless(), rng), PreconditionError)
+        << t;
+  }
 }
 
 // --- capture/render split ----------------------------------------------------
 
 // The one-pass synthesis the capture/render split replaced: superpose every
 // pulse, then draw the noise straight into the taps. Kept here as the
-// reference the split must reproduce bit for bit.
+// reference the split must reproduce bit for bit. Each arrival gets a
+// stepper of its own; the render shares one along a run of equal registers.
+// How close a stepper's pulse lies to pulse_value() is
+// PulseStepperTest.MatchesPulseValueOnTheFloorCeilSupport's business.
 CirEstimate one_pass_reference(const std::vector<CirArrival>& arrivals,
                                const CirParams& params, Rng& rng) {
   CirEstimate out;
   out.ts_s = params.ts_s;
   out.taps.assign(static_cast<std::size_t>(params.length), Complex{});
-  for (const CirArrival& a : arrivals) {
-    const double half = pulse_duration_s(a.tc_pgdelay) / 2.0;
-    const auto lo = static_cast<std::ptrdiff_t>(
-        std::floor((a.time_into_window_s - half) / params.ts_s));
-    const auto hi = static_cast<std::ptrdiff_t>(
-        std::ceil((a.time_into_window_s + half) / params.ts_s));
-    const std::ptrdiff_t begin = std::max<std::ptrdiff_t>(0, lo);
-    const std::ptrdiff_t end =
-        std::min<std::ptrdiff_t>(params.length - 1, hi);
-    for (std::ptrdiff_t n = begin; n <= end; ++n) {
-      const double t =
-          static_cast<double>(n) * params.ts_s - a.time_into_window_s;
-      out.taps[static_cast<std::size_t>(n)] +=
-          a.amplitude * pulse_value(a.tc_pgdelay, t);
-    }
-  }
+  for (const CirArrival& a : arrivals)
+    PulseStepper(a.tc_pgdelay, params.ts_s)
+        .add(out.taps, a.time_into_window_s, a.amplitude);
   if (params.noise_sigma > 0.0) {
     for (auto& tap : out.taps) tap += rng.complex_normal(params.noise_sigma);
   }
@@ -234,6 +230,25 @@ TEST(CirCaptureTest, ZeroNoiseDrawsNothing) {
   Rng rng_ref(77);
   expect_same_taps(capture.render(),
                    one_pass_reference(arrivals, params, rng_ref));
+}
+
+TEST(CirCaptureTest, FarAwayArrivalRendersTheNoiseAlone) {
+  // The support of a pulse this far out does not fit an integer tap index;
+  // it is clipped to the window before any conversion.
+  CirParams params;
+  std::vector<CirArrival> arrivals;
+  for (const double t : {1e30, -1e30, std::numeric_limits<double>::max(),
+                         std::numeric_limits<double>::lowest()}) {
+    CirArrival a;
+    a.time_into_window_s = t;
+    a.amplitude = {1.0, -1.0};
+    arrivals.push_back(a);
+  }
+  Rng rng(21);
+  const CirCapture capture = capture_cir(arrivals, params, rng);
+  const CirEstimate cir = capture.render();
+  ASSERT_EQ(cir.taps.size(), capture.noise.size());
+  EXPECT_TRUE(cir.taps == capture.noise);
 }
 
 TEST(CirCaptureTest, RenderIsRepeatableAndCarriesTheAnchor) {

@@ -1,10 +1,17 @@
 // Unit tests: TC_PGDELAY pulse shaping (paper Sect. V, Fig. 5).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
+#include <cstddef>
+#include <cstdint>
+#include <numbers>
+#include <utility>
 
 #include "common/constants.hpp"
 #include "common/expects.hpp"
+#include "common/random.hpp"
 #include "dsp/signal.hpp"
 #include "dw1000/pulse.hpp"
 
@@ -40,6 +47,7 @@ TEST(PulseTest, BelowDefaultRegisterThrows) {
   // 0x93 is the lower limit (narrower would violate the spectral mask).
   EXPECT_THROW(pulse_width_factor(0x92), PreconditionError);
   EXPECT_THROW(pulse_value(0x00, 0.0), PreconditionError);
+  EXPECT_THROW(PulseStepper(0x92, k::cir_ts_s), PreconditionError);
 }
 
 TEST(PulseTest, PeakNearUnityAtZero) {
@@ -136,6 +144,79 @@ TEST(PulseTest, AtLeast108DistinctShapes) {
 TEST(PulseTest, InvalidSamplePeriodThrows) {
   EXPECT_THROW(sample_pulse_template(kS1, 0.0), PreconditionError);
   EXPECT_THROW(template_centre_index(kS1, -1.0), PreconditionError);
+  EXPECT_THROW(PulseStepper(kS1, 0.0), PreconditionError);
+}
+
+// --- the render's stepper ----------------------------------------------------
+
+// The taps the CIR render superposed a pulse on before it stepped the
+// pulse by recurrence: floor/ceil of +-T_p/2 around the peak, clipped to
+// the window. Returns [begin, end), empty for a pulse wholly outside.
+std::pair<std::size_t, std::size_t> floor_ceil_support(std::uint8_t reg,
+                                                       double t_s, double ts_s,
+                                                       std::size_t length) {
+  const double half = pulse_duration_s(reg) / 2.0;
+  const auto lo = static_cast<std::ptrdiff_t>(std::floor((t_s - half) / ts_s));
+  const auto hi = static_cast<std::ptrdiff_t>(std::ceil((t_s + half) / ts_s));
+  const std::ptrdiff_t begin = std::max<std::ptrdiff_t>(0, lo);
+  const std::ptrdiff_t last =
+      std::min<std::ptrdiff_t>(static_cast<std::ptrdiff_t>(length) - 1, hi);
+  if (begin > last) return {0, 0};
+  return {static_cast<std::size_t>(begin), static_cast<std::size_t>(last) + 1};
+}
+
+TEST(PulseStepperTest, MatchesPulseValueOnTheFloorCeilSupport) {
+  constexpr std::size_t kLength = 64;
+  const double ts = k::cir_ts_s;
+  const auto window = static_cast<double>(kLength);
+  Rng gen(19);
+  double worst = 0.0;  // max |stepper - pulse_value sum| / |amplitude|
+  std::size_t outside = 0;
+  for (int reg = k::tc_pgdelay_default; reg <= k::tc_pgdelay_max; ++reg) {
+    SCOPED_TRACE(testing::Message() << "register 0x" << std::hex << reg);
+    const auto shape = static_cast<std::uint8_t>(reg);
+    const PulseStepper stepper(shape, ts);
+    EXPECT_EQ(stepper.tc_pgdelay(), shape);
+    const double half = pulse_duration_s(shape) / 2.0 / ts;  // in taps
+    // Peak positions in taps, each at a random sub-tap delay: three inside
+    // the window, two straddling tap 0, two straddling the last tap, and
+    // one wholly before and one wholly after the window.
+    const double peaks[] = {
+        gen.uniform(half, window - 1.0 - half),
+        gen.uniform(half, window - 1.0 - half),
+        gen.uniform(half, window - 1.0 - half),
+        gen.uniform(-half, 0.0),
+        gen.uniform(0.0, half),
+        gen.uniform(window - 1.0 - half, window - 1.0),
+        gen.uniform(window - 1.0, window - 1.0 + half),
+        -half - 1.0 - gen.uniform(0.0, 4.0),
+        window + half + gen.uniform(0.0, 4.0),
+    };
+    for (const double peak : peaks) {
+      const double t = peak * ts;
+      const Complex amplitude =
+          std::polar(gen.uniform(0.01, 2.0),
+                     gen.uniform(-std::numbers::pi, std::numbers::pi));
+      CVec taps(kLength, Complex{});
+      const std::size_t touched = stepper.add(taps, t, amplitude);
+      const auto [begin, end] = floor_ceil_support(shape, t, ts, kLength);
+      EXPECT_EQ(touched, end - begin) << "peak " << peak;
+      if (touched == 0) ++outside;
+      for (std::size_t n = 0; n < kLength; ++n) {
+        if (n < begin || n >= end) {
+          EXPECT_EQ(taps[n], Complex{}) << "tap " << n << " peak " << peak;
+          continue;
+        }
+        EXPECT_NE(taps[n], Complex{}) << "tap " << n << " peak " << peak;
+        const Complex want =
+            amplitude * pulse_value(shape, static_cast<double>(n) * ts - t);
+        worst = std::max(worst, std::abs(taps[n] - want) / std::abs(amplitude));
+      }
+    }
+  }
+  EXPECT_EQ(outside, static_cast<std::size_t>(2 * k::num_pulse_shapes));
+  EXPECT_LE(worst, 1e-12);
+  RecordProperty("max_deviation_per_amplitude", testing::PrintToString(worst));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "acceptance.hpp"
 #include "common/constants.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -40,39 +41,62 @@ TEST(SessionTest, SingleResponderTwrAccuracy) {
   EXPECT_NEAR(out.estimates.front().distance_m, 3.0, 0.15);
 }
 
-TEST(SessionTest, ThreeRespondersFig4Scenario) {
-  // Paper Fig. 4: responders at 3, 6, and 10 m in a hallway. With the
-  // hardware delayed-TX truncation active, each non-decoded response moves
-  // by up to +-8 ns (paper Sect. III) => +-0.6 m one-way tolerance. The
-  // seed picks a typical fading draw: adverse draws can hide the second
-  // response behind first-responder multipath in this geometry.
-  ScenarioConfig cfg = hallway_scenario(8);
+// The paper's Fig. 4 round: responders at 3, 6 and 10 m in a hallway.
+RoundOutcome fig4_round(std::uint64_t seed, bool delayed_tx_truncation) {
+  ScenarioConfig cfg = hallway_scenario(seed);
   cfg.responders = {{0, {5.0, 1.2}}, {1, {8.0, 1.2}}, {2, {12.0, 1.2}}};
+  cfg.delayed_tx_truncation = delayed_tx_truncation;
   ConcurrentRangingScenario scenario(cfg);
-  const RoundOutcome out = scenario.run_round();
-  ASSERT_TRUE(out.completed);
-  ASSERT_TRUE(out.payload_decoded);
-  EXPECT_EQ(out.frames_in_batch, 3);
-  ASSERT_EQ(out.estimates.size(), 3u);
-  // The detector orders responses by ascending distance (paper step 7).
-  EXPECT_NEAR(out.estimates[0].distance_m, 3.0, 0.3);
-  EXPECT_NEAR(out.estimates[1].distance_m, 6.0, 0.75);
-  EXPECT_NEAR(out.estimates[2].distance_m, 10.0, 0.75);
+  return scenario.run_round();
+}
+
+bool near(double value, double want, double tolerance) {
+  return std::abs(value - want) <= tolerance;
+}
+
+TEST(AcceptanceTest, WilsonBoundsOfTheDocumentedRates) {
+  // Textbook value: 50 of 100 gives [0.404, 0.596] at 95%.
+  EXPECT_NEAR(acceptance::wilson_lower_bound(0.5, 100), 0.40383, 1e-5);
+  EXPECT_EQ(acceptance::min_passes(93.0 / 200.0, 200), 80);
+  EXPECT_EQ(acceptance::min_passes(122.0 / 200.0, 200), 109);
+  EXPECT_EQ(acceptance::min_passes(0.0, 200), 0);
+}
+
+// Both Fig. 4 tests run seeds 1-200, each a fresh fading and timing draw,
+// and count the seeds whose round meets the per-seed predicate. The
+// documented rates are measured (EXPERIMENTS.md, Fig. 4). Most misses are
+// the anonymous scheme's limit, not noise: a coherent side-wall tie of the
+// 3 m response outranks the 10 m response, and the detector stops after
+// N = 3 peaks.
+
+TEST(SessionTest, ThreeRespondersFig4Scenario) {
+  // With the hardware delayed-TX truncation active, each non-decoded
+  // response moves by up to +-8 ns (paper Sect. III) => +-0.6 m one-way
+  // tolerance. Adverse draws also hide the second response behind the
+  // first responder's multipath. 93 of 200 seeds pass.
+  acceptance::expect_pass_rate(1, 200, 93.0 / 200.0, [](std::uint64_t seed) {
+    const RoundOutcome out = fig4_round(seed, /*delayed_tx_truncation=*/true);
+    // The detector orders responses by ascending distance (paper step 7).
+    return out.completed && out.payload_decoded && out.frames_in_batch == 3 &&
+           out.estimates.size() == 3 &&
+           near(out.estimates[0].distance_m, 3.0, 0.3) &&
+           near(out.estimates[1].distance_m, 6.0, 0.75) &&
+           near(out.estimates[2].distance_m, 10.0, 0.75);
+  });
 }
 
 TEST(SessionTest, ThreeRespondersIdealTxTiming) {
   // Ablation: with ideal (un-truncated) delayed TX the concurrent distances
-  // are centimetre-accurate, isolating the truncation as the error source.
-  ScenarioConfig cfg = hallway_scenario(8);
-  cfg.responders = {{0, {5.0, 1.2}}, {1, {8.0, 1.2}}, {2, {12.0, 1.2}}};
-  cfg.delayed_tx_truncation = false;
-  ConcurrentRangingScenario scenario(cfg);
-  const RoundOutcome out = scenario.run_round();
-  ASSERT_TRUE(out.payload_decoded);
-  ASSERT_EQ(out.estimates.size(), 3u);
-  EXPECT_NEAR(out.estimates[0].distance_m, 3.0, 0.1);
-  EXPECT_NEAR(out.estimates[1].distance_m, 6.0, 0.1);
-  EXPECT_NEAR(out.estimates[2].distance_m, 10.0, 0.1);
+  // are centimetre-accurate whenever the three responses are the three
+  // peaks picked, isolating the truncation as the error source. 122 of 200
+  // seeds pass.
+  acceptance::expect_pass_rate(1, 200, 122.0 / 200.0, [](std::uint64_t seed) {
+    const RoundOutcome out = fig4_round(seed, /*delayed_tx_truncation=*/false);
+    return out.payload_decoded && out.estimates.size() == 3 &&
+           near(out.estimates[0].distance_m, 3.0, 0.1) &&
+           near(out.estimates[1].distance_m, 6.0, 0.1) &&
+           near(out.estimates[2].distance_m, 10.0, 0.1);
+  });
 }
 
 TEST(SessionTest, RepeatedRoundsAdvanceTime) {
