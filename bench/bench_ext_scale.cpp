@@ -142,13 +142,12 @@ TrafficResult run_traffic(bool culling, int node_count, std::uint64_t seed) {
   });
 
   std::vector<std::unique_ptr<sim::Node>> nodes;
-  Rng node_seeds(derive_seed(seed, 0x50A7));
   for (int i = 0; i < node_count; ++i) {
     sim::NodeConfig nc;
     nc.id = i;
     nc.position = positions[static_cast<std::size_t>(i)];
-    nodes.push_back(
-        std::make_unique<sim::Node>(sim, medium, nc, node_seeds.fork()));
+    nodes.push_back(std::make_unique<sim::Node>(sim, medium, nc,
+                                                Rng(sim::node_seed(seed, i))));
   }
 
   dw::MacFrame f;

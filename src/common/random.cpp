@@ -17,6 +17,11 @@ std::uint64_t mix64(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
+std::uint32_t lo32(std::uint64_t x) { return static_cast<std::uint32_t>(x); }
+std::uint32_t hi32(std::uint64_t x) {
+  return static_cast<std::uint32_t>(x >> 32);
+}
+
 }  // namespace
 
 StreamSeed derive_seed(std::uint64_t base, std::uint64_t stream) {
@@ -26,22 +31,82 @@ StreamSeed derive_seed(std::uint64_t base, std::uint64_t stream) {
   return StreamSeed(mix64(mix64(z) ^ 0x8BADF00D5AFEC0DEULL));
 }
 
-Rng::Rng(std::uint64_t seed) : engine_(seed) {}
+std::array<std::uint32_t, 4> philox4x32_10(std::array<std::uint32_t, 4> ctr,
+                                           std::array<std::uint32_t, 2> key) {
+  // Round multipliers and Weyl key increments of Salmon et al. (2011).
+  constexpr std::uint64_t kM0 = 0xD2511F53;
+  constexpr std::uint64_t kM1 = 0xCD9E8D57;
+  constexpr std::uint32_t kW0 = 0x9E3779B9;
+  constexpr std::uint32_t kW1 = 0xBB67AE85;
+  for (int round = 0; round < 10; ++round) {
+    if (round > 0) {
+      key[0] += kW0;
+      key[1] += kW1;
+    }
+    // 32×32→64-bit products: their high halves mix, their low halves move.
+    const std::uint64_t p0 = kM0 * ctr[0];
+    const std::uint64_t p1 = kM1 * ctr[2];
+    ctr = {hi32(p1) ^ ctr[1] ^ key[0], lo32(p1), hi32(p0) ^ ctr[3] ^ key[1],
+           lo32(p0)};
+  }
+  return ctr;
+}
+
+Rng::Rng(std::uint64_t seed) : key_(seed) {}
+
+void Rng::refill() {
+  const std::array<std::uint32_t, 4> x = philox4x32_10(
+      {lo32(counter_), hi32(counter_), 0, 0}, {lo32(key_), hi32(key_)});
+  ++counter_;
+  block_[0] = x[0] | (std::uint64_t{x[1]} << 32);
+  block_[1] = x[2] | (std::uint64_t{x[3]} << 32);
+  next_ = 0;
+}
+
+double Rng::uniform_at(double u, double lo, double hi) {
+  const double x = lo + (hi - lo) * u;
+  return x < hi ? x : std::nextafter(hi, lo);
+}
 
 double Rng::uniform(double lo, double hi) {
   UWB_EXPECTS(lo <= hi);
-  return std::uniform_real_distribution<double>(lo, hi)(engine_);
+  return uniform_at(unit(bits()), lo, hi);
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   UWB_EXPECTS(lo <= hi);
-  return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+  // n wraps to 0 for the full range, where every word is a value.
+  const std::uint64_t n =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
+  std::uint64_t w = bits();
+  if (n != 0) {
+    // 2⁶⁴ mod n: the words left over after the last whole copy of [0, n).
+    const std::uint64_t reject_below = (0 - n) % n;
+    while (w < reject_below) w = bits();
+    w %= n;
+  }
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + w);
 }
 
 double Rng::normal(double mean, double stddev) {
   UWB_EXPECTS(stddev >= 0.0);
   if (stddev == 0.0) return mean;
-  return std::normal_distribution<double>(mean, stddev)(engine_);
+  if (has_spare_) {
+    has_spare_ = false;
+    return mean + stddev * spare_;
+  }
+  double x = 0.0;
+  double y = 0.0;
+  double s = 0.0;
+  do {
+    x = 2.0 * unit(bits()) - 1.0;
+    y = 2.0 * unit(bits()) - 1.0;
+    s = x * x + y * y;
+  } while (s >= 1.0 || s == 0.0);
+  const double f = std::sqrt(-2.0 * std::log(s) / s);
+  spare_ = y * f;
+  has_spare_ = true;
+  return mean + stddev * (x * f);
 }
 
 double Rng::rayleigh(double sigma) {
@@ -52,21 +117,16 @@ double Rng::rayleigh(double sigma) {
 
 double Rng::exponential(double mean) {
   UWB_EXPECTS(mean > 0.0);
-  return std::exponential_distribution<double>(1.0 / mean)(engine_);
-}
-
-int Rng::poisson(double mean) {
-  UWB_EXPECTS(mean >= 0.0);
-  if (mean == 0.0) return 0;
-  return std::poisson_distribution<int>(mean)(engine_);
+  return -mean * std::log1p(-unit(bits()));
 }
 
 bool Rng::chance(double probability) {
   UWB_EXPECTS(probability >= 0.0 && probability <= 1.0);
-  return std::bernoulli_distribution(probability)(engine_);
+  return unit(bits()) < probability;
 }
 
 Complex Rng::complex_normal(double sigma) {
+  // Braced initialisers evaluate left to right: real part first.
   return {normal(0.0, sigma), normal(0.0, sigma)};
 }
 
@@ -74,7 +134,5 @@ Complex Rng::random_phase() {
   const double phi = uniform(0.0, 2.0 * std::numbers::pi);
   return {std::cos(phi), std::sin(phi)};
 }
-
-Rng Rng::fork() { return Rng(engine_()); }
 
 }  // namespace uwb

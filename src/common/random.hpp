@@ -2,10 +2,17 @@
 //
 // All stochastic components take an explicit `Rng&` so that every simulation
 // is reproducible from a single seed (no hidden global state, cf. I.2).
+//
+// The generator is Philox4x32-10 (Salmon et al., "Parallel Random Numbers:
+// As Easy as 1, 2, 3", SC'11): counter-based, so word i of a stream is a
+// pure function of (seed, i) and a stream is a few words of state that cost
+// nothing to seed or copy. Every distribution is written here with its
+// formula (DESIGN.md Sect. 7.2), so no draw depends on the C++ standard
+// library; those that call log, log1p, cos or sin depend on libm.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <random>
 
 #include "common/types.hpp"
 
@@ -34,51 +41,89 @@ class StreamSeed {
   std::uint64_t value_;
 };
 
+/// One Philox4x32-10 block: ten rounds of the Philox multiply-xor round on
+/// the counter `ctr`, the key bumped by the Weyl constants before every
+/// round but the first (the Random123 reference; counter 0 under key 0
+/// gives 6627e8d5 e169c58d bc57ac4c 9b00dbd8).
+std::array<std::uint32_t, 4> philox4x32_10(std::array<std::uint32_t, 4> ctr,
+                                           std::array<std::uint32_t, 2> key);
+
 /// Seeded pseudo-random source with the distributions the simulator needs.
+///
+/// Block b of the stream seeded s is philox4x32_10({b mod 2³², b / 2³², 0,
+/// 0}, {s mod 2³², s / 2³²}); its words x0..x3 give the stream's 64-bit
+/// words x0 + 2³²·x1, then x2 + 2³²·x3. Every distribution below draws
+/// whole words in stream order, and u = unit(bits()) denotes one draw.
 class Rng {
  public:
   /// A derived stream: the one way simulation code seeds a generator.
-  explicit Rng(StreamSeed seed) : engine_(std::uint64_t{seed}) {}
+  explicit Rng(StreamSeed seed) : key_(std::uint64_t{seed}) {}
   /// A raw seed: the root stream of a run, a test or a bench. Defined out
   /// of line, so every object that seeds from a raw value references
   /// uwb::Rng::Rng(unsigned long), which the sim-layer symbol check
   /// (tools/check_sim_symbols.py) allows only at the root streams.
   explicit Rng(std::uint64_t seed);
 
-  /// Uniform double in [lo, hi).
+  /// The next 64-bit word of the stream.
+  std::uint64_t bits() {
+    if (next_ == block_.size()) refill();
+    return block_[next_++];
+  }
+
+  /// u = (bits >> 11)·2⁻⁵³: the top 53 bits as a double in [0, 1 − 2⁻⁵³].
+  static constexpr double unit(std::uint64_t bits) {
+    return static_cast<double>(bits >> 11) * 0x1p-53;
+  }
+
+  /// lo + (hi − lo)·u, or the largest double below hi where that rounds up
+  /// to hi (as it can for u near 1). Never hi unless lo == hi.
+  static double uniform_at(double u, double lo, double hi);
+
+  /// Uniform double in [lo, hi): uniform_at(u, lo, hi).
   double uniform(double lo, double hi);
 
-  /// Uniform integer in [lo, hi] (inclusive).
+  /// Uniform integer in [lo, hi] (inclusive) by unbiased rejection: with
+  /// n = hi − lo + 1, words below 2⁶⁴ mod n are redrawn and the first
+  /// other word w gives lo + (w mod n). The full int64 range takes one
+  /// word as it is.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
-  /// Normal with given mean and standard deviation.
+  /// mean + stddev·z, z standard normal by Marsaglia's polar method: draw
+  /// x = 2u₁ − 1, y = 2u₂ − 1 until 0 < s = x² + y² < 1, then
+  /// z = x·√(−2 ln s / s) and the spare y·√(−2 ln s / s) serves the next
+  /// call. Draws nothing, and keeps any spare, when stddev is 0.
   double normal(double mean, double stddev);
 
-  /// Rayleigh-distributed magnitude with scale sigma.
+  /// Rayleigh-distributed magnitude with scale sigma:
+  /// sigma·√(−2 ln v), v = uniform(1e-300, 1).
   double rayleigh(double sigma);
 
-  /// Exponential with given mean.
+  /// Exponential with given mean: −mean·log1p(−u).
   double exponential(double mean);
 
-  /// Poisson-distributed count with given mean.
-  int poisson(double mean);
-
-  /// Bernoulli trial.
+  /// Bernoulli trial: u < probability (one word, even at 0 or 1).
   bool chance(double probability);
 
-  /// Circularly-symmetric complex Gaussian sample with per-component sigma.
+  /// Circularly-symmetric complex Gaussian sample with per-component
+  /// sigma: {normal(0, sigma), normal(0, sigma)}, one polar pair.
   Complex complex_normal(double sigma);
 
-  /// Unit-magnitude complex number with uniform phase.
+  /// Unit-magnitude complex number with uniform phase:
+  /// {cos φ, sin φ}, φ = uniform(0, 2π).
   Complex random_phase();
 
-  /// Fork a new independent generator (stream split for sub-components).
-  Rng fork();
-
-  std::mt19937_64& engine() { return engine_; }
-
  private:
-  std::mt19937_64 engine_;
+  /// Compute block counter_ into block_ and advance the counter.
+  void refill();
+
+  std::uint64_t key_;
+  std::uint64_t counter_ = 0;
+  std::array<std::uint64_t, 2> block_{};
+  /// Next unread word of block_; block_.size() when it is spent.
+  std::size_t next_ = 2;
+  /// The polar method's second normal, waiting for the next normal().
+  double spare_ = 0.0;
+  bool has_spare_ = false;
 };
 
 }  // namespace uwb

@@ -20,9 +20,8 @@ CirCapture capture_cir(std::vector<CirArrival> arrivals,
   out.length = params.length;
   out.ts_s = params.ts_s;
   if (params.noise_sigma > 0.0) {
-    out.noise.resize(static_cast<std::size_t>(params.length));
-    for (auto& sample : out.noise)
-      sample = rng.complex_normal(params.noise_sigma);
+    out.noise_key = rng.bits();
+    out.noise_sigma = params.noise_sigma;
   }
   return out;
 }
@@ -45,10 +44,16 @@ CirEstimate CirCapture::render() const {
   UWB_OBS_COUNT("cir_render_arrivals", arrivals.size());
   UWB_OBS_COUNT("cir_render_taps", taps_touched);
 
-  // Noise after every pulse: floating-point addition is not associative,
-  // and in this order each tap equals drawing the noise straight into the
-  // superposed pulses, bit for bit.
-  for (std::size_t n = 0; n < noise.size(); ++n) out.taps[n] += noise[n];
+  // Noise after every pulse, drawn here: only a CIR someone reads pays for
+  // its noise, and the stream is seeded afresh, so every render draws the
+  // same samples.
+  std::size_t noise_samples = 0;
+  if (noise_sigma > 0.0) {
+    Rng noise(derive_seed(noise_key, 0));
+    for (Complex& tap : out.taps) tap += noise.complex_normal(noise_sigma);
+    noise_samples = out.taps.size();
+  }
+  UWB_OBS_COUNT("cir_noise_samples", noise_samples);
   return out;
 }
 

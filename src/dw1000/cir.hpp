@@ -7,11 +7,12 @@
 // plus the accumulator noise.
 //
 // Synthesis runs in two steps. capture_cir() is taken when a receive batch
-// completes: it keeps the arrivals and draws the accumulator noise, so every
-// random draw happens at the receiver in simulation order. CirCapture::render()
-// superposes the pulses and adds the captured noise; it draws nothing, so it
-// runs only where a consumer reads the taps (in a ranging round, the
-// initiator) and yields the same taps whenever it runs.
+// completes: it keeps the arrivals and draws one word on the receiver's
+// stream, the key of the accumulator noise. CirCapture::render() superposes
+// the pulses and then draws the noise on the stream that key seeds; it runs
+// only where a consumer reads the taps (in a ranging round, the initiator),
+// so a CIR nobody reads costs one word, and it yields the same taps
+// whenever it runs.
 #pragma once
 
 #include <cstdint>
@@ -52,27 +53,30 @@ struct CirEstimate {
 };
 
 /// The accumulator as captured at the end of a receive batch: the arrivals
-/// it superposes and the noise it drew, not yet rendered into taps.
+/// it superposes and the key of its noise, not yet rendered into taps.
 struct CirCapture {
   std::vector<CirArrival> arrivals;
-  /// Accumulator noise, one sample per tap in tap order; empty when the
-  /// noise sigma is zero.
-  CVec noise;
+  /// render() draws the accumulator noise on Rng(derive_seed(noise_key, 0)).
+  std::uint64_t noise_key = 0;
+  /// Accumulator noise per complex component; 0 draws none.
+  double noise_sigma = 0.0;
   int length = k::cir_len_prf64;
   double ts_s = k::cir_ts_s;
   /// Copied into CirEstimate::first_path_index by render().
   double first_path_index = 0.0;
 
   /// Superpose the arrivals in arrival order, each over its pulse support
-  /// by a PulseStepper (one per run of equal registers), then add the noise
-  /// tap by tap. Draw-free. Counts the arrivals and the taps they touch
-  /// (`cir_render_arrivals`, `cir_render_taps`). An arrival time must be
-  /// finite.
+  /// by a PulseStepper (one per run of equal registers), then add `length`
+  /// complex normals of sigma `noise_sigma`, drawn in tap order on
+  /// Rng(derive_seed(noise_key, 0)). Every call draws the same noise.
+  /// Counts the arrivals, the taps they touch and the noise samples drawn
+  /// (`cir_render_arrivals`, `cir_render_taps`, `cir_noise_samples`). An
+  /// arrival time must be finite.
   CirEstimate render() const;
 };
 
-/// Keep `arrivals` and draw the accumulator noise: `length` complex normal
-/// samples in tap order, none when `params.noise_sigma` is zero.
+/// Keep `arrivals` and draw the noise key: one word of `rng`, none when
+/// `params.noise_sigma` is zero.
 CirCapture capture_cir(std::vector<CirArrival> arrivals,
                        const CirParams& params, Rng& rng);
 

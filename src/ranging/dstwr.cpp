@@ -32,7 +32,7 @@ DsTwrSession::DsTwrSession(DsTwrSessionConfig config)
   UWB_EXPECTS(config_.response_delay > Seconds(0.0));
   medium_ = std::make_unique<sim::Medium>(
       sim_, channel::ChannelModel(config_.room, config_.channel),
-      config_.medium, rng_.fork());
+      config_.medium, Rng(sim::medium_seed(config_.seed)));
 
   const auto make_node = [&](int id, geom::Vec2 pos) {
     sim::NodeConfig nc;
@@ -44,7 +44,8 @@ DsTwrSession::DsTwrSession(DsTwrSessionConfig config)
     nc.cir = config_.cir;
     nc.timestamping = config_.timestamping;
     nc.delayed_tx_truncation = config_.delayed_tx_truncation;
-    return std::make_unique<sim::Node>(sim_, *medium_, nc, rng_.fork());
+    return std::make_unique<sim::Node>(sim_, *medium_, nc,
+                                       Rng(sim::node_seed(config_.seed, id)));
   };
   initiator_ = make_node(0, config_.initiator_position);
   responder_ = make_node(1, config_.responder_position);

@@ -56,7 +56,7 @@ NetworkRangingSession::NetworkRangingSession(NetworkConfig config)
 
   medium_ = std::make_unique<sim::Medium>(
       sim_, channel::ChannelModel(config_.room, config_.channel),
-      config_.medium, rng_.fork());
+      config_.medium, Rng(sim::medium_seed(config_.seed)));
 
   for (std::size_t i = 0; i < config_.node_positions.size(); ++i) {
     sim::NodeConfig nc;
@@ -68,7 +68,8 @@ NetworkRangingSession::NetworkRangingSession(NetworkConfig config)
     nc.cir = config_.cir;
     nc.timestamping = config_.timestamping;
     nc.delayed_tx_truncation = config_.delayed_tx_truncation;
-    nodes_.push_back(std::make_unique<sim::Node>(sim_, *medium_, nc, rng_.fork()));
+    nodes_.push_back(std::make_unique<sim::Node>(
+        sim_, *medium_, nc, Rng(sim::node_seed(config_.seed, nc.id))));
   }
 }
 

@@ -15,7 +15,8 @@ namespace uwb::ranging {
 namespace {
 constexpr int kInitiatorId = -1;
 /// derive_seed stream tag separating the fault injector's RNG streams from
-/// every simulation stream (which fork from Rng(config.seed) directly).
+/// every simulation stream (sim::medium_seed, sim::node_seed and the
+/// session's own Rng(config.seed)).
 constexpr std::uint64_t kFaultSeedStream = 0xFA170001u;
 /// Stream tag of the attack injector: disjoint from the fault and
 /// simulation streams so an attack plan perturbs neither.
@@ -102,7 +103,7 @@ ConcurrentRangingScenario::ConcurrentRangingScenario(ScenarioConfig config)
 
   medium_ = std::make_unique<sim::Medium>(
       sim_, channel::ChannelModel(config_.room, config_.channel),
-      config_.medium, rng_.fork());
+      config_.medium, Rng(sim::medium_seed(config_.seed)));
 
   // The injector never touches rng_: its streams derive from the scenario
   // seed through an independent splitmix64 stream, so an inert plan leaves
@@ -143,7 +144,7 @@ ConcurrentRangingScenario::ConcurrentRangingScenario(ScenarioConfig config)
 
   initiator_ = std::make_unique<sim::Node>(
       sim_, *medium_, make_node_config(kInitiatorId, config_.initiator_position),
-      rng_.fork());
+      Rng(sim::node_seed(config_.seed, kInitiatorId)));
   initiator_->set_rx_handler(
       [this](sim::RxResult&& r) { initiator_result_ = std::move(r); });
 
@@ -152,7 +153,8 @@ ConcurrentRangingScenario::ConcurrentRangingScenario(ScenarioConfig config)
     auto nc = make_node_config(spec.id, spec.position);
     nc.phy.tc_pgdelay =
         assign_responder(spec.id, config_.ranging).shape_register;
-    auto node = std::make_unique<sim::Node>(sim_, *medium_, nc, rng_.fork());
+    auto node = std::make_unique<sim::Node>(
+        sim_, *medium_, nc, Rng(sim::node_seed(config_.seed, spec.id)));
     const auto [it, inserted] = responders_.emplace(spec.id, std::move(node));
     UWB_EXPECTS(inserted);
     (void)it;

@@ -29,7 +29,7 @@ Medium::Medium(Simulator& simulator, channel::ChannelModel model,
   UWB_EXPECTS(params.detection_threshold_amp >= 0.0);
   // One draw anchors the whole per-(link, frame) seed hierarchy; the Rng
   // itself is not kept, so no shared mutable stream survives construction.
-  channel_stream_base_ = rng.engine()();
+  channel_stream_base_ = rng.bits();
   interference_radius_m_ =
       model_
           .max_detectable_range(params_.detection_threshold_amp,

@@ -29,7 +29,7 @@
 // arrives late for a batch, is abandoned, or sits alone in a capture no one
 // renders never pays for its tail.
 //
-// Channel randomness comes from a per-(link, frame) stream forked with
+// Channel randomness comes from a per-(link, frame) stream seeded by
 // derive_seed (the same pattern src/fault uses for per-node fault streams),
 // and the diffuse completion continues the link's own stream, so neither
 // the gates nor the deferral perturb the draws of the links that remain:
@@ -249,9 +249,9 @@ class Medium {
   fault::FaultInjector* fault_ = nullptr;
   fault::AttackInjector* attack_ = nullptr;
 
-  /// Base of the per-(link, frame) channel seed hierarchy: one draw from
-  /// the Rng the medium was constructed with, so existing scenario seeding
-  /// (session forks its master Rng into the medium) keeps working.
+  /// Base of the per-(link, frame) channel seed hierarchy: one word of the
+  /// Rng the medium was constructed with (a session seeds it by
+  /// derive_seed from its scenario seed).
   std::uint64_t channel_stream_base_ = 0;
   /// Frames transmitted so far — the per-frame stream index. Identical
   /// between culled and unculled runs because culling never changes which

@@ -231,9 +231,9 @@ void Node::finalize_batch() {
       append_arrivals(af, window_start_s, arrivals);
   }
 
-  // Capture only: the accumulator noise is drawn here, before the timestamp
-  // and CFO draws, but the pulses are superposed only by a consumer that
-  // renders the taps (responders never do).
+  // Capture only: the key of the accumulator noise is drawn here, before
+  // the timestamp and CFO draws, but the pulses and the noise are rendered
+  // only by a consumer that reads the taps (responders never do).
   dw::CirCapture accumulator;
   {
     UWB_OBS_SPAN("cir_synthesis");

@@ -61,9 +61,9 @@ struct NodeConfig {
   Seconds antenna_delay{};
 };
 
-/// The accumulator of one receive batch as the radio captured it: the
-/// accumulator noise, drawn at RX, and the batch's frames, superposed only
-/// by render() (DESIGN.md Sect. 17).
+/// The accumulator of one receive batch as the radio captured it: the key
+/// of its noise, drawn at RX, and the batch's frames, superposed and
+/// overlaid with the noise only by render() (DESIGN.md Sect. 17).
 ///
 /// A batch of several frames has its channels completed at RX, because the
 /// SIR decode check reads each frame's full power; their arrivals are
@@ -78,13 +78,14 @@ class BatchCapture : private dw::CirCapture {
   BatchCapture(dw::CirCapture accumulator, std::optional<AirFrame> lone_frame,
                double window_start_s, const Medium& medium);
 
-  /// The completed frames' arrivals (empty for a lone frame) and the
-  /// accumulator noise, one sample per tap.
+  /// The completed frames' arrivals (empty for a lone frame) and the key
+  /// and sigma of the accumulator noise.
   using dw::CirCapture::arrivals;
-  using dw::CirCapture::noise;
+  using dw::CirCapture::noise_key;
+  using dw::CirCapture::noise_sigma;
 
   /// Complete the lone frame's channel on a copy of its link stream (one
-  /// `channel_diffuse` span), then superpose every arrival and add the
+  /// `channel_diffuse` span), then superpose every arrival and draw the
   /// noise. Leaves the capture unchanged.
   dw::CirEstimate render() const;
 
@@ -125,6 +126,19 @@ struct RxResult {
   std::vector<int> batch_tx_node_ids;
   SimTime completed_at;
 };
+
+/// Seed of the stream a scene seeded `scene_seed` hands its Medium.
+inline StreamSeed medium_seed(std::uint64_t scene_seed) {
+  return derive_seed(scene_seed, 0x6D656469756Du);  // "medium"
+}
+
+/// Seed of the stream of node `id` in a scene seeded `scene_seed`. Keyed by
+/// the id alone, so a node draws the same whatever nodes were built before
+/// it.
+inline StreamSeed node_seed(std::uint64_t scene_seed, int id) {
+  return derive_seed(derive_seed(scene_seed, 0x6E6F646573u),  // "nodes"
+                     static_cast<std::uint32_t>(id));
+}
 
 class Node {
  public:

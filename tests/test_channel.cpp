@@ -264,7 +264,7 @@ TEST_F(ChannelModelTest, RealizeIsSpecularStageThenDiffuseCompletion) {
         EXPECT_EQ(done.taps[i].deterministic, ch.taps[i].deterministic);
         EXPECT_EQ(done.taps[i].order, ch.taps[i].order);
       }
-      EXPECT_EQ(whole.engine()(), staged.engine()());
+      EXPECT_EQ(whole.bits(), staged.bits());
     }
   }
 }

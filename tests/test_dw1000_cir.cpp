@@ -2,6 +2,7 @@
 // first-path detection, and energy accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include "dw1000/energy.hpp"
 #include "dw1000/pulse.hpp"
 #include "dw1000/timestamping.hpp"
+#include "obs/metrics.hpp"
 
 namespace uwb::dw {
 namespace {
@@ -132,11 +134,12 @@ TEST(CirTest, InvalidParamsThrow) {
 
 // --- capture/render split ----------------------------------------------------
 
-// The one-pass synthesis the capture/render split replaced: superpose every
-// pulse, then draw the noise straight into the taps. Kept here as the
-// reference the split must reproduce bit for bit. Each arrival gets a
-// stepper of its own; the render shares one along a run of equal registers.
-// How close a stepper's pulse lies to pulse_value() is
+// The synthesis written out in one pass: superpose every pulse, then add
+// the noise, one complex normal per tap in tap order, drawn on the stream
+// keyed by one word of the receiver's stream. The reference the split must
+// reproduce bit for bit. Each arrival gets a stepper of its own; the render
+// shares one along a run of equal registers. How close a stepper's pulse
+// lies to pulse_value() is
 // PulseStepperTest.MatchesPulseValueOnTheFloorCeilSupport's business.
 CirEstimate one_pass_reference(const std::vector<CirArrival>& arrivals,
                                const CirParams& params, Rng& rng) {
@@ -147,7 +150,8 @@ CirEstimate one_pass_reference(const std::vector<CirArrival>& arrivals,
     PulseStepper(a.tc_pgdelay, params.ts_s)
         .add(out.taps, a.time_into_window_s, a.amplitude);
   if (params.noise_sigma > 0.0) {
-    for (auto& tap : out.taps) tap += rng.complex_normal(params.noise_sigma);
+    Rng noise(derive_seed(rng.bits(), 0));
+    for (auto& tap : out.taps) tap += noise.complex_normal(params.noise_sigma);
   }
   return out;
 }
@@ -205,12 +209,15 @@ TEST(CirCaptureTest, RenderMatchesOnePassSynthesisBitForBit) {
       params.noise_sigma = 0.002 * static_cast<double>(seed);
       const std::vector<CirArrival> arrivals = random_arrivals(seed, params);
 
-      Rng rng_ref(100 + seed), rng_split(100 + seed);
+      Rng rng_ref(100 + seed), rng_split(100 + seed), rng_key(100 + seed);
       const CirEstimate want = one_pass_reference(arrivals, params, rng_ref);
       const CirCapture capture = capture_cir(arrivals, params, rng_split);
-      // The capture drew exactly the reference's draws.
-      EXPECT_EQ(rng_split.uniform(0.0, 1.0), rng_ref.uniform(0.0, 1.0));
-      EXPECT_EQ(capture.noise.size(), static_cast<std::size_t>(length));
+      // The capture drew exactly one word, the noise key.
+      EXPECT_EQ(capture.noise_key, rng_key.bits());
+      EXPECT_EQ(capture.noise_sigma, params.noise_sigma);
+      const std::uint64_t next = rng_key.bits();
+      EXPECT_EQ(rng_split.bits(), next);
+      EXPECT_EQ(rng_ref.bits(), next);
       expect_same_taps(capture.render(), want);
 
       // synthesize_cir is the same two steps in one call.
@@ -225,8 +232,8 @@ TEST(CirCaptureTest, ZeroNoiseDrawsNothing) {
   const std::vector<CirArrival> arrivals = random_arrivals(3, params);
   Rng rng(77), untouched(77);
   const CirCapture capture = capture_cir(arrivals, params, rng);
-  EXPECT_TRUE(capture.noise.empty());
-  EXPECT_EQ(rng.uniform(0.0, 1.0), untouched.uniform(0.0, 1.0));
+  EXPECT_EQ(capture.noise_sigma, 0.0);
+  EXPECT_EQ(rng.bits(), untouched.bits());
   Rng rng_ref(77);
   expect_same_taps(capture.render(),
                    one_pass_reference(arrivals, params, rng_ref));
@@ -244,11 +251,32 @@ TEST(CirCaptureTest, FarAwayArrivalRendersTheNoiseAlone) {
     a.amplitude = {1.0, -1.0};
     arrivals.push_back(a);
   }
-  Rng rng(21);
-  const CirCapture capture = capture_cir(arrivals, params, rng);
+  Rng rng(21), rng_none(21);
+  const CirEstimate cir = capture_cir(arrivals, params, rng).render();
+  const CirEstimate noise_alone = capture_cir({}, params, rng_none).render();
+  ASSERT_EQ(cir.taps.size(), static_cast<std::size_t>(params.length));
+  EXPECT_TRUE(cir.taps == noise_alone.taps);
+}
+
+std::uint64_t noise_samples_counted() {
+  return obs::MetricsRegistry::instance().aggregate().counter(
+      "cir_noise_samples");
+}
+
+TEST(CirCaptureTest, OnlyTheRenderDrawsAndCountsTheNoise) {
+  const CirParams params;
+  Rng rng(8);
+  const std::uint64_t before = noise_samples_counted();
+  const CirCapture capture = capture_cir({}, params, rng);
+  EXPECT_EQ(noise_samples_counted(), before);
   const CirEstimate cir = capture.render();
-  ASSERT_EQ(cir.taps.size(), capture.noise.size());
-  EXPECT_TRUE(cir.taps == capture.noise);
+  EXPECT_EQ(noise_samples_counted() - before,
+            static_cast<std::uint64_t>(params.length));
+  EXPECT_TRUE(std::all_of(cir.taps.begin(), cir.taps.end(),
+                          [](const Complex& tap) { return tap != Complex{}; }));
+  const std::uint64_t rendered = noise_samples_counted();
+  (void)capture_cir({}, noiseless(), rng).render();
+  EXPECT_EQ(noise_samples_counted(), rendered);
 }
 
 TEST(CirCaptureTest, RenderIsRepeatableAndCarriesTheAnchor) {

@@ -273,10 +273,11 @@ TEST(ChannelCompletionTest, LoneFrameRenderIsTheProbesTapsOverTheNoise) {
   ASSERT_TRUE(got.has_value());
   ASSERT_TRUE(link.seen.has_value());
   ASSERT_EQ(got->frames_in_batch, 1);
-  // Nothing was superposed at RX: the capture holds the noise alone.
+  // Nothing was superposed at RX: the capture holds the noise key alone.
   EXPECT_TRUE(got->cir.arrivals.empty());
   const dw::CirParams& params = link.rx_config.cir;
-  ASSERT_EQ(got->cir.noise.size(), static_cast<std::size_t>(params.length));
+  ASSERT_GT(params.noise_sigma, 0.0);
+  EXPECT_EQ(got->cir.noise_sigma, params.noise_sigma);
 
   // The probe's taps, timed into the window anchored `cir_anchor_taps`
   // before the frame's first path, over the captured noise.
@@ -286,7 +287,8 @@ TEST(ChannelCompletionTest, LoneFrameRenderIsTheProbesTapsOverTheNoise) {
   want.length = params.length;
   want.ts_s = params.ts_s;
   want.first_path_index = anchor;
-  want.noise = got->cir.noise;
+  want.noise_key = got->cir.noise_key;
+  want.noise_sigma = got->cir.noise_sigma;
   const double window_start_s =
       seen.preamble_start_arrival.seconds() - anchor * params.ts_s;
   const double tx_ref_s = seen.preamble_start_arrival.seconds() -

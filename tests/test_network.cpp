@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "acceptance.hpp"
 #include "common/expects.hpp"
 #include "ranging/network.hpp"
 
@@ -43,26 +44,29 @@ TEST(NetworkTest, EveryNodeCanInitiate) {
 }
 
 TEST(NetworkTest, FullSweepFillsMatrix) {
-  NetworkRangingSession session(small_network(3));
-  const NetworkSweep sweep = session.run_full_sweep();
-  EXPECT_EQ(sweep.completed_rounds, 4);
-  int filled = 0;
-  for (int i = 0; i < 4; ++i)
-    for (int j = 0; j < 4; ++j) {
-      if (i == j) {
-        EXPECT_FALSE(sweep.matrix[static_cast<std::size_t>(i)]
-                                 [static_cast<std::size_t>(j)]
-                                     .has_value());
-        continue;
-      }
-      const auto& d = sweep.matrix[static_cast<std::size_t>(i)]
-                                  [static_cast<std::size_t>(j)];
-      if (d.has_value()) {
+  // Every node initiates once. A seed passes when all four rounds complete,
+  // no node ranges itself, and at least 10 of the 12 directed pairs hold a
+  // distance, each within 1 m: 1 618 of seeds 1-2 000 do (80.9 %).
+  acceptance::expect_pass_rate(1, 200, 1618.0 / 2000.0, [](std::uint64_t seed) {
+    NetworkRangingSession session(small_network(seed));
+    const NetworkSweep sweep = session.run_full_sweep();
+    if (sweep.completed_rounds != 4) return false;
+    int filled = 0;
+    for (int i = 0; i < 4; ++i)
+      for (int j = 0; j < 4; ++j) {
+        const auto& d = sweep.matrix[static_cast<std::size_t>(i)]
+                                    [static_cast<std::size_t>(j)];
+        if (i == j) {
+          if (d.has_value()) return false;
+          continue;
+        }
+        if (!d.has_value()) continue;
         ++filled;
-        EXPECT_NEAR(*d, session.true_distance(i, j).value(), 1.0);
+        if (std::abs(*d - session.true_distance(i, j).value()) > 1.0)
+          return false;
       }
-    }
-  EXPECT_GE(filled, 10);  // at least 10 of the 12 directed pairs
+    return filled >= 10;  // at least 10 of the 12 directed pairs
+  });
 }
 
 TEST(NetworkTest, SweepTracksEnergyAndTime) {

@@ -73,7 +73,7 @@ TEST(SessionTest, ThreeRespondersFig4Scenario) {
   // With the hardware delayed-TX truncation active, each non-decoded
   // response moves by up to +-8 ns (paper Sect. III) => +-0.6 m one-way
   // tolerance. Adverse draws also hide the second response behind the
-  // first responder's multipath. 93 of 200 seeds pass.
+  // first responder's multipath. The documented rate is 93 of 200 seeds.
   acceptance::expect_pass_rate(1, 200, 93.0 / 200.0, [](std::uint64_t seed) {
     const RoundOutcome out = fig4_round(seed, /*delayed_tx_truncation=*/true);
     // The detector orders responses by ascending distance (paper step 7).
@@ -88,8 +88,8 @@ TEST(SessionTest, ThreeRespondersFig4Scenario) {
 TEST(SessionTest, ThreeRespondersIdealTxTiming) {
   // Ablation: with ideal (un-truncated) delayed TX the concurrent distances
   // are centimetre-accurate whenever the three responses are the three
-  // peaks picked, isolating the truncation as the error source. 122 of 200
-  // seeds pass.
+  // peaks picked, isolating the truncation as the error source. The
+  // documented rate is 122 of 200 seeds.
   acceptance::expect_pass_rate(1, 200, 122.0 / 200.0, [](std::uint64_t seed) {
     const RoundOutcome out = fig4_round(seed, /*delayed_tx_truncation=*/false);
     return out.payload_decoded && out.estimates.size() == 3 &&

@@ -237,13 +237,12 @@ std::vector<Delivery> run_traffic(bool culling, int node_count,
   });
 
   std::vector<std::unique_ptr<Node>> nodes;
-  Rng node_seeds(derive_seed(seed, 0x50A7));
   for (int i = 0; i < node_count; ++i) {
     NodeConfig nc;
     nc.id = i;
     nc.position = positions[static_cast<std::size_t>(i)];
     nodes.push_back(
-        std::make_unique<Node>(sim, medium, nc, node_seeds.fork()));
+        std::make_unique<Node>(sim, medium, nc, Rng(node_seed(seed, i))));
   }
 
   dw::MacFrame f;

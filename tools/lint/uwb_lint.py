@@ -7,7 +7,11 @@ cannot know about:
   no-raw-random        All randomness must flow from the seeded uwb::Rng /
                        derive_seed plumbing.  std::random_device, rand(),
                        srand() and time()-seeded generators silently break
-                       the bit-identical replay contract.
+                       the bit-identical replay contract.  src/ names no
+                       <random> engine or distribution at all, Rng's own
+                       files included: their sequences are
+                       implementation-defined, so a draw would depend on
+                       the standard library.
   no-wall-clock-in-sim Simulation code must read SimTime, never the host
                        clock.  std::chrono::{system,steady,high_resolution}
                        _clock in the simulation layers makes results depend
@@ -241,14 +245,21 @@ _RAW_RANDOM_PATTERNS = [
 # may enter; everything else derives from them.
 _RAW_RANDOM_ALLOWED = ("src/runner/", "src/common/random.")
 
+# <random>'s engines and distributions, banned everywhere in src/ with no
+# exemption: std::*_distribution differs between libstdc++ and libc++, and
+# uwb::Rng draws every value from its own Philox stream and formulas.
+_STD_RANDOM_SCOPE = ("src/",)
+_STD_RANDOM_RE = re.compile(
+    r"std\s*::\s*(?:mt19937(?:_64)?|minstd_rand0?|ranlux(?:24|48)(?:_base)?|"
+    r"knuth_b|\w+_engine|\w+_distribution|"
+    r"generate_canonical|seed_seq)\b")
+
 # Fault/attack injection carries a stricter contract on top: every stream
-# must be owned by the injector (derive_seed from its stream base), keyed
-# by stable identifiers (node id, frame chain), and never forked from or
-# shared with a simulation RNG. Forking couples the injected sequence to
-# the parent's consumption order; a literal or sim-owned seed silently
-# breaks the zero-probability-plans-are-byte-identical contract.
+# must be owned by the injector (derive_seed from its stream base) and keyed
+# by stable identifiers (node id, frame chain), never shared with a
+# simulation RNG. A literal or sim-owned seed silently breaks the
+# zero-probability-plans-are-byte-identical contract.
 _FAULT_SCOPE = ("src/fault/",)
-_FAULT_FORK_RE = re.compile(r"\.\s*fork\s*\(")
 _FAULT_RNG_CTOR_RE = re.compile(
     r"(?<![\w:])Rng\s*(?:\w+\s*)?\(\s*(?!derive_seed\b)")
 
@@ -256,25 +267,25 @@ _FAULT_RNG_CTOR_RE = re.compile(
 @rule("no-raw-random")
 def check_no_raw_random(src):
     """All randomness must come from the seeded uwb::Rng plumbing."""
-    if _in_dirs(src.path, _RAW_RANDOM_ALLOWED):
-        return []
     findings = []
+    entropy_allowed = _in_dirs(src.path, _RAW_RANDOM_ALLOWED)
+    in_std_random_scope = _in_dirs(src.path, _STD_RANDOM_SCOPE)
     in_fault_scope = _in_dirs(src.path, _FAULT_SCOPE)
     for i, line in enumerate(src.code_lines, start=1):
-        for pat, why in _RAW_RANDOM_PATTERNS:
-            if pat.search(line):
-                findings.append(Finding(
-                    src.path, i, "no-raw-random",
-                    f"{why}; route randomness through uwb::Rng / derive_seed"))
-        if not in_fault_scope:
-            continue
-        if _FAULT_FORK_RE.search(line):
+        if not entropy_allowed:
+            for pat, why in _RAW_RANDOM_PATTERNS:
+                if pat.search(line):
+                    findings.append(Finding(
+                        src.path, i, "no-raw-random",
+                        f"{why}; route randomness through uwb::Rng / "
+                        "derive_seed"))
+        if in_std_random_scope and _STD_RANDOM_RE.search(line):
             findings.append(Finding(
                 src.path, i, "no-raw-random",
-                "fork() in fault/attack code couples injected draws to the "
-                "parent RNG's consumption order; derive an injector-owned "
-                "stream with derive_seed(stream_base, key) instead"))
-        if _FAULT_RNG_CTOR_RE.search(line):
+                "<random> engines and distributions are implementation-"
+                "defined; draw through uwb::Rng, whose generator and "
+                "distributions are written in src/common/random.cpp"))
+        if in_fault_scope and _FAULT_RNG_CTOR_RE.search(line):
             findings.append(Finding(
                 src.path, i, "no-raw-random",
                 "fault/attack Rng must be constructed from an "

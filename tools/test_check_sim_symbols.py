@@ -106,19 +106,9 @@ STEP = """\
 0000000000000000 T uwb::step()
 """
 
-# double split(Rng& parent) {
-#   Rng child = parent.fork(); return child.uniform(0.0, 1.0); }
-FORK_USER = """\
-                 U uwb::Rng::fork()
-                 U uwb::Rng::uniform(double, double)
-0000000000000000 T uwb::split(uwb::Rng&)
-"""
-
-# src/common/random.cpp: fork() seeds from a raw draw, in the same object
-# as the raw constructor it calls.
+# src/common/random.cpp: defines the raw constructor.
 RANDOM = """\
 0000000000000000 T uwb::derive_seed(unsigned long, unsigned long)
-00000000000000e0 T uwb::Rng::fork()
 00000000000001f0 T uwb::Rng::uniform(double, double)
 0000000000000090 T uwb::Rng::Rng(unsigned long)
 0000000000000090 T uwb::Rng::Rng(unsigned long)
@@ -175,10 +165,6 @@ class CleanTest(unittest.TestCase):
     def test_runner_clock_outside_the_closure(self):
         self.assertEqual(problems({"runner/x.cpp.o": RUNNER_CLOCK,
                                    "sim/x.cpp.o": STEP}), [])
-
-    def test_fork_inside_random(self):
-        self.assertEqual(problems({"sim/x.cpp.o": FORK_USER,
-                                   "common/random.cpp.o": RANDOM}), [])
 
     def test_derived_seed(self):
         self.assertEqual(problems({"sim/x.cpp.o": DERIVED_SEED,
