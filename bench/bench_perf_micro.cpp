@@ -160,7 +160,8 @@ BENCHMARK(BM_Reference_FftBluestein_1016);
 
 void BM_Reference_MatchedFilterUpsampledCir(benchmark::State& state) {
   // FFT correlation with per-call forward transforms of both operands and
-  // no plan reuse — what MatchedFilter::apply did before apply_spectrum.
+  // no plan reuse — what MatchedFilter::apply did before FFT plans and
+  // cached template spectra.
   const CVec r = random_signal(8192, 4);
   dsp::MatchedFilter mf(dw::sample_pulse_template(0x93, k::cir_ts_s / 8.0));
   const CVec& s = mf.unit_template();
@@ -209,7 +210,7 @@ BENCHMARK(BM_SearchSubtract_ThreeTemplateBank);
 void BM_SearchSubtract_ExactRecompute(benchmark::State& state) {
   // The exact reference path (DetectorConfig::exact_recompute): every
   // matched filter re-run from scratch per iteration. The gap to
-  // BM_SearchSubtract_ThreeTemplateBank is what the shared-spectrum +
+  // BM_SearchSubtract_ThreeTemplateBank is what the native-rate +
   // incremental fast path buys at equal output.
   const auto cir = test_cir(3, 6);
   ranging::DetectorConfig cfg;
@@ -288,50 +289,77 @@ void BM_Simd_FftBluestein_1016(benchmark::State& state) {
 BENCHMARK(BM_Simd_FftBluestein_1016)->Arg(0)->Arg(2);
 
 void BM_Simd_BankCorrelate(benchmark::State& state) {
-  // The bank_correlate span body: one pointwise multiply + inverse
-  // transform per template of a three-shape bank against a shared
-  // residual spectrum at the real fast-path sizes.
+  // The bank_correlate span body: per template of a three-shape bank, one
+  // pointwise multiply of the 1024-point CIR spectrum with the template's
+  // folded spectrum, one 1024-point inverse transform, and the wrap
+  // correction of the last outputs against the 8192-sample residual.
   BenchLevelGuard guard;
   if (!set_bench_level(state)) return;
-  const std::size_t kM = 8192;
-  std::vector<dsp::MatchedFilter> bank;
-  for (const std::uint8_t reg : {0x93, 0xC8, 0xE6})
-    bank.emplace_back(dw::sample_pulse_template(reg, k::cir_ts_s / 8.0));
-  const std::size_t kP =
-      dsp::next_pow2(kM + bank[0].template_length() - 1);
-  CVec spec = random_signal(kP, 25);
-  dsp::plan_for(kP).transform_pow2(spec.data(), false);
-  CVec y;
+  constexpr std::size_t kN = 1024;
+  constexpr int kFactor = 8;
+  constexpr std::size_t kM = kN * kFactor;
+  struct Template {
+    CVec s;
+    CVec folded;
+  };
+  std::vector<Template> bank;
+  for (const std::uint8_t reg : {0x93, 0xC8, 0xE6}) {
+    const dsp::MatchedFilter mf(
+        dw::sample_pulse_template(reg, k::cir_ts_s / kFactor));
+    CVec t(kM, Complex{});
+    for (std::size_t p = 0; p < mf.template_length(); ++p)
+      t[(kM - p) % kM] = std::conj(mf.unit_template()[p]);
+    dsp::fft_pow2_inplace(t, false);
+    CVec folded(kN);
+    dsp::fold_spectrum(t.data(), kN, kFactor, folded.data());
+    bank.push_back({mf.unit_template(), std::move(folded)});
+  }
+  const CVec spec = random_signal(kN, 25);
+  const CVec r = random_signal(kM, 28);
+  const auto* rd = reinterpret_cast<const double*>(r.data());
+  CVec u(kN);
   for (auto _ : state) {
-    for (const auto& mf : bank) {
-      mf.apply_spectrum(spec.data(), kP, kM, y);
-      benchmark::DoNotOptimize(y.data());
+    for (const Template& t : bank) {
+      simd::cmul(reinterpret_cast<const double*>(spec.data()),
+                 reinterpret_cast<const double*>(t.folded.data()),
+                 reinterpret_cast<double*>(u.data()), kN);
+      dsp::fft_pow2_inplace(u, true);
+      const std::size_t len = t.s.size();
+      for (std::size_t q = (kM - len) / kFactor + 1; q < kN; ++q) {
+        const std::size_t a = kM - kFactor * q;
+        double re = 0.0, im = 0.0;
+        simd::cdot_conj(rd, reinterpret_cast<const double*>(t.s.data() + a),
+                        len - a, &re, &im);
+        u[q] -= Complex(re, im);
+      }
+      benchmark::DoNotOptimize(u.data());
     }
   }
 }
 BENCHMARK(BM_Simd_BankCorrelate)->Arg(0)->Arg(2);
 
 void BM_Simd_SubtractUpdate(benchmark::State& state) {
-  // The subtract_update span body: the windowed correlation that patches
-  // every template's output after one subtraction.
+  // The subtract_update span body: the strided windowed correlation that
+  // patches one template's native-rate output (every 8th sample of the
+  // upsampled grid) after one subtraction.
   BenchLevelGuard guard;
   if (!set_bench_level(state)) return;
-  dsp::MatchedFilter mf(dw::sample_pulse_template(0x93, k::cir_ts_s / 8.0));
+  constexpr std::ptrdiff_t kFactor = 8;
+  dsp::MatchedFilter mf(dw::sample_pulse_template(0x93, k::cir_ts_s / kFactor));
   const CVec& s = mf.unit_template();
   const auto np = static_cast<std::ptrdiff_t>(s.size());
-  CVec y = random_signal(8192, 26);
+  CVec u = random_signal(1024, 26);
   const CVec delta = random_signal(static_cast<std::size_t>(np) + 1, 27);
   const std::ptrdiff_t w_lo = 4000;
   const std::ptrdiff_t w_hi = w_lo + np + 1;
-  const std::ptrdiff_t j_lo = std::max<std::ptrdiff_t>(0, w_lo - np + 1);
-  const std::ptrdiff_t j_hi =
-      std::min<std::ptrdiff_t>(static_cast<std::ptrdiff_t>(y.size()), w_hi);
+  const std::ptrdiff_t q_lo = (w_lo - np + 1 + kFactor - 1) / kFactor;
+  const std::ptrdiff_t q_hi = (w_hi + kFactor - 1) / kFactor;
   for (auto _ : state) {
-    simd::corr_window_update(reinterpret_cast<double*>(y.data()),
+    simd::corr_window_update(reinterpret_cast<double*>(u.data()),
                              reinterpret_cast<const double*>(delta.data()),
-                             reinterpret_cast<const double*>(s.data()), j_lo,
-                             j_hi, w_lo, w_hi, np);
-    benchmark::DoNotOptimize(y.data());
+                             reinterpret_cast<const double*>(s.data()), q_lo,
+                             q_hi, kFactor, w_lo, w_hi, np);
+    benchmark::DoNotOptimize(u.data());
   }
 }
 BENCHMARK(BM_Simd_SubtractUpdate)->Arg(0)->Arg(2);

@@ -83,11 +83,6 @@ FftPlan::FftPlan(std::size_t n) : n_(n), pow2_(is_pow2(n)) {
   scratch_.resize(m_);
 }
 
-const Complex* FftPlan::twiddle_half() const {
-  UWB_EXPECTS(pow2_ && n_ >= 2);
-  return tw_.data() + (n_ / 2 - 1);
-}
-
 template <bool Inverse>
 void FftPlan::run_pow2(Complex* x) const {
   const std::size_t n = n_;
@@ -238,7 +233,7 @@ void clear_fft_plan_cache() {
 }
 
 CVec& fft_scratch(int slot, std::size_t n) {
-  constexpr int kSlots = 4;
+  constexpr int kSlots = 3;
   UWB_EXPECTS(slot >= 0 && slot < kSlots);
   thread_local CVec buffers[kSlots];
   CVec& buf = buffers[slot];

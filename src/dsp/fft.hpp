@@ -7,7 +7,7 @@
 // Transforms execute against an `FftPlan`: precomputed bit-reversal tables,
 // per-stage twiddle factors, and (for Bluestein lengths) the chirp and its
 // kernel spectra. Plans are memoised per thread via `plan_for`, so repeated
-// transforms of the hot lengths (1024/8192/16384 in the detection pipeline)
+// transforms of the hot lengths (1024/8192 in the detection pipeline)
 // never recompute trigonometry or reallocate workspace. Plans are not
 // thread-safe: a plan must stay on the thread that built it, which the
 // thread-local cache guarantees.
@@ -47,13 +47,6 @@ class FftPlan {
   /// Out-of-place unscaled DFT of any length: y[0..size()) = DFT(x).
   /// x and y may alias only for radix2() plans.
   void transform(const Complex* x, Complex* y, bool inverse) const;
-
-  /// Final-stage twiddle table of a radix2() plan: e^{-2*pi*i*j/size()} for
-  /// j < size()/2. Used to fuse zero-padded doubling transforms (a signal
-  /// of length size()/2 padded to size(): even output bins are the
-  /// half-length DFT, odd bins the half-length DFT of the input modulated
-  /// by this table).
-  const Complex* twiddle_half() const;
 
  private:
   template <bool Inverse>
@@ -102,7 +95,7 @@ void clear_fft_plan_cache();
 /// returned buffer has size n and undefined contents; it is clobbered by
 /// the next dsp call that requests the same slot, so finish with it before
 /// calling back into routines that may share the slot (slots 0-1 are used
-/// by upsample_fft, slots 2-3 by MatchedFilter).
+/// by upsample_fft, slot 2 by MatchedFilter::apply).
 CVec& fft_scratch(int slot, std::size_t n);
 
 /// Forward DFT of arbitrary length. Returns X[k] = sum_n x[n] e^{-2pi i kn/N}.

@@ -42,21 +42,6 @@ const CVec& MatchedFilter::template_spectrum(std::size_t padded) const {
   return tmpl_spec_;
 }
 
-void MatchedFilter::apply_spectrum(const Complex* spectrum, std::size_t padded,
-                                   std::size_t out_len, CVec& out) const {
-  UWB_EXPECTS(out_len <= padded);
-  const CVec& tspec = template_spectrum(padded);
-  CVec& work = fft_scratch(2, padded);
-  const double* a = reinterpret_cast<const double*>(spectrum);
-  const double* b = reinterpret_cast<const double*>(tspec.data());
-  double* w = reinterpret_cast<double*>(work.data());
-  simd::cmul(a, b, w, padded);
-  plan_for(padded).transform_pow2(work.data(), true);
-  const double scale = 1.0 / static_cast<double>(padded);
-  out.resize(out_len);
-  simd::copy_scaled(w, scale, reinterpret_cast<double*>(out.data()), out_len);
-}
-
 CVec MatchedFilter::apply(const CVec& r) const {
   UWB_EXPECTS(!r.empty());
   const std::size_t n = r.size();
@@ -64,13 +49,21 @@ CVec MatchedFilter::apply(const CVec& r) const {
   // For tiny inputs the direct form is cheaper and exact.
   if (n * np <= 16384) return correlate_direct(r, tmpl_);
 
+  // Zero-padded to at least n + np - 1, the circular convolution equals the
+  // linear correlation.
   const std::size_t padded = next_pow2(n + np - 1);
-  CVec& x = fft_scratch(3, padded);
+  const FftPlan& plan = plan_for(padded);
+  CVec& x = fft_scratch(2, padded);
   std::copy(r.begin(), r.end(), x.begin());
   std::fill(x.begin() + static_cast<std::ptrdiff_t>(n), x.end(), Complex{});
-  plan_for(padded).transform_pow2(x.data(), false);
-  CVec y;
-  apply_spectrum(x.data(), padded, n, y);
+  plan.transform_pow2(x.data(), false);
+  double* xd = reinterpret_cast<double*>(x.data());
+  const CVec& tspec = template_spectrum(padded);
+  simd::cmul(xd, reinterpret_cast<const double*>(tspec.data()), xd, padded);
+  plan.transform_pow2(x.data(), true);
+  CVec y(n);
+  simd::copy_scaled(xd, 1.0 / static_cast<double>(padded),
+                    reinterpret_cast<double*>(y.data()), n);
   return y;
 }
 

@@ -29,17 +29,6 @@ class MatchedFilter {
   /// `r` are treated as zero).
   CVec apply(const CVec& r) const;
 
-  /// Shared-spectrum fast path: correlate against an input whose forward
-  /// FFT at the power-of-two length `padded` is already known. `spectrum`
-  /// is the length-`padded` FFT of the zero-padded input; `padded` must be
-  /// >= input length + template_length() - 1 so the circular convolution
-  /// equals the linear correlation. Writes the first `out_len` correlation
-  /// samples into `out` (resized). One inverse transform per call — the
-  /// caller amortises the single forward transform over a whole template
-  /// bank.
-  void apply_spectrum(const Complex* spectrum, std::size_t padded,
-                      std::size_t out_len, CVec& out) const;
-
   /// FFT of the conj-time-reversed unit template at the power-of-two length
   /// `padded` (cached; rebuilt when `padded` changes).
   const CVec& template_spectrum(std::size_t padded) const;

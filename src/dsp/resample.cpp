@@ -25,6 +25,18 @@ void upsample_spectrum(const Complex* spec, std::size_t n, int factor,
   }
 }
 
+void fold_spectrum(const Complex* spec, std::size_t n, int factor,
+                   Complex* folded) {
+  const std::size_t m = n * static_cast<std::size_t>(factor);
+  const std::size_t half = n / 2;
+  for (std::size_t k = 0; k < half; ++k) folded[k] = spec[k];
+  for (std::size_t k = half + (n % 2); k < n; ++k) folded[k] = spec[m - n + k];
+  if (n % 2 == 0)
+    folded[half] = 0.5 * (spec[half] + spec[m - half]);
+  else
+    folded[half] = spec[half];
+}
+
 CVec upsample_fft(const CVec& x, int factor) {
   UWB_EXPECTS(!x.empty());
   UWB_EXPECTS(factor >= 1);

@@ -23,4 +23,15 @@ CVec upsample_fft(const CVec& x, int factor);
 void upsample_spectrum(const Complex* spec, std::size_t n, int factor,
                        Complex* padded);
 
+/// The adjoint of upsample_spectrum: gather from the length n*factor
+/// spectrum `spec` the n bins that upsample_spectrum fills, into `folded`
+/// (the Nyquist pair of an even n averaged, as upsample_spectrum splits
+/// it). For X of length n and Z = upsample_spectrum(X), with w = e^{2 pi i/n},
+///   sum_{k < n*factor} Z[k] spec[k] w^kq = sum_{k < n} X[k] folded[k] w^kq:
+/// a product with `spec`, evaluated on every factor-th sample of the
+/// upsampled signal, needs only an n-point inverse transform. At factor 1
+/// `folded` is `spec`.
+void fold_spectrum(const Complex* spec, std::size_t n, int factor,
+                   Complex* folded);
+
 }  // namespace uwb::dsp

@@ -45,10 +45,11 @@ struct DetectorConfig {
   /// IV); search-and-subtract ignores it.
   double baseline_relative_threshold = 0.3;
   /// Search-and-subtract only: force the exact reference path that
-  /// re-runs every matched filter from scratch each iteration, instead of
-  /// the shared-spectrum + incremental-update fast path. The two paths
-  /// agree to floating-point roundoff (asserted in debug builds); the flag
-  /// exists as a fallback and for equivalence testing.
+  /// re-runs every matched filter over the whole upsampled grid each
+  /// iteration, instead of the native-rate + incremental-update fast path.
+  /// The two paths return the same responses to floating-point roundoff
+  /// (tests/test_fastpath_equivalence.cpp); the flag exists as a fallback
+  /// and for equivalence testing.
   bool exact_recompute = false;
 };
 

@@ -9,16 +9,19 @@
 // floor. Detection is amplitude-independent: responses are accepted by rank,
 // not by absolute power bounds (open challenge IV).
 //
-// Two equivalent execution paths (DESIGN.md Sect. 8): the default fast path
-// forward-transforms the residual once per iteration and reuses that
-// spectrum across the whole template bank (fusing the CIR upsample into the
-// first correlation transform), then maintains every template's correlation
-// output *incrementally* after each subtraction — a subtraction only
-// perturbs a ~2-template-length window, so the update is a short windowed
-// correlation instead of K full FFTs. The exact reference path
-// (DetectorConfig::exact_recompute, and always used when tracing) re-runs
-// every matched filter from scratch per iteration; debug builds assert the
-// two paths agree to roundoff.
+// Two equivalent execution paths (DESIGN.md Sect. 8). The default fast path
+// keeps each template's correlation with the upsampled residual only at the
+// native-rate positions (every F-th sample: one n-point transform per
+// template of the CIR spectrum against the template's folded spectrum),
+// takes as candidates the native samples within a shape-dependent share
+// of the native maximum, and evaluates the upsampled grid by direct dot
+// products only within F - 1 samples of a candidate. After each
+// subtraction it patches the native outputs incrementally — a subtraction
+// only perturbs a ~template-length window. The exact reference path (DetectorConfig::exact_recompute, and
+// always used when tracing) re-runs every matched filter over the whole
+// upsampled grid per iteration and takes its global maximum; both measure
+// the noise floor at the native positions, and debug builds assert the
+// incremental outputs equal a fresh correlation to roundoff.
 #pragma once
 
 #include <cstddef>
@@ -85,7 +88,7 @@ class SearchSubtractDetector final : public ResponseDetector {
   struct FastState;
 
  private:
-  const TemplateBank& bank_for(double ts_s) const;
+  const TemplateBank& bank_for(double ts_s, std::size_t cir_len) const;
   std::vector<DetectedResponse> detect_impl(const CVec& cir_taps, double ts_s,
                                             int max_responses,
                                             DetectionTrace* trace) const;

@@ -26,7 +26,7 @@ struct KernelTable {
                       std::size_t);
   void (*corr_window_update)(double*, const double*, const double*,
                              std::ptrdiff_t, std::ptrdiff_t, std::ptrdiff_t,
-                             std::ptrdiff_t, std::ptrdiff_t);
+                             std::ptrdiff_t, std::ptrdiff_t, std::ptrdiff_t);
 };
 
 /// The scalar reference table (always available; defines the semantics the

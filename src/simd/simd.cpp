@@ -131,18 +131,19 @@ void scalar_corr_direct(const double* r, const double* s, double* y,
 }
 
 void scalar_corr_window_update(double* y, const double* d, const double* s,
-                               std::ptrdiff_t j_lo, std::ptrdiff_t j_hi,
-                               std::ptrdiff_t w_lo, std::ptrdiff_t w_hi,
-                               std::ptrdiff_t np) {
-  for (std::ptrdiff_t j = j_lo; j < j_hi; ++j) {
+                              std::ptrdiff_t k_lo, std::ptrdiff_t k_hi,
+                              std::ptrdiff_t stride, std::ptrdiff_t w_lo,
+                              std::ptrdiff_t w_hi, std::ptrdiff_t np) {
+  for (std::ptrdiff_t k = k_lo; k < k_hi; ++k) {
+    const std::ptrdiff_t j = k * stride;
     const std::ptrdiff_t p_lo = w_lo > j ? w_lo : j;
     const std::ptrdiff_t p_hi = w_hi < j + np ? w_hi : j + np;
     if (p_lo >= p_hi) continue;
     double acc_r = 0.0, acc_i = 0.0;
     scalar_cdot_conj(d + 2 * (p_lo - w_lo), s + 2 * (p_lo - j),
                      static_cast<std::size_t>(p_hi - p_lo), &acc_r, &acc_i);
-    y[2 * j] -= acc_r;
-    y[2 * j + 1] -= acc_i;
+    y[2 * k] -= acc_r;
+    y[2 * k + 1] -= acc_i;
   }
 }
 
@@ -317,10 +318,10 @@ void corr_direct(const double* r, const double* s, double* y, std::size_t n,
 }
 
 void corr_window_update(double* y, const double* d, const double* s,
-                        std::ptrdiff_t j_lo, std::ptrdiff_t j_hi,
-                        std::ptrdiff_t w_lo, std::ptrdiff_t w_hi,
-                        std::ptrdiff_t np) {
-  active().corr_window_update(y, d, s, j_lo, j_hi, w_lo, w_hi, np);
+                        std::ptrdiff_t k_lo, std::ptrdiff_t k_hi,
+                        std::ptrdiff_t stride, std::ptrdiff_t w_lo,
+                        std::ptrdiff_t w_hi, std::ptrdiff_t np) {
+  active().corr_window_update(y, d, s, k_lo, k_hi, stride, w_lo, w_hi, np);
 }
 
 }  // namespace uwb::simd

@@ -117,15 +117,16 @@ void cdot_conj(const double* a, const double* b, std::size_t n, double* re,
 void corr_direct(const double* r, const double* s, double* y, std::size_t n,
                  std::size_t np);
 
-/// Windowed correlation update (the incremental subtract-update of the
-/// search-and-subtract fast path): for j in [j_lo, j_hi),
-///   y[j] -= sum_{p = max(w_lo, j)}^{min(w_hi, j + np) - 1}
+/// Windowed correlation update on a strided output grid (the incremental
+/// subtract-update of the search-and-subtract fast path): for k in
+/// [k_lo, k_hi), with j = k * stride,
+///   y[k] -= sum_{p = max(w_lo, j)}^{min(w_hi, j + np) - 1}
 ///             d[p - w_lo] * conj(s[p - j])
 /// where d holds the subtracted waveform over residual samples
-/// [w_lo, w_hi) and s is the np-sample template.
+/// [w_lo, w_hi) and s is the np-sample template. stride >= 1.
 void corr_window_update(double* y, const double* d, const double* s,
-                        std::ptrdiff_t j_lo, std::ptrdiff_t j_hi,
-                        std::ptrdiff_t w_lo, std::ptrdiff_t w_hi,
-                        std::ptrdiff_t np);
+                        std::ptrdiff_t k_lo, std::ptrdiff_t k_hi,
+                        std::ptrdiff_t stride, std::ptrdiff_t w_lo,
+                        std::ptrdiff_t w_hi, std::ptrdiff_t np);
 
 }  // namespace uwb::simd

@@ -168,6 +168,36 @@ TEST(UpsampleTest, OddLengthWorks) {
     EXPECT_LT(std::abs(y[i * 3] - x[i]), 1e-9);
 }
 
+TEST(UpsampleTest, FoldedSpectrumGivesEveryFactorthSampleOfTheProduct) {
+  // fold_spectrum is upsample_spectrum's adjoint: the inverse transform of
+  // X * fold(T) at n points equals every factor-th sample of the inverse
+  // transform of upsample(X) * T at n * factor points (up to the 1/n vs
+  // 1/(n * factor) scaling of ifft). Odd n = 1 and the even n's Nyquist
+  // split are the edge cases.
+  Rng rng(97);
+  for (const std::size_t n : {1ul, 2ul, 16ul}) {
+    for (const int factor : {2, 8}) {
+      const std::size_t m = n * static_cast<std::size_t>(factor);
+      CVec x(n), t(m);
+      for (auto& v : x) v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+      for (auto& v : t) v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+      CVec z(m);
+      upsample_spectrum(x.data(), n, factor, z.data());
+      for (std::size_t k = 0; k < m; ++k) z[k] *= t[k];
+      CVec folded(n);
+      fold_spectrum(t.data(), n, factor, folded.data());
+      for (std::size_t k = 0; k < n; ++k) folded[k] *= x[k];
+      const CVec wide = ifft(z);
+      const CVec native = ifft(folded);
+      for (std::size_t q = 0; q < n; ++q)
+        EXPECT_LT(std::abs(wide[q * static_cast<std::size_t>(factor)] -
+                           native[q] / static_cast<double>(factor)),
+                  1e-12)
+            << "n=" << n << " factor=" << factor << " q=" << q;
+    }
+  }
+}
+
 TEST(UpsampleTest, InvalidArgsThrow) {
   EXPECT_THROW(upsample_fft(CVec{}, 2), PreconditionError);
   EXPECT_THROW(upsample_fft(CVec{{1, 0}}, 0), PreconditionError);
@@ -238,31 +268,6 @@ TEST(FftPlanTest, BluesteinPlanMatchesNaiveDft) {
     plan_for(n).transform(y.data(), back.data(), true);
     for (auto& v : back) v /= static_cast<double>(n);
     EXPECT_LT(max_err(back, x), 1e-11);
-  }
-}
-
-TEST(FftPlanTest, TwiddleHalfFusesZeroPaddedDoubling) {
-  // Contract used by the detector's upsample fusion: for x of length m
-  // zero-padded to 2m, even output bins are FFT_m(x) and odd bins are
-  // FFT_m(x modulated by plan_for(2m).twiddle_half()).
-  constexpr std::size_t m = 256;
-  Rng rng(42);
-  CVec x(m);
-  for (auto& v : x) v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-  CVec padded(2 * m, Complex{});
-  std::copy(x.begin(), x.end(), padded.begin());
-  plan_for(2 * m).transform_pow2(padded.data(), false);
-
-  CVec even = x;
-  plan_for(m).transform_pow2(even.data(), false);
-  const Complex* w = plan_for(2 * m).twiddle_half();
-  CVec odd(m);
-  for (std::size_t j = 0; j < m; ++j) odd[j] = x[j] * w[j];
-  plan_for(m).transform_pow2(odd.data(), false);
-
-  for (std::size_t k = 0; k < m; ++k) {
-    EXPECT_LT(std::abs(padded[2 * k] - even[k]), 1e-11);
-    EXPECT_LT(std::abs(padded[2 * k + 1] - odd[k]), 1e-11);
   }
 }
 

@@ -1,7 +1,7 @@
-// Equivalence tests: the shared-spectrum + incremental fast detection path
-// against the exact per-iteration recompute path (DESIGN.md Sect. 8), the
-// spectrum-reusing matched-filter entry point against the self-contained
-// one, and bit-identical Monte-Carlo detection across thread counts.
+// Equivalence tests: the native-rate + incremental fast detection path
+// against the exact per-iteration recompute path (DESIGN.md Sect. 8),
+// including the candidate search's worst cases and CIRs shorter than a
+// template, and bit-identical Monte-Carlo detection across thread counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,8 +10,6 @@
 
 #include "common/constants.hpp"
 #include "common/random.hpp"
-#include "dsp/fft.hpp"
-#include "dsp/matched_filter.hpp"
 #include "dw1000/cir.hpp"
 #include "dw1000/pulse.hpp"
 #include "ranging/search_subtract.hpp"
@@ -125,25 +123,80 @@ TEST(FastPathEquivalence, TracedDetectEqualsExactPath) {
   EXPECT_LE(trace.mf_outputs.size(), plain.size() + 1);
 }
 
-TEST(FastPathEquivalence, ApplySpectrumMatchesApply) {
-  Rng rng(11);
-  const CVec tmpl_raw = dw::sample_pulse_template(0x93, k::cir_ts_s / 8.0);
-  const dsp::MatchedFilter mf(tmpl_raw);
-  for (const std::size_t n : {500ul, 1024ul, 5000ul}) {
-    CVec r(n);
-    for (auto& v : r) v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-    const CVec direct = mf.apply(r);
-    const std::size_t padded = dsp::next_pow2(n + mf.template_length() - 1);
-    CVec buf(padded, Complex{});
-    std::copy(r.begin(), r.end(), buf.begin());
-    dsp::plan_for(padded).transform_pow2(buf.data(), false);
-    CVec out;
-    mf.apply_spectrum(buf.data(), padded, n, out);
-    ASSERT_EQ(out.size(), direct.size());
-    double max_diff = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-      max_diff = std::max(max_diff, std::abs(out[i] - direct[i]));
-    EXPECT_LT(max_diff, 1e-10) << "n=" << n;
+// Two pulses of one shape: the stronger at `strong_tap` (fractional), the
+// weaker at `weak_tap` with `ratio` of its amplitude.
+dw::CirEstimate two_pulse_cir(std::uint8_t reg, double strong_tap,
+                              double weak_tap, double ratio) {
+  std::vector<dw::CirArrival> arrivals(2);
+  arrivals[0].time_into_window_s = strong_tap * k::cir_ts_s;
+  arrivals[0].amplitude = {0.5, 0.0};
+  arrivals[1].time_into_window_s = weak_tap * k::cir_ts_s;
+  arrivals[1].amplitude = Complex(0.0, 0.5 * ratio);
+  for (auto& a : arrivals) a.tc_pgdelay = reg;
+  Rng rng(17);
+  return dw::synthesize_cir(arrivals, dw::CirParams{}, rng);
+}
+
+TEST(FastPathEquivalence, CandidatesCoverWorstSubSampleOffsets) {
+  // The fast path searches the upsampled grid only within F - 1 of native
+  // samples of at least 0.7 kappa_i times the native maximum. Its hardest
+  // case: the stronger pulse off the native grid, where its best native
+  // sample keeps as little as kappa_i of its peak power, beside a weaker
+  // pulse on the grid, which keeps all of it. 64 sub-sample offsets of the
+  // stronger pulse, weaker amplitude ratios 0.70-0.99. (A flat threshold
+  // of half the native maximum picks the weaker pulse of 0xE6 at offset
+  // 0.5, ratio 0.99.)
+  for (const std::uint8_t reg : {0x93, 0xB8, 0xC8, 0xE0, 0xE6}) {
+    DetectorConfig cfg;
+    cfg.shape_registers = {reg};
+    const SearchSubtractDetector fast{cfg};
+    cfg.exact_recompute = true;
+    const SearchSubtractDetector exact{cfg};
+    for (int i = 0; i < 64; ++i) {
+      for (const double ratio :
+           {0.70, 0.75, 0.80, 0.85, 0.90, 0.93, 0.95, 0.97, 0.99}) {
+        const double strong_tap = 300.0 + i / 64.0;
+        const auto cir = two_pulse_cir(reg, strong_tap, 500.0, ratio);
+        const auto f = fast.detect(cir.taps, cir.ts_s, 1);
+        const auto e = exact.detect(cir.taps, cir.ts_s, 1);
+        ASSERT_EQ(f.size(), 1u);
+        ASSERT_EQ(e.size(), 1u);
+        EXPECT_NEAR(f[0].tau_s, e[0].tau_s, 1e-6 * k::cir_ts_s)
+            << "reg=0x" << std::hex << int{reg} << std::dec
+            << " strong_tap=" << strong_tap << " ratio=" << ratio;
+        EXPECT_NEAR(std::abs(f[0].amplitude - e[0].amplitude), 0.0, 1e-9);
+      }
+    }
+  }
+}
+
+TEST(FastPathEquivalence, MatchesExactOnCirsShorterThanATemplate) {
+  // At 1-24 taps the upsampled residual (8-192 samples) is shorter than
+  // the 0xE6 template (193 samples): the native transform wraps the
+  // template more than once and the wrap correction must read only the
+  // residual. The 1- and 8-tap CIRs stop at their own noise floor; the
+  // others detect and subtract.
+  DetectorConfig cfg;
+  cfg.shape_registers = {0x93, 0xE6};
+  const SearchSubtractDetector fast{cfg};
+  cfg.exact_recompute = true;
+  const SearchSubtractDetector exact{cfg};
+  for (const int taps : {1, 4, 8, 16, 24}) {
+    std::vector<dw::CirArrival> arrivals(2);
+    arrivals[0].time_into_window_s = 0.3 * taps * k::cir_ts_s;
+    arrivals[0].amplitude = {0.5, 0.1};
+    arrivals[1].time_into_window_s = 0.7 * taps * k::cir_ts_s;
+    arrivals[1].amplitude = {-0.2, 0.3};
+    arrivals[1].tc_pgdelay = 0xE6;
+    dw::CirParams params;
+    params.length = taps;
+    Rng rng(static_cast<std::uint64_t>(taps));
+    const auto cir = dw::synthesize_cir(arrivals, params, rng);
+    ASSERT_EQ(cir.taps.size(), static_cast<std::size_t>(taps));
+    const auto found = exact.detect(cir.taps, cir.ts_s, 3);
+    EXPECT_EQ(found.empty(), taps == 1 || taps == 8) << "taps=" << taps;
+    expect_same_responses(fast.detect(cir.taps, cir.ts_s, 3), found,
+                          static_cast<std::uint64_t>(taps));
   }
 }
 

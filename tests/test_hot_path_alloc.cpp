@@ -127,11 +127,8 @@ TEST(HotPathAllocTest, FrShardRecordAllocatesNothing) {
   recorder.reset();
 }
 
-// SearchSubtractDetector::bank_correlate runs once in every detect() call.
-// With one response requested the search loop stops before the subtract
-// step, so the returned vector is detect()'s only allocation: anything
-// bank_correlate allocated would add to it.
-TEST(HotPathAllocTest, BankCorrelateAllocatesNothing) {
+// Three 0x93 arrivals in accumulator noise.
+dw::CirEstimate three_arrival_cir() {
   dw::CirParams params;
   params.noise_sigma = 0.004;
   std::vector<dw::CirArrival> arrivals;
@@ -142,7 +139,15 @@ TEST(HotPathAllocTest, BankCorrelateAllocatesNothing) {
     arrivals.push_back(a);
   }
   Rng rng(3);
-  const dw::CirEstimate cir = dw::synthesize_cir(arrivals, params, rng);
+  return dw::synthesize_cir(arrivals, params, rng);
+}
+
+// SearchSubtractDetector::bank_correlate runs once in every detect() call.
+// With one response requested the search loop stops before the subtract
+// step, so the returned vector is detect()'s only allocation: anything
+// bank_correlate allocated would add to it.
+TEST(HotPathAllocTest, BankCorrelateAllocatesNothing) {
+  const dw::CirEstimate cir = three_arrival_cir();
   for (const std::size_t shapes : {1u, 3u}) {
     ranging::DetectorConfig cfg;
     cfg.shape_registers = {0x93, 0xC8, 0xE6};
@@ -152,6 +157,26 @@ TEST(HotPathAllocTest, BankCorrelateAllocatesNothing) {
     EXPECT_EQ(allocations_in([&] {
                 for (int i = 0; i < 10; ++i)
                   (void)det.detect(cir.taps, cir.ts_s, 1);
+              }),
+              10u)
+        << shapes << " template(s)";
+  }
+}
+
+// The whole warm search loop: with three responses requested, detect()
+// also runs peak pick, noise estimate, subtraction and the incremental
+// update twice; its result is still its only allocation.
+TEST(HotPathAllocTest, SearchLoopAllocatesNothing) {
+  const dw::CirEstimate cir = three_arrival_cir();
+  for (const std::size_t shapes : {1u, 4u}) {
+    ranging::DetectorConfig cfg;
+    cfg.shape_registers = {0x93, 0xB5, 0xC8, 0xE6};
+    cfg.shape_registers.resize(shapes);
+    const ranging::SearchSubtractDetector det{cfg};
+    ASSERT_EQ(det.detect(cir.taps, cir.ts_s, 3).size(), 3u);  // warm-up
+    EXPECT_EQ(allocations_in([&] {
+                for (int i = 0; i < 10; ++i)
+                  (void)det.detect(cir.taps, cir.ts_s, 3);
               }),
               10u)
         << shapes << " template(s)";

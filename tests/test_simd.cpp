@@ -235,6 +235,43 @@ TEST(SimdKernels, ReductionsMatchScalarToRoundoff) {
   }
 }
 
+TEST(SimdKernels, StridedWindowUpdateMatchesDirectSum) {
+  // corr_window_update at output stride s patches y[k], the correlation at
+  // residual position j = k * s, by the windowed delta sum; the detector
+  // runs it at the upsample factor over the native-rate outputs.
+  LevelGuard guard;
+  constexpr std::ptrdiff_t kNp = 37;
+  const auto d = random_doubles(51, 2 * 45);  // waveform over [w_lo, w_hi)
+  const auto s = random_doubles(53, 2 * kNp);
+  const std::ptrdiff_t w_lo = 100, w_hi = 145;
+  for (const std::ptrdiff_t stride : {1, 3, 8}) {
+    const std::ptrdiff_t k_lo = (w_lo - kNp + 1 + stride - 1) / stride;
+    const std::ptrdiff_t k_hi = (w_hi + stride - 1) / stride;
+    const auto y0 = random_doubles(55, 2 * static_cast<std::size_t>(k_hi));
+    std::vector<double> want = y0;
+    for (std::ptrdiff_t k = k_lo; k < k_hi; ++k) {
+      const std::ptrdiff_t j = k * stride;
+      for (std::ptrdiff_t p = std::max(w_lo, j); p < std::min(w_hi, j + kNp);
+           ++p) {
+        const double dr = d[2 * (p - w_lo)], di = d[2 * (p - w_lo) + 1];
+        const double sr = s[2 * (p - j)], si = s[2 * (p - j) + 1];
+        want[2 * k] -= dr * sr + di * si;
+        want[2 * k + 1] -= di * sr - dr * si;
+      }
+    }
+    for (const simd::Level level : supported_levels()) {
+      ASSERT_TRUE(simd::set_active_level(level));
+      std::vector<double> y = y0;
+      simd::corr_window_update(y.data(), d.data(), s.data(), k_lo, k_hi,
+                               stride, w_lo, w_hi, kNp);
+      for (std::size_t i = 0; i < y.size(); ++i)
+        EXPECT_NEAR(y[i], want[i], 1e-12)
+            << "level=" << simd::level_name(level) << " stride=" << stride
+            << " i=" << i;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Transform-level equivalence: the FFT uses only elementwise kernels, so its
 // output must be bit-identical across levels — including the Bluestein path
