@@ -7,6 +7,7 @@
 #include <atomic>
 #include <complex>
 #include <numbers>
+#include <vector>
 
 #include "common/constants.hpp"
 #include "common/random.hpp"
@@ -363,6 +364,73 @@ void BM_Simd_SubtractUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Simd_SubtractUpdate)->Arg(0)->Arg(2);
+
+// The math kernels of ν(t) over 1024 elements (items = elements): the
+// tail's ray block and the render's arrival block run them on blocks of
+// 32-64, the noise on blocks of 64 pairs.
+constexpr std::size_t kMathN = 1024;
+
+std::vector<double> bench_doubles(std::uint64_t seed, double lo, double hi) {
+  Rng rng(seed);
+  std::vector<double> v(kMathN);
+  for (auto& x : v) x = rng.uniform(lo, hi);
+  return v;
+}
+
+void BM_Simd_Philox(benchmark::State& state) {
+  BenchLevelGuard guard;
+  if (!set_bench_level(state)) return;
+  std::vector<std::uint64_t> words(kMathN);
+  std::uint64_t counter = 0;
+  for (auto _ : state) {
+    simd::philox4x32_10(0x0123456789abcdefull, counter, words.data(),
+                        kMathN / 2);
+    counter += kMathN / 2;
+    benchmark::DoNotOptimize(words.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kMathN));
+}
+BENCHMARK(BM_Simd_Philox)->Arg(0)->Arg(2);
+
+void BM_Simd_Exp(benchmark::State& state) {
+  BenchLevelGuard guard;
+  if (!set_bench_level(state)) return;
+  const std::vector<double> x = bench_doubles(31, -120.0, 32.0);
+  std::vector<double> y(kMathN);
+  for (auto _ : state) {
+    simd::exp(x.data(), y.data(), kMathN);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kMathN));
+}
+BENCHMARK(BM_Simd_Exp)->Arg(0)->Arg(2);
+
+void BM_Simd_Log(benchmark::State& state) {
+  BenchLevelGuard guard;
+  if (!set_bench_level(state)) return;
+  const std::vector<double> x = bench_doubles(32, 1e-6, 1.0);
+  std::vector<double> y(kMathN);
+  for (auto _ : state) {
+    simd::log(x.data(), y.data(), kMathN);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kMathN));
+}
+BENCHMARK(BM_Simd_Log)->Arg(0)->Arg(2);
+
+void BM_Simd_SinCos(benchmark::State& state) {
+  BenchLevelGuard guard;
+  if (!set_bench_level(state)) return;
+  const std::vector<double> x = bench_doubles(33, 0.0, 2.0 * std::numbers::pi);
+  std::vector<double> s(kMathN), c(kMathN);
+  for (auto _ : state) {
+    simd::sincos(x.data(), s.data(), c.data(), kMathN);
+    benchmark::DoNotOptimize(s.data());
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kMathN));
+}
+BENCHMARK(BM_Simd_SinCos)->Arg(0)->Arg(2);
 
 void BM_ThresholdDetector(benchmark::State& state) {
   const auto cir = test_cir(3, 7);

@@ -1,6 +1,5 @@
 #include "channel/channel_model.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -67,24 +66,37 @@ SpecularStage ChannelModel::realize_specular(geom::Vec2 tx, geom::Vec2 rx,
 ChannelRealization ChannelModel::complete_diffuse(SpecularStage stage,
                                                   Rng& rng) const {
   ChannelRealization out = std::move(stage.channel);
-  if (params_.enable_diffuse) {
-    const std::vector<DiffuseRay> rays =
-        draw_diffuse_tail(params_.diffuse, rng);
-    out.taps.reserve(out.taps.size() + rays.size());
-    for (const DiffuseRay& ray : rays) {
-      Tap tap;
-      tap.delay_s = out.los_delay_s + ray.excess_delay_s;
-      tap.amplitude = ray.amplitude * stage.diffuse_ref_amp;
+  std::vector<Tap>& taps = out.taps;
+  // The specular taps by insertion, stably: there are few, in image order.
+  for (std::size_t i = 1; i < taps.size(); ++i) {
+    const Tap tap = taps[i];
+    std::size_t j = i;
+    for (; j > 0 && tap.delay_s < taps[j - 1].delay_s; --j)
+      taps[j] = taps[j - 1];
+    taps[j] = tap;
+  }
+  if (!params_.enable_diffuse) return out;
+
+  // Merge the rays, sorted by the same absolute delays, from the back: a
+  // tie keeps the specular tap first, so equal delays keep image-source
+  // order, then draw order, on every standard library.
+  const std::vector<DiffuseRay> rays =
+      draw_diffuse_tail(params_.diffuse, rng, out.los_delay_s);
+  std::size_t i = taps.size();
+  std::size_t j = rays.size();
+  taps.resize(i + j);
+  for (std::size_t k = taps.size(); j > 0;) {
+    const double delay = out.los_delay_s + rays[j - 1].excess_delay_s;
+    if (i > 0 && delay < taps[i - 1].delay_s) {
+      taps[--k] = taps[--i];
+    } else {
+      Tap& tap = taps[--k];
+      tap.delay_s = delay;
+      tap.amplitude = rays[--j].amplitude * stage.diffuse_ref_amp;
       tap.deterministic = false;
-      out.taps.push_back(tap);
+      tap.order = 0;
     }
   }
-
-  // Stable: taps with equal delays keep image-source order, then draw
-  // order, on every standard library.
-  std::stable_sort(
-      out.taps.begin(), out.taps.end(),
-      [](const Tap& a, const Tap& b) { return a.delay_s < b.delay_s; });
   return out;
 }
 

@@ -85,9 +85,10 @@ class ChannelModel {
   /// room's obstacle grid.
   SpecularStage realize_specular(geom::Vec2 tx, geom::Vec2 rx, Rng& rng) const;
 
-  /// Stage 2 of realize(): appends the diffuse tail, drawn from `rng` where
-  /// the specular stage left it, and sorts the taps by delay (stable: ties
-  /// keep image-source order, then draw order).
+  /// Stage 2 of realize(): sorts the specular taps by delay and merges in
+  /// the diffuse tail, drawn from `rng` where the specular stage left it
+  /// and sorted by the same delays (stable: ties keep image-source order,
+  /// then draw order).
   ChannelRealization complete_diffuse(SpecularStage stage, Rng& rng) const;
 
   /// Upper bound on the TX-RX distance at which a specular tap can still

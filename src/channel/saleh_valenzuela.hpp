@@ -42,7 +42,21 @@ struct SalehValenzuelaParams {
 /// Draw a diffuse-tail realisation. The returned rays carry excess delays in
 /// (0, window_s] and complex amplitudes scaled so the *expected* total
 /// diffuse power equals `total_power_rel_db` relative to a unit LOS ray.
+/// They come sorted by excess delay; equal delays keep draw order.
+///
+/// The draw: a scalar walk of Poisson cluster and ray arrivals (one
+/// Rng::exponential each), then, per ray in draw order, a Rayleigh
+/// magnitude and a uniform phase from two words, computed in blocks of
+/// bulk words with simd::exp, simd::log and simd::sincos. Each ray equals
+/// Rng::rayleigh(σ)·Rng::random_phase() bit for bit.
 std::vector<DiffuseRay> draw_diffuse_tail(const SalehValenzuelaParams& params,
                                           Rng& rng);
+
+/// The same draw, its rays sorted by the absolute delay t0_s +
+/// excess_delay_s as rounded in double, equal ones in draw order: the
+/// order ChannelModel::complete_diffuse merges with the specular taps at
+/// t0_s = the LOS delay.
+std::vector<DiffuseRay> draw_diffuse_tail(const SalehValenzuelaParams& params,
+                                          Rng& rng, double t0_s);
 
 }  // namespace uwb::channel

@@ -1,9 +1,12 @@
 #include "common/random.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
 #include "common/expects.hpp"
+#include "simd/math.hpp"
+#include "simd/simd.hpp"
 
 namespace uwb {
 
@@ -31,31 +34,10 @@ StreamSeed derive_seed(std::uint64_t base, std::uint64_t stream) {
   return StreamSeed(mix64(mix64(z) ^ 0x8BADF00D5AFEC0DEULL));
 }
 
-std::array<std::uint32_t, 4> philox4x32_10(std::array<std::uint32_t, 4> ctr,
-                                           std::array<std::uint32_t, 2> key) {
-  // Round multipliers and Weyl key increments of Salmon et al. (2011).
-  constexpr std::uint64_t kM0 = 0xD2511F53;
-  constexpr std::uint64_t kM1 = 0xCD9E8D57;
-  constexpr std::uint32_t kW0 = 0x9E3779B9;
-  constexpr std::uint32_t kW1 = 0xBB67AE85;
-  for (int round = 0; round < 10; ++round) {
-    if (round > 0) {
-      key[0] += kW0;
-      key[1] += kW1;
-    }
-    // 32×32→64-bit products: their high halves mix, their low halves move.
-    const std::uint64_t p0 = kM0 * ctr[0];
-    const std::uint64_t p1 = kM1 * ctr[2];
-    ctr = {hi32(p1) ^ ctr[1] ^ key[0], lo32(p1), hi32(p0) ^ ctr[3] ^ key[1],
-           lo32(p0)};
-  }
-  return ctr;
-}
-
 Rng::Rng(std::uint64_t seed) : key_(seed) {}
 
 void Rng::refill() {
-  const std::array<std::uint32_t, 4> x = philox4x32_10(
+  const std::array<std::uint32_t, 4> x = simd::philox4x32_10(
       {lo32(counter_), hi32(counter_), 0, 0}, {lo32(key_), hi32(key_)});
   ++counter_;
   block_[0] = x[0] | (std::uint64_t{x[1]} << 32);
@@ -63,9 +45,26 @@ void Rng::refill() {
   next_ = 0;
 }
 
-double Rng::uniform_at(double u, double lo, double hi) {
-  const double x = lo + (hi - lo) * u;
-  return x < hi ? x : std::nextafter(hi, lo);
+void Rng::fill(std::span<std::uint64_t> out) {
+  std::size_t i = 0;
+  while (i < out.size() && next_ < block_.size()) out[i++] = block_[next_++];
+  const std::size_t blocks = (out.size() - i) / 2;
+  simd::philox4x32_10(key_, counter_, out.data() + i, blocks);
+  counter_ += blocks;
+  i += 2 * blocks;
+  if (i < out.size()) out[i] = bits();
+}
+
+void Rng::discard(std::uint64_t n) {
+  const std::uint64_t buffered = block_.size() - next_;
+  if (n <= buffered) {
+    next_ += n;
+    return;
+  }
+  n -= buffered;
+  counter_ += n / 2;
+  next_ = block_.size();
+  if (n % 2 == 1) (void)bits();
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -103,7 +102,7 @@ double Rng::normal(double mean, double stddev) {
     y = 2.0 * unit(bits()) - 1.0;
     s = x * x + y * y;
   } while (s >= 1.0 || s == 0.0);
-  const double f = std::sqrt(-2.0 * std::log(s) / s);
+  const double f = std::sqrt(-2.0 * simd::log(s) / s);
   spare_ = y * f;
   has_spare_ = true;
   return mean + stddev * (x * f);
@@ -112,12 +111,12 @@ double Rng::normal(double mean, double stddev) {
 double Rng::rayleigh(double sigma) {
   UWB_EXPECTS(sigma >= 0.0);
   const double u = uniform(1e-300, 1.0);
-  return sigma * std::sqrt(-2.0 * std::log(u));
+  return sigma * std::sqrt(-2.0 * simd::log(u));
 }
 
 double Rng::exponential(double mean) {
   UWB_EXPECTS(mean > 0.0);
-  return -mean * std::log1p(-unit(bits()));
+  return exponential_at(unit(bits()), mean);
 }
 
 bool Rng::chance(double probability) {
@@ -130,9 +129,61 @@ Complex Rng::complex_normal(double sigma) {
   return {normal(0.0, sigma), normal(0.0, sigma)};
 }
 
+void Rng::complex_normals(double sigma, std::span<Complex> out) {
+  UWB_EXPECTS(sigma >= 0.0);
+  if (sigma == 0.0) {
+    std::fill(out.begin(), out.end(), Complex{});
+    return;
+  }
+  // The normals in call order: real, imaginary, real, ... (std::complex
+  // is two doubles, real first).
+  double* z = reinterpret_cast<double*>(out.data());
+  const std::size_t count = 2 * out.size();
+  std::size_t i = 0;
+  if (count > 0 && has_spare_) {
+    z[i++] = spare_;
+    has_spare_ = false;
+  }
+  constexpr std::size_t kBlock = 64;
+  while (i < count) {
+    // At most one accepted pair per pair drawn, and none drawn beyond the
+    // pairs still needed: exactly the pairs the scalar loop draws.
+    const std::size_t pairs = std::min(kBlock, (count - i + 1) / 2);
+    std::array<std::uint64_t, 2 * kBlock> words;
+    fill({words.data(), 2 * pairs});
+    std::array<double, kBlock> xs, ys, ss, ln_s;
+    std::size_t accepted = 0;
+    for (std::size_t p = 0; p < pairs; ++p) {
+      const double x = 2.0 * unit(words[2 * p]) - 1.0;
+      const double y = 2.0 * unit(words[2 * p + 1]) - 1.0;
+      const double s = x * x + y * y;
+      if (s >= 1.0 || s == 0.0) continue;
+      xs[accepted] = x;
+      ys[accepted] = y;
+      ss[accepted] = s;
+      ++accepted;
+    }
+    simd::log(ss.data(), ln_s.data(), accepted);
+    for (std::size_t a = 0; a < accepted; ++a) {
+      const double f = std::sqrt(-2.0 * ln_s[a] / ss[a]);
+      z[i++] = xs[a] * f;
+      if (i < count) {
+        z[i++] = ys[a] * f;
+      } else {
+        spare_ = ys[a] * f;
+        has_spare_ = true;
+      }
+    }
+  }
+  for (std::size_t k = 0; k < count; ++k) z[k] = 0.0 + sigma * z[k];
+}
+
 Complex Rng::random_phase() {
   const double phi = uniform(0.0, 2.0 * std::numbers::pi);
-  return {std::cos(phi), std::sin(phi)};
+  double s = 0.0;
+  double c = 0.0;
+  simd::sincos(phi, &s, &c);
+  return {c, s};
 }
 
 }  // namespace uwb

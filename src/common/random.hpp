@@ -8,11 +8,16 @@
 // pure function of (seed, i) and a stream is a few words of state that cost
 // nothing to seed or copy. Every distribution is written here with its
 // formula (DESIGN.md Sect. 7.2), so no draw depends on the C++ standard
-// library; those that call log, log1p, cos or sin depend on libm.
+// library. Their logarithms, sines and cosines are the in-house
+// simd::log and simd::sincos (simd/math.hpp), fixed IEEE operation
+// sequences; only exponential(), through std::log1p, still depends on
+// libm.
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "common/types.hpp"
 
@@ -41,19 +46,13 @@ class StreamSeed {
   std::uint64_t value_;
 };
 
-/// One Philox4x32-10 block: ten rounds of the Philox multiply-xor round on
-/// the counter `ctr`, the key bumped by the Weyl constants before every
-/// round but the first (the Random123 reference; counter 0 under key 0
-/// gives 6627e8d5 e169c58d bc57ac4c 9b00dbd8).
-std::array<std::uint32_t, 4> philox4x32_10(std::array<std::uint32_t, 4> ctr,
-                                           std::array<std::uint32_t, 2> key);
-
 /// Seeded pseudo-random source with the distributions the simulator needs.
 ///
-/// Block b of the stream seeded s is philox4x32_10({b mod 2³², b / 2³², 0,
-/// 0}, {s mod 2³², s / 2³²}); its words x0..x3 give the stream's 64-bit
-/// words x0 + 2³²·x1, then x2 + 2³²·x3. Every distribution below draws
-/// whole words in stream order, and u = unit(bits()) denotes one draw.
+/// Block b of the stream seeded s is simd::philox4x32_10({b mod 2³²,
+/// b / 2³², 0, 0}, {s mod 2³², s / 2³²}) (simd/math.hpp); its words
+/// x0..x3 give the stream's 64-bit words x0 + 2³²·x1, then x2 + 2³²·x3.
+/// Every distribution below draws whole words in stream order, and
+/// u = unit(bits()) denotes one draw.
 class Rng {
  public:
   /// A derived stream: the one way simulation code seeds a generator.
@@ -70,6 +69,16 @@ class Rng {
     return block_[next_++];
   }
 
+  /// The next out.size() words of the stream, in order: the same words,
+  /// and the same stream position after, as that many bits() calls. Whole
+  /// blocks come from the vector kernel simd::philox4x32_10.
+  void fill(std::span<std::uint64_t> out);
+
+  /// Skip the next n words: the stream position of n bits() calls. With a
+  /// copy of the stream, lets a caller draw words ahead of a loop whose
+  /// length it learns only by running it.
+  void discard(std::uint64_t n);
+
   /// u = (bits >> 11)·2⁻⁵³: the top 53 bits as a double in [0, 1 − 2⁻⁵³].
   static constexpr double unit(std::uint64_t bits) {
     return static_cast<double>(bits >> 11) * 0x1p-53;
@@ -77,7 +86,15 @@ class Rng {
 
   /// lo + (hi − lo)·u, or the largest double below hi where that rounds up
   /// to hi (as it can for u near 1). Never hi unless lo == hi.
-  static double uniform_at(double u, double lo, double hi);
+  static double uniform_at(double u, double lo, double hi) {
+    const double x = lo + (hi - lo) * u;
+    return x < hi ? x : std::nextafter(hi, lo);
+  }
+
+  /// −mean·log1p(−u): the exponential of mean `mean` at u.
+  static double exponential_at(double u, double mean) {
+    return -mean * std::log1p(-u);
+  }
 
   /// Uniform double in [lo, hi): uniform_at(u, lo, hi).
   double uniform(double lo, double hi);
@@ -91,14 +108,15 @@ class Rng {
   /// mean + stddev·z, z standard normal by Marsaglia's polar method: draw
   /// x = 2u₁ − 1, y = 2u₂ − 1 until 0 < s = x² + y² < 1, then
   /// z = x·√(−2 ln s / s) and the spare y·√(−2 ln s / s) serves the next
-  /// call. Draws nothing, and keeps any spare, when stddev is 0.
+  /// call, ln being simd::log. Draws nothing, and keeps any spare, when
+  /// stddev is 0.
   double normal(double mean, double stddev);
 
   /// Rayleigh-distributed magnitude with scale sigma:
-  /// sigma·√(−2 ln v), v = uniform(1e-300, 1).
+  /// sigma·√(−2 ln v), v = uniform(1e-300, 1), ln being simd::log.
   double rayleigh(double sigma);
 
-  /// Exponential with given mean: −mean·log1p(−u).
+  /// Exponential with given mean: exponential_at(u, mean), by std::log1p.
   double exponential(double mean);
 
   /// Bernoulli trial: u < probability (one word, even at 0 or 1).
@@ -108,8 +126,15 @@ class Rng {
   /// sigma: {normal(0, sigma), normal(0, sigma)}, one polar pair.
   Complex complex_normal(double sigma);
 
+  /// out[k] = complex_normal(sigma) for every k in order: the same values,
+  /// the same words and the same spare. Each block of polar pairs comes
+  /// from fill() and takes its logarithms in one simd::log call; a block
+  /// draws no more pairs than the samples it still needs, so no word is
+  /// drawn that the calls would not draw.
+  void complex_normals(double sigma, std::span<Complex> out);
+
   /// Unit-magnitude complex number with uniform phase:
-  /// {cos φ, sin φ}, φ = uniform(0, 2π).
+  /// {cos φ, sin φ}, φ = uniform(0, 2π), by simd::sincos.
   Complex random_phase();
 
  private:

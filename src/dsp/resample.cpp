@@ -16,8 +16,9 @@ void upsample_spectrum(const Complex* spec, std::size_t n, int factor,
   const std::size_t half = n / 2;
   for (std::size_t k = 0; k < half; ++k) padded[k] = spec[k];
   for (std::size_t k = half + (n % 2); k < n; ++k) padded[m - n + k] = spec[k];
-  if (n % 2 == 0) {
-    // Split the Nyquist bin between the two halves to keep a real input real.
+  if (n % 2 == 0 && factor > 1) {
+    // Split the Nyquist bin between the two halves to keep a real input
+    // real. At factor 1 the two halves are the same bin, which keeps it.
     padded[half] = spec[half] * 0.5;
     padded[m - half] = spec[half] * 0.5;
   } else {

@@ -16,8 +16,9 @@ namespace uwb::dsp {
 CVec upsample_fft(const CVec& x, int factor);
 
 /// Frequency-domain zero-stuffing: scatter the length-n spectrum `spec`
-/// into the length n*factor buffer `padded` (Nyquist bin split for even n,
-/// keeping real inputs real). Building block of upsample_fft, exposed so
+/// into the length n*factor buffer `padded` (Nyquist bin split for even n
+/// and factor > 1, keeping real inputs real; at factor 1 `padded` is
+/// `spec`). Building block of upsample_fft, exposed so
 /// the detector can reuse the stuffed spectrum it already has instead of
 /// re-transforming the upsampled signal.
 void upsample_spectrum(const Complex* spec, std::size_t n, int factor,

@@ -66,9 +66,11 @@ struct CirCapture {
   double first_path_index = 0.0;
 
   /// Superpose the arrivals in arrival order, each over its pulse support
-  /// by a PulseStepper (one per run of equal registers), then add `length`
-  /// complex normals of sigma `noise_sigma`, drawn in tap order on
-  /// Rng(derive_seed(noise_key, 0)). Every call draws the same noise.
+  /// by a PulseStepper (one per run of equal registers, its start values
+  /// computed for blocks of arrivals by the array kernels: the taps equal
+  /// PulseStepper::add's bit for bit), then add `length` complex normals of
+  /// sigma `noise_sigma`, drawn in tap order on Rng(derive_seed(noise_key,
+  /// 0)) by Rng::complex_normals. Every call draws the same noise.
   /// Counts the arrivals, the taps they touch and the noise samples drawn
   /// (`cir_render_arrivals`, `cir_render_taps`, `cir_noise_samples`). An
   /// arrival time must be finite.

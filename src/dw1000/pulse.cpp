@@ -10,6 +10,8 @@
 #include "common/expects.hpp"
 #include "common/hash.hpp"
 #include "obs/obs.hpp"
+#include "simd/math.hpp"
+#include "simd/simd.hpp"
 
 namespace uwb::dw {
 
@@ -84,31 +86,40 @@ PulseStepper::PulseStepper(std::uint8_t tc_pgdelay, double ts_s)
   UWB_EXPECTS(ts_s > 0.0);
 }
 
-std::size_t PulseStepper::add(CVec& taps, double t_s,
-                              Complex amplitude) const {
+PulseStepper::Start PulseStepper::start(double t_s, std::size_t n_taps) const {
   UWB_EXPECTS(std::isfinite(t_s));
   // Clip in double: the unclipped bounds of a far-away pulse need not fit
   // an integer type.
   const double first =
       std::max(0.0, std::floor((t_s - half_support_s_) / ts_s_));
-  const double last = std::min(static_cast<double>(taps.size()) - 1.0,
+  const double last = std::min(static_cast<double>(n_taps) - 1.0,
                                std::ceil((t_s + half_support_s_) / ts_s_));
-  if (first > last) return 0;
-  const auto begin = static_cast<std::size_t>(first);
-  const auto end = static_cast<std::size_t>(last) + 1;
+  Start out;
+  if (first > last) return out;
+  out.begin = static_cast<std::size_t>(first);
+  out.end = static_cast<std::size_t>(last) + 1;
 
   // Each Gaussian e^(-z^2/2), z = t/sigma, starts at the first tap with its
   // ratio to the next tap, e^(-(z + u/2)*u) for u = Ts/sigma.
-  const double t0 = static_cast<double>(begin) * ts_s_ - t_s;
+  const double t0 = static_cast<double>(out.begin) * ts_s_ - t_s;
   const double z = t0 / sigma_s_;
-  double main = std::exp(-0.5 * z * z);
-  double main_ratio = std::exp(-(z + 0.5 * main_step_) * main_step_);
   const double zr = (t0 - ring_delay_s_) / ring_sigma_s_;
-  double ring = std::exp(-0.5 * zr * zr);
-  double ring_ratio = std::exp(-(zr + 0.5 * ring_step_) * ring_step_);
-  double carrier_cos = std::cos(omega_rad_s_ * t0);
-  double carrier_sin = std::sin(omega_rad_s_ * t0);
-  for (std::size_t n = begin; n < end; ++n) {
+  out.exp_args = {-0.5 * z * z, -(z + 0.5 * main_step_) * main_step_,
+                  -0.5 * zr * zr, -(zr + 0.5 * ring_step_) * ring_step_};
+  out.phase = omega_rad_s_ * t0;
+  return out;
+}
+
+std::size_t PulseStepper::step(CVec& taps, const Start& start,
+                               const double* exps, double cos_phase,
+                               double sin_phase, Complex amplitude) const {
+  double main = exps[0];
+  double main_ratio = exps[1];
+  double ring = exps[2];
+  double ring_ratio = exps[3];
+  double carrier_cos = cos_phase;
+  double carrier_sin = sin_phase;
+  for (std::size_t n = start.begin; n < start.end; ++n) {
     taps[n] += amplitude * (main * carrier_cos - kRingAmp * ring);
     main *= main_ratio;
     main_ratio *= main_ratio_step_;
@@ -120,7 +131,58 @@ std::size_t PulseStepper::add(CVec& taps, double t_s,
         carrier_sin * carrier_step_cos_ + carrier_cos * carrier_step_sin_;
     carrier_cos = next_cos;
   }
-  return end - begin;
+  return start.end - start.begin;
+}
+
+std::size_t PulseStepper::step4(CVec& taps, const Start* starts,
+                                const double* exps, const double* cos_phase,
+                                const double* sin_phase,
+                                const Complex* amplitudes,
+                                std::size_t lanes) const {
+  // The pulse values of all four lanes over the longest support, then each
+  // lane's taps in arrival order. Unused lanes run from zero.
+  constexpr std::size_t kMaxSteps = 64;
+  std::size_t steps = 0;
+  for (std::size_t l = 0; l < lanes; ++l)
+    steps = std::max(steps, starts[l].end - starts[l].begin);
+  if (steps > kMaxSteps) {  // a sample period far below the pulse width
+    std::size_t touched = 0;
+    for (std::size_t l = 0; l < lanes; ++l)
+      touched += step(taps, starts[l], exps + 4 * l, cos_phase[l],
+                      sin_phase[l], amplitudes[l]);
+    return touched;
+  }
+  std::array<double, 24> state{};
+  for (std::size_t l = 0; l < lanes; ++l) {
+    for (std::size_t i = 0; i < 4; ++i) state[4 * i + l] = exps[4 * l + i];
+    state[16 + l] = cos_phase[l];
+    state[20 + l] = sin_phase[l];
+  }
+  const double step_values[5] = {main_ratio_step_, ring_ratio_step_,
+                                 carrier_step_cos_, carrier_step_sin_,
+                                 kRingAmp};
+  std::array<double, 4 * kMaxSteps> values;
+  simd::pulse_steps4(state.data(), step_values, steps, values.data());
+  std::size_t touched = 0;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const Start& s = starts[l];
+    for (std::size_t n = s.begin; n < s.end; ++n)
+      taps[n] += amplitudes[l] * values[4 * (n - s.begin) + l];
+    touched += s.end - s.begin;
+  }
+  return touched;
+}
+
+std::size_t PulseStepper::add(CVec& taps, double t_s,
+                              Complex amplitude) const {
+  const Start s = start(t_s, taps.size());
+  std::array<double, 4> exps;
+  for (std::size_t i = 0; i < exps.size(); ++i)
+    exps[i] = simd::exp(s.exp_args[i]);
+  double sin_phase = 0.0;
+  double cos_phase = 0.0;
+  simd::sincos(s.phase, &sin_phase, &cos_phase);
+  return step(taps, s, exps.data(), cos_phase, sin_phase, amplitude);
 }
 
 double pulse_duration_s(std::uint8_t tc_pgdelay) {

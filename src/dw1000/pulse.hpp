@@ -11,6 +11,7 @@
 // to 0xFF give the paper's "up to 108" distinct shapes.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -44,20 +45,57 @@ double pulse_bandwidth_hz(std::uint8_t tc_pgdelay);
 /// Adds one register's pulse to taps of spacing Ts by recurrence: the CIR
 /// render's inner loop. Along an arrival's support each Gaussian factor of
 /// s(t) steps as g <- g*r, r <- r*e^(-Ts^2/sigma^2), and the carrier phasor
-/// as p <- p*e^(j*omega*Ts). An arrival costs 4 exp() and one sin/cos pair
-/// at its first tap, where pulse_value() costs three calls per tap; every
-/// tap stays within 1e-12*|amplitude| of the pulse_value() sum. Built once
-/// per (register, Ts) from pulse_value()'s constants; add() keeps no state.
+/// as p <- p*e^(j*omega*Ts). An arrival costs 4 exp and one sin/cos pair
+/// at its first tap (simd::exp and simd::sincos), where pulse_value()
+/// costs three libm calls per tap; every tap stays within
+/// 1e-12*|amplitude| of the pulse_value() sum. Built once per (register,
+/// Ts) from pulse_value()'s constants; it keeps no per-arrival state.
+///
+/// add() is start(), the start values, then step(); a caller with many
+/// arrivals computes the start values of a block at once with the array
+/// kernels, bit for bit the values add() computes one at a time.
 class PulseStepper {
  public:
   PulseStepper(std::uint8_t tc_pgdelay, double ts_s);
 
   std::uint8_t tc_pgdelay() const { return tc_pgdelay_; }
 
-  /// taps[n] += amplitude * s(n*Ts - t_s) for n from
-  /// floor((t_s - T_p/2)/Ts) to ceil((t_s + T_p/2)/Ts), T_p the
-  /// pulse_duration_s(), clipped to the taps. Returns the number of taps
-  /// touched, 0 for a pulse wholly outside them. t_s must be finite.
+  /// Where an arrival touches the taps, and the arguments of its start
+  /// values at the first tap.
+  struct Start {
+    /// Taps [begin, end); empty for a pulse wholly outside them.
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    /// Exponents of the main Gaussian, its ratio to the next tap, the ring
+    /// Gaussian and its ratio (all 0 for an empty range).
+    std::array<double, 4> exp_args{};
+    /// Carrier phase omega*t0 (0 for an empty range).
+    double phase = 0.0;
+  };
+
+  /// The taps n from floor((t_s - T_p/2)/Ts) to ceil((t_s + T_p/2)/Ts),
+  /// T_p the pulse_duration_s(), clipped to [0, n_taps). t_s must be
+  /// finite.
+  Start start(double t_s, std::size_t n_taps) const;
+
+  /// taps[n] += amplitude * s(n*Ts - t_s) over start's range, stepped from
+  /// exps[i] = e^(start.exp_args[i]) and the cosine and sine of
+  /// start.phase. Returns the number of taps touched.
+  std::size_t step(CVec& taps, const Start& start, const double* exps,
+                   double cos_phase, double sin_phase,
+                   Complex amplitude) const;
+
+  /// step() for `lanes` (≤ 4) arrivals in order, their recurrences run
+  /// side by side in the lanes of simd::pulse_steps4: the same taps bit
+  /// for bit. Arrival l has start starts[l], start values exps[4l..4l+3]
+  /// and cos_phase[l], sin_phase[l], and amplitude amplitudes[l]. Returns
+  /// the number of taps touched.
+  std::size_t step4(CVec& taps, const Start* starts, const double* exps,
+                    const double* cos_phase, const double* sin_phase,
+                    const Complex* amplitudes, std::size_t lanes) const;
+
+  /// step(taps, start(t_s, taps.size()), ...) with the start values from
+  /// the scalar simd::exp and simd::sincos.
   std::size_t add(CVec& taps, double t_s, Complex amplitude) const;
 
  private:

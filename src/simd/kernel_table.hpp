@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace uwb::simd::detail {
 
@@ -27,6 +28,12 @@ struct KernelTable {
   void (*corr_window_update)(double*, const double*, const double*,
                              std::ptrdiff_t, std::ptrdiff_t, std::ptrdiff_t,
                              std::ptrdiff_t, std::ptrdiff_t, std::ptrdiff_t);
+  void (*exp)(const double*, double*, std::size_t);
+  void (*log)(const double*, double*, std::size_t);
+  void (*sincos)(const double*, double*, double*, std::size_t);
+  void (*philox4x32_10)(std::uint64_t, std::uint64_t, std::uint64_t*,
+                        std::size_t);
+  void (*pulse_steps4)(const double*, const double*, std::size_t, double*);
 };
 
 /// The scalar reference table (always available; defines the semantics the

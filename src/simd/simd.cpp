@@ -1,11 +1,13 @@
 #include "simd/simd.hpp"
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "simd/kernel_table.hpp"
+#include "simd/math.hpp"
 
 namespace uwb::simd {
 
@@ -147,6 +149,57 @@ void scalar_corr_window_update(double* y, const double* d, const double* s,
   }
 }
 
+void scalar_exp(const double* x, double* y, std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k) y[k] = simd::exp(x[k]);
+}
+
+void scalar_log(const double* x, double* y, std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k) y[k] = simd::log(x[k]);
+}
+
+void scalar_sincos(const double* x, double* s, double* c, std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k) simd::sincos(x[k], &s[k], &c[k]);
+}
+
+void scalar_philox4x32_10(std::uint64_t key, std::uint64_t counter,
+                          std::uint64_t* out, std::size_t blocks) {
+  const std::array<std::uint32_t, 2> k{static_cast<std::uint32_t>(key),
+                                       static_cast<std::uint32_t>(key >> 32)};
+  for (std::size_t i = 0; i < blocks; ++i, ++counter) {
+    const std::array<std::uint32_t, 4> x = simd::philox4x32_10(
+        {static_cast<std::uint32_t>(counter),
+         static_cast<std::uint32_t>(counter >> 32), 0, 0},
+        k);
+    out[2 * i] = x[0] | (std::uint64_t{x[1]} << 32);
+    out[2 * i + 1] = x[2] | (std::uint64_t{x[3]} << 32);
+  }
+}
+
+void scalar_pulse_steps4(const double* state, const double* step,
+                         std::size_t steps, double* v) {
+  double g[4], r[4], h[4], q[4], c[4], s[4];
+  for (int l = 0; l < 4; ++l) {
+    g[l] = state[l];
+    r[l] = state[4 + l];
+    h[l] = state[8 + l];
+    q[l] = state[12 + l];
+    c[l] = state[16 + l];
+    s[l] = state[20 + l];
+  }
+  for (std::size_t m = 0; m < steps; ++m) {
+    for (int l = 0; l < 4; ++l) {
+      v[4 * m + l] = g[l] * c[l] - step[4] * h[l];
+      g[l] *= r[l];
+      r[l] *= step[0];
+      h[l] *= q[l];
+      q[l] *= step[1];
+      const double next_c = c[l] * step[2] - s[l] * step[3];
+      s[l] = s[l] * step[2] + c[l] * step[3];
+      c[l] = next_c;
+    }
+  }
+}
+
 }  // namespace
 
 namespace detail {
@@ -159,6 +212,9 @@ const KernelTable& scalar_table() {
       scalar_butterfly_pairs, scalar_fft_stage,
       scalar_argmax_norm,  scalar_cdot_conj,
       scalar_corr_direct,  scalar_corr_window_update,
+      scalar_exp,          scalar_log,
+      scalar_sincos,       scalar_philox4x32_10,
+      scalar_pulse_steps4,
   };
   return table;
 }
@@ -322,6 +378,24 @@ void corr_window_update(double* y, const double* d, const double* s,
                         std::ptrdiff_t stride, std::ptrdiff_t w_lo,
                         std::ptrdiff_t w_hi, std::ptrdiff_t np) {
   active().corr_window_update(y, d, s, k_lo, k_hi, stride, w_lo, w_hi, np);
+}
+
+void exp(const double* x, double* y, std::size_t n) { active().exp(x, y, n); }
+
+void log(const double* x, double* y, std::size_t n) { active().log(x, y, n); }
+
+void sincos(const double* x, double* s, double* c, std::size_t n) {
+  active().sincos(x, s, c, n);
+}
+
+void philox4x32_10(std::uint64_t key, std::uint64_t counter,
+                   std::uint64_t* out, std::size_t blocks) {
+  active().philox4x32_10(key, counter, out, blocks);
+}
+
+void pulse_steps4(const double* state, const double* step, std::size_t steps,
+                  double* v) {
+  active().pulse_steps4(state, step, steps, v);
 }
 
 }  // namespace uwb::simd

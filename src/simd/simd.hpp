@@ -8,6 +8,10 @@
 // re/im double pairs of a `Complex` array — the array-oriented access
 // already used by the scalar fast path — so callers pass
 // `reinterpret_cast<double*>(CVec::data())` and a *complex* element count.
+// Five real-valued kernels serve the diffuse tail and the CIR render
+// instead: e^x, ln x, sin/cos and bulk Philox4x32-10 words, each the array
+// form of a scalar function in simd/math.hpp, and four lanes of the
+// render's pulse recurrence.
 //
 // Two dispatch levels: a scalar reference (plain loops, the semantics
 // contract) and AVX2. The AVX2 kernels live in their own translation unit
@@ -23,17 +27,18 @@
 //                ∩ compile-time availability    (#ifdef __AVX2__ guard)
 //
 // Equivalence contract: elementwise kernels (cmul*, scale, copy_scaled,
-// butterfly stages) perform the exact scalar operation sequence per element
-// and are bit-identical across levels. Reduction kernels (cdot_conj,
-// corr_*) may reassociate the accumulation at AVX2 width and agree with
-// scalar only to floating-point roundoff; argmax_norm resolves ties to the
-// lowest index at every level, matching the scalar first-maximum scan
-// exactly. Given a fixed level, every kernel is deterministic, so the
-// derive_seed bit-identity contract (same results at any thread count)
-// holds under SIMD.
+// butterfly stages, and the real-valued kernels) perform the exact scalar
+// operation sequence per element and are bit-identical across levels.
+// Reduction kernels (cdot_conj, corr_*) may reassociate the accumulation
+// at AVX2 width and agree with scalar only to floating-point roundoff;
+// argmax_norm resolves ties to the lowest index at every level, matching
+// the scalar first-maximum scan exactly. Given a fixed level, every kernel
+// is deterministic, so the derive_seed bit-identity contract (same results
+// at any thread count) holds under SIMD.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string_view>
 
@@ -128,5 +133,37 @@ void corr_window_update(double* y, const double* d, const double* s,
                         std::ptrdiff_t k_lo, std::ptrdiff_t k_hi,
                         std::ptrdiff_t stride, std::ptrdiff_t w_lo,
                         std::ptrdiff_t w_hi, std::ptrdiff_t np);
+
+// ---------------------------------------------------------------------------
+// Real-valued elementwise kernels (DESIGN.md §12.2): simd/math.hpp's scalar
+// functions, one element per lane. `n` counts doubles; outputs may alias
+// inputs exactly.
+
+/// y[k] = simd::exp(x[k]) for n elements, each |x[k]| ≤ 708.
+void exp(const double* x, double* y, std::size_t n);
+
+/// y[k] = simd::log(x[k]) for n positive normal elements.
+void log(const double* x, double* y, std::size_t n);
+
+/// simd::sincos(x[k], &s[k], &c[k]) for n elements, each |x[k]| ≤ 1024.
+void sincos(const double* x, double* s, double* c, std::size_t n);
+
+/// Four recurrences of the CIR render's pulse stepper, one per lane,
+/// stepped `steps` times. `state` holds g, r, h, q, c, s, four of each
+/// (lane l's g at state[l], its r at state[4 + l], ...), and `step` =
+/// {g_step, h_step, cos_step, sin_step, a}. Step m writes
+/// v[4m + l] = g·c − a·h, then updates g ← g·r, r ← r·g_step, h ← h·q,
+/// q ← q·h_step and (c, s) ← (c·cos_step − s·sin_step,
+/// s·cos_step + c·sin_step).
+void pulse_steps4(const double* state, const double* step, std::size_t steps,
+                  double* v);
+
+/// Philox4x32-10 blocks counter, counter + 1, ..., counter + blocks − 1
+/// (mod 2⁶⁴) under `key`, two words per block: block b's 32-bit outputs
+/// x0..x3 of simd::philox4x32_10({b mod 2³², b / 2³², 0, 0},
+/// {key mod 2³², key / 2³²}) become out[2i] = x0 + 2³²·x1 and
+/// out[2i + 1] = x2 + 2³²·x3 for b = counter + i.
+void philox4x32_10(std::uint64_t key, std::uint64_t counter,
+                   std::uint64_t* out, std::size_t blocks);
 
 }  // namespace uwb::simd

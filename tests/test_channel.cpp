@@ -13,6 +13,8 @@
 #include "common/expects.hpp"
 #include "common/hash.hpp"
 #include "common/units.hpp"
+#include "simd/math.hpp"
+#include "simd/simd.hpp"
 
 namespace uwb::channel {
 namespace {
@@ -113,6 +115,106 @@ TEST(SalehValenzuelaTest, InvalidParamsThrow) {
   params.window_s = 0.0;
   Rng rng(4);
   EXPECT_THROW(draw_diffuse_tail(params, rng), PreconditionError);
+}
+
+// The tail as drawn one ray at a time, in draw order: the delay walk with a
+// cluster factor per ray, then Rng::rayleigh and Rng::random_phase per ray.
+// Sorted stably, it is what the batched draw must reproduce bit for bit.
+std::vector<DiffuseRay> one_ray_at_a_time(const SalehValenzuelaParams& params,
+                                          Rng& rng) {
+  struct RawRay {
+    double delay = 0.0;
+    double mean_power = 0.0;
+  };
+  std::vector<RawRay> raw;
+  double cluster_t = 0.0;
+  while (cluster_t < params.window_s) {
+    double ray_t = 0.0;
+    while (cluster_t + ray_t < params.window_s) {
+      const double mean_power = simd::exp(-cluster_t / params.cluster_decay_s) *
+                                simd::exp(-ray_t / params.ray_decay_s);
+      if (cluster_t + ray_t > 0.0)
+        raw.push_back({cluster_t + ray_t, mean_power});
+      ray_t += rng.exponential(1.0 / params.ray_rate_hz);
+    }
+    cluster_t += rng.exponential(1.0 / params.cluster_rate_hz);
+  }
+  if (raw.empty()) return {};
+  double mean_total = 0.0;
+  for (const RawRay& r : raw) mean_total += r.mean_power;
+  const double scale = db_to_linear(params.total_power_rel_db) / mean_total;
+  std::vector<DiffuseRay> rays;
+  for (const RawRay& r : raw) {
+    const double mean_amp = std::sqrt(r.mean_power * scale);
+    const double a = rng.rayleigh(mean_amp / std::sqrt(2.0));
+    rays.push_back({r.delay, rng.random_phase() * a});
+  }
+  return rays;
+}
+
+std::vector<DiffuseRay> stable_sorted(std::vector<DiffuseRay> rays,
+                                      double t0_s) {
+  std::stable_sort(rays.begin(), rays.end(),
+                   [t0_s](const DiffuseRay& a, const DiffuseRay& b) {
+                     return t0_s + a.excess_delay_s < t0_s + b.excess_delay_s;
+                   });
+  return rays;
+}
+
+void expect_same_rays(const std::vector<DiffuseRay>& got,
+                      const std::vector<DiffuseRay>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(double_bits(got[i].excess_delay_s),
+              double_bits(want[i].excess_delay_s)) << "ray " << i;
+    ASSERT_EQ(double_bits(got[i].amplitude.real()),
+              double_bits(want[i].amplitude.real())) << "ray " << i;
+    ASSERT_EQ(double_bits(got[i].amplitude.imag()),
+              double_bits(want[i].amplitude.imag())) << "ray " << i;
+  }
+}
+
+TEST(SalehValenzuelaTest, BatchedTailEqualsTheOneRayLoopAndStableSort) {
+  SalehValenzuelaParams few;  // a handful of rays: partial blocks only
+  few.window_s = 4e-9;
+  SalehValenzuelaParams dense;  // many overlapping clusters
+  dense.cluster_rate_hz = 0.5e9;
+  // t0 = 1e8 s rounds most absolute delays onto a few values, so the sort
+  // meets many equal delays from different clusters.
+  for (const double t0 : {0.0, 30e-9, 1e8}) {
+    for (const SalehValenzuelaParams& params :
+         {SalehValenzuelaParams{}, few, dense}) {
+      for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE(testing::Message() << "t0 " << t0 << " seed " << seed
+                                        << " window " << params.window_s);
+        Rng batched(seed), reference(seed);
+        expect_same_rays(t0 == 0.0 ? draw_diffuse_tail(params, batched)
+                                   : draw_diffuse_tail(params, batched, t0),
+                         stable_sorted(one_ray_at_a_time(params, reference),
+                                       t0));
+        EXPECT_EQ(batched.bits(), reference.bits());
+      }
+    }
+  }
+  // No ray at all: the walk leaves the window at once.
+  SalehValenzuelaParams empty;
+  empty.window_s = 1e-15;
+  Rng batched(3), reference(3);
+  EXPECT_TRUE(draw_diffuse_tail(empty, batched).empty());
+  EXPECT_TRUE(one_ray_at_a_time(empty, reference).empty());
+  EXPECT_EQ(batched.bits(), reference.bits());
+}
+
+TEST(SalehValenzuelaTest, TailIdenticalAtBothSimdLevels) {
+  const simd::Level saved = simd::active_level();
+  ASSERT_TRUE(simd::set_active_level(simd::Level::kScalar));
+  Rng scalar_rng(44);
+  const std::vector<DiffuseRay> scalar = draw_diffuse_tail({}, scalar_rng);
+  if (simd::set_active_level(simd::Level::kAvx2)) {
+    Rng avx2_rng(44);
+    expect_same_rays(draw_diffuse_tail({}, avx2_rng), scalar);
+  }
+  simd::set_active_level(saved);
 }
 
 class ChannelModelTest : public ::testing::Test {
@@ -265,6 +367,39 @@ TEST_F(ChannelModelTest, RealizeIsSpecularStageThenDiffuseCompletion) {
         EXPECT_EQ(done.taps[i].order, ch.taps[i].order);
       }
       EXPECT_EQ(whole.bits(), staged.bits());
+    }
+  }
+}
+
+TEST_F(ChannelModelTest, CompletionEqualsAppendAndStableSort) {
+  // The completion merges sorted runs; appending the tail and sorting the
+  // whole list stably by delay, as it used to, gives the same taps.
+  ChannelModel model(room_, params_);
+  const geom::Vec2 rx_spots[] = {{4.0, 5.0}, {12.0, 2.5}, {18.5, 9.0}};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    for (const geom::Vec2 rx : rx_spots) {
+      Rng merged(seed), sorted(seed);
+      const ChannelRealization got = model.realize({2.0, 5.0}, rx, merged);
+      SpecularStage stage = model.realize_specular({2.0, 5.0}, rx, sorted);
+      std::vector<Tap> want = stage.channel.taps;
+      for (const DiffuseRay& ray : one_ray_at_a_time(params_.diffuse, sorted)) {
+        Tap tap;
+        tap.delay_s = stage.channel.los_delay_s + ray.excess_delay_s;
+        tap.amplitude = ray.amplitude * stage.diffuse_ref_amp;
+        want.push_back(tap);
+      }
+      std::stable_sort(
+          want.begin(), want.end(),
+          [](const Tap& a, const Tap& b) { return a.delay_s < b.delay_s; });
+      ASSERT_EQ(got.taps.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(double_bits(got.taps[i].delay_s),
+                  double_bits(want[i].delay_s));
+        EXPECT_EQ(got.taps[i].amplitude, want[i].amplitude);
+        EXPECT_EQ(got.taps[i].deterministic, want[i].deterministic);
+        EXPECT_EQ(got.taps[i].order, want[i].order);
+      }
+      EXPECT_EQ(merged.bits(), sorted.bits());
     }
   }
 }

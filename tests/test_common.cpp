@@ -13,8 +13,11 @@
 
 #include "common/constants.hpp"
 #include "common/expects.hpp"
+#include "common/hash.hpp"
 #include "common/random.hpp"
 #include "common/units.hpp"
+#include "simd/math.hpp"
+#include "simd/simd.hpp"
 
 namespace uwb {
 namespace {
@@ -102,13 +105,15 @@ TEST(RngTest, DeterministicAcrossInstances) {
 TEST(RngTest, PhiloxKnownAnswers) {
   using Ctr = std::array<std::uint32_t, 4>;
   using Key = std::array<std::uint32_t, 2>;
-  EXPECT_EQ(philox4x32_10(Ctr{0, 0, 0, 0}, Key{0, 0}),
+  EXPECT_EQ(simd::philox4x32_10(Ctr{0, 0, 0, 0}, Key{0, 0}),
             (Ctr{0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8}));
-  EXPECT_EQ(philox4x32_10(Ctr{0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff},
-                          Key{0xffffffff, 0xffffffff}),
+  EXPECT_EQ(simd::philox4x32_10(
+                Ctr{0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff},
+                Key{0xffffffff, 0xffffffff}),
             (Ctr{0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd}));
-  EXPECT_EQ(philox4x32_10(Ctr{0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344},
-                          Key{0xa4093822, 0x299f31d0}),
+  EXPECT_EQ(simd::philox4x32_10(
+                Ctr{0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344},
+                Key{0xa4093822, 0x299f31d0}),
             (Ctr{0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1}));
 }
 
@@ -121,7 +126,8 @@ TEST(RngTest, StreamWordsAreThePhiloxBlocksInOrder) {
   const std::uint64_t seed = 0x0123456789abcdefull;
   Rng rng(seed);
   for (std::uint32_t block = 0; block < 5; ++block) {
-    const auto x = philox4x32_10({block, 0, 0, 0}, {0x89abcdef, 0x01234567});
+    const auto x =
+        simd::philox4x32_10({block, 0, 0, 0}, {0x89abcdef, 0x01234567});
     EXPECT_EQ(rng.bits(), x[0] | (std::uint64_t{x[1]} << 32));
     EXPECT_EQ(rng.bits(), x[2] | (std::uint64_t{x[3]} << 32));
   }
@@ -139,8 +145,8 @@ TEST(RngTest, CopyContinuesTheSameStream) {
 }
 
 // First values of every distribution on a fresh Rng(2018). Those that call
-// only arithmetic are pinned bit for bit; those that call libm (log, log1p,
-// sqrt, cos, sin) to 4 ulps.
+// only arithmetic are pinned bit for bit; those that take a log1p, log,
+// sqrt, cos or sin to 4 ulps of the values libm's functions gave.
 TEST(RngTest, GoldenFirstValues) {
   constexpr std::uint64_t kSeed = 2018;
   {
@@ -399,6 +405,122 @@ TEST(RngTest, PreconditionViolations) {
   EXPECT_THROW(rng.normal(0.0, -1.0), PreconditionError);
   EXPECT_THROW(rng.chance(1.5), PreconditionError);
   EXPECT_THROW(rng.exponential(0.0), PreconditionError);
+}
+
+// Every scheduled AirFrame carries an Rng.
+static_assert(sizeof(Rng) == 56);
+
+TEST(RngTest, FillEqualsBitsCallsFromEveryPosition) {
+  // Start 0-4 words into the stream: at a block boundary and inside one,
+  // before and after the first refill.
+  for (std::size_t skip = 0; skip <= 4; ++skip) {
+    for (std::size_t n = 0; n <= 9; ++n) {
+      Rng bulk(77), one(77);
+      for (std::size_t i = 0; i < skip; ++i) {
+        bulk.bits();
+        one.bits();
+      }
+      std::vector<std::uint64_t> words(n + 1, 0);
+      bulk.fill({words.data(), n});
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(words[i], one.bits()) << "skip " << skip << ", n " << n;
+      EXPECT_EQ(words[n], 0u) << "wrote past the span";
+      // The same stream position after.
+      for (int i = 0; i < 5; ++i)
+        ASSERT_EQ(bulk.bits(), one.bits()) << "skip " << skip << ", n " << n;
+    }
+  }
+  // A long fill, through the vector kernel's whole blocks.
+  Rng bulk(78), one(78);
+  std::vector<std::uint64_t> words(1001);
+  bulk.fill(words);
+  for (const std::uint64_t w : words) ASSERT_EQ(w, one.bits());
+  EXPECT_EQ(bulk.bits(), one.bits());
+}
+
+TEST(RngTest, DiscardSkipsTheWordsBitsWouldDraw) {
+  for (std::size_t skip = 0; skip <= 4; ++skip) {
+    for (std::uint64_t n = 0; n <= 9; ++n) {
+      Rng skipped(79), drawn(79);
+      for (std::size_t i = 0; i < skip; ++i) {
+        skipped.bits();
+        drawn.bits();
+      }
+      skipped.discard(n);
+      for (std::uint64_t i = 0; i < n; ++i) drawn.bits();
+      for (int i = 0; i < 5; ++i)
+        ASSERT_EQ(skipped.bits(), drawn.bits())
+            << "skip " << skip << ", n " << n;
+    }
+  }
+}
+
+TEST(RngTest, ComplexNormalsEqualComplexNormalCalls) {
+  for (const bool spare : {false, true}) {
+    for (const std::size_t n : {0u, 1u, 2u, 3u, 63u, 64u, 65u, 200u, 1016u}) {
+      Rng bulk(90 + n), one(90 + n);
+      if (spare) {  // a pending spare shifts every pair by one normal
+        (void)bulk.normal(0.0, 1.0);
+        (void)one.normal(0.0, 1.0);
+      }
+      std::vector<Complex> z(n);
+      bulk.complex_normals(0.25, z);
+      for (std::size_t k = 0; k < n; ++k) {
+        const Complex want = one.complex_normal(0.25);
+        ASSERT_EQ(double_bits(z[k].real()), double_bits(want.real()))
+            << "spare " << spare << ", n " << n << ", k " << k;
+        ASSERT_EQ(double_bits(z[k].imag()), double_bits(want.imag()))
+            << "spare " << spare << ", n " << n << ", k " << k;
+      }
+      // The same spare and stream position after.
+      EXPECT_EQ(bulk.normal(0.0, 1.0), one.normal(0.0, 1.0));
+      EXPECT_EQ(bulk.bits(), one.bits());
+    }
+  }
+  // Sigma 0 draws nothing and keeps the spare, like normal(mean, 0).
+  Rng rng(5), untouched(5);
+  (void)rng.normal(0.0, 1.0);
+  (void)untouched.normal(0.0, 1.0);
+  std::vector<Complex> z(3, Complex{1.0, 1.0});
+  rng.complex_normals(0.0, z);
+  for (const Complex& v : z) EXPECT_EQ(v, Complex{});
+  EXPECT_EQ(rng.normal(0.0, 1.0), untouched.normal(0.0, 1.0));
+  EXPECT_EQ(rng.bits(), untouched.bits());
+}
+
+TEST(RngTest, DistributionsIdenticalAtBothSimdLevels) {
+  const simd::Level saved = simd::active_level();
+  const auto draws = [] {
+    Rng rng(2018);
+    std::vector<double> v;
+    for (int i = 0; i < 50; ++i) {
+      v.push_back(rng.uniform(-2.0, 5.0));
+      v.push_back(static_cast<double>(rng.uniform_int(-3, 1000)));
+      v.push_back(rng.chance(0.5) ? 1.0 : 0.0);
+      v.push_back(rng.normal(1.0, 2.0));
+      v.push_back(rng.rayleigh(1.5));
+      v.push_back(rng.exponential(4.0));
+      const Complex p = rng.random_phase();
+      const Complex z = rng.complex_normal(0.5);
+      v.insert(v.end(), {p.real(), p.imag(), z.real(), z.imag()});
+    }
+    std::vector<Complex> z(77);
+    rng.complex_normals(0.5, z);
+    for (const Complex& c : z) v.insert(v.end(), {c.real(), c.imag()});
+    std::vector<std::uint64_t> words(33);
+    rng.fill(words);
+    for (const std::uint64_t w : words) v.push_back(static_cast<double>(w));
+    return v;
+  };
+  ASSERT_TRUE(simd::set_active_level(simd::Level::kScalar));
+  const std::vector<double> scalar = draws();
+  if (simd::set_active_level(simd::Level::kAvx2)) {
+    const std::vector<double> avx2 = draws();
+    ASSERT_EQ(scalar.size(), avx2.size());
+    for (std::size_t i = 0; i < scalar.size(); ++i)
+      ASSERT_EQ(double_bits(scalar[i]), double_bits(avx2[i])) << i;
+  }
+  simd::set_active_level(saved);
 }
 
 // Only derive_seed mints a StreamSeed; every use of a plain seed still

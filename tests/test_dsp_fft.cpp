@@ -172,11 +172,12 @@ TEST(UpsampleTest, FoldedSpectrumGivesEveryFactorthSampleOfTheProduct) {
   // fold_spectrum is upsample_spectrum's adjoint: the inverse transform of
   // X * fold(T) at n points equals every factor-th sample of the inverse
   // transform of upsample(X) * T at n * factor points (up to the 1/n vs
-  // 1/(n * factor) scaling of ifft). Odd n = 1 and the even n's Nyquist
-  // split are the edge cases.
+  // 1/(n * factor) scaling of ifft). Odd n = 1, the even n's Nyquist
+  // split, and factor 1, where the split halves are one bin, are the edge
+  // cases.
   Rng rng(97);
   for (const std::size_t n : {1ul, 2ul, 16ul}) {
-    for (const int factor : {2, 8}) {
+    for (const int factor : {1, 2, 8}) {
       const std::size_t m = n * static_cast<std::size_t>(factor);
       CVec x(n), t(m);
       for (auto& v : x) v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};

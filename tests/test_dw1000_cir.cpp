@@ -18,6 +18,7 @@
 #include "dw1000/pulse.hpp"
 #include "dw1000/timestamping.hpp"
 #include "obs/metrics.hpp"
+#include "simd/simd.hpp"
 
 namespace uwb::dw {
 namespace {
@@ -225,6 +226,55 @@ TEST(CirCaptureTest, RenderMatchesOnePassSynthesisBitForBit) {
       expect_same_taps(synthesize_cir(arrivals, params, rng_synth), want);
     }
   }
+}
+
+// Three frames of a concurrent round: runs of a few hundred arrivals, each
+// run one pulse shape, so the render's blocks are full and end mid-run.
+std::vector<CirArrival> three_frame_arrivals(std::uint64_t seed) {
+  constexpr std::uint8_t kShapes[] = {k::tc_pgdelay_default, 0xC8, 0xE6};
+  Rng gen(seed);
+  std::vector<CirArrival> out;
+  for (const std::uint8_t shape : kShapes) {
+    const auto n = gen.uniform_int(300, 700);
+    double t = gen.uniform(20.0, 200.0) * k::cir_ts_s;
+    for (std::int64_t i = 0; i < n; ++i) {
+      CirArrival a;
+      a.time_into_window_s = t;
+      a.amplitude = gen.complex_normal(0.05);
+      a.tc_pgdelay = shape;
+      out.push_back(a);
+      t += gen.exponential(0.2 * k::cir_ts_s);
+    }
+  }
+  return out;
+}
+
+TEST(CirCaptureTest, BlockRenderEqualsThePerArrivalLoopOverFrameRuns) {
+  // At Ts/8 a pulse spans over 64 taps, more than the render steps four
+  // lanes at once, so it falls back to one arrival at a time.
+  for (const double ts : {k::cir_ts_s, k::cir_ts_s / 8.0}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(testing::Message() << "ts " << ts << " seed " << seed);
+      CirParams params;
+      params.ts_s = ts;
+      const std::vector<CirArrival> arrivals = three_frame_arrivals(seed);
+      Rng rng_ref(seed), rng(seed);
+      expect_same_taps(capture_cir(arrivals, params, rng).render(),
+                       one_pass_reference(arrivals, params, rng_ref));
+    }
+  }
+}
+
+TEST(CirCaptureTest, RenderIdenticalAtBothSimdLevels) {
+  const simd::Level saved = simd::active_level();
+  CirParams params;
+  Rng rng(9);
+  const CirCapture capture = capture_cir(three_frame_arrivals(9), params, rng);
+  ASSERT_TRUE(simd::set_active_level(simd::Level::kScalar));
+  const CirEstimate scalar = capture.render();
+  if (simd::set_active_level(simd::Level::kAvx2))
+    expect_same_taps(capture.render(), scalar);
+  simd::set_active_level(saved);
 }
 
 TEST(CirCaptureTest, ZeroNoiseDrawsNothing) {

@@ -183,6 +183,64 @@ TEST(HotPathAllocTest, SearchLoopAllocatesNothing) {
   }
 }
 
+// The Fig. 4 hallway and its initiator, and the 6 m responder.
+channel::ChannelModel fig4_hallway() {
+  return channel::ChannelModel(geom::Room::hallway(40.0, 2.4, 15.0), {});
+}
+constexpr geom::Vec2 kInitiator{2.0, 1.0};
+constexpr geom::Vec2 kResponder6m{8.0, 1.0};
+
+// ChannelModel::complete_diffuse, each call on its own link stream: the
+// tail's walk and its sorted rays, and the taps growing to hold them. The
+// walk's capacity hint covers the ~716 rays of a default tail.
+TEST(HotPathAllocTest, CompleteDiffuseAllocatesThreePerCall) {
+  constexpr std::uint64_t kPerCall = 3;
+  const channel::ChannelModel model = fig4_hallway();
+  Rng warm(derive_seed(404, 0));
+  (void)model.realize(kInitiator, kResponder6m, warm);
+  for (std::uint64_t stream = 1; stream <= 10; ++stream) {
+    Rng rng(derive_seed(404, stream));
+    channel::SpecularStage stage =
+        model.realize_specular(kInitiator, kResponder6m, rng);
+    channel::ChannelRealization ch;
+    const std::uint64_t n = allocations_in(
+        [&] { ch = model.complete_diffuse(std::move(stage), rng); });
+    EXPECT_EQ(n, kPerCall) << "stream " << stream << ", " << ch.taps.size()
+                           << " taps";
+  }
+}
+
+// CirCapture::render of a concurrent round's three frames, each a full
+// hallway channel with its own pulse shape: the taps are the only
+// allocation; the pulse blocks and the noise blocks live on the stack.
+TEST(HotPathAllocTest, CirRenderAllocatesOnlyItsTaps) {
+  const channel::ChannelModel model = fig4_hallway();
+  constexpr std::uint8_t kShapes[] = {0x93, 0xC8, 0xE6};
+  const geom::Vec2 responders[] = {{5.0, 1.0}, kResponder6m, {12.0, 1.0}};
+  std::vector<dw::CirArrival> arrivals;
+  for (std::size_t f = 0; f < 3; ++f) {
+    Rng rng(derive_seed(405, f));
+    for (const channel::Tap& tap :
+         model.realize(kInitiator, responders[f], rng).taps) {
+      dw::CirArrival a;
+      a.time_into_window_s = 100.0 * k::cir_ts_s + 2.0 * tap.delay_s;
+      a.amplitude = tap.amplitude;
+      a.tc_pgdelay = kShapes[f];
+      arrivals.push_back(a);
+    }
+  }
+  dw::CirParams params;
+  params.noise_sigma = 0.004;
+  Rng rng(406);
+  const dw::CirCapture capture = dw::capture_cir(arrivals, params, rng);
+  ASSERT_GT(capture.arrivals.size(), 1000u);
+  (void)capture.render();  // warm-up: registers the render's counters
+  EXPECT_EQ(allocations_in([&] {
+              for (int i = 0; i < 10; ++i) (void)capture.render();
+            }),
+            10u);
+}
+
 // Medium::deliver runs once per receiver inside Medium::transmit. Every
 // receiver of this Fig. 4 hallway is in range and detectable, so each
 // transmit makes one deliver call per receiver and nothing else allocates.

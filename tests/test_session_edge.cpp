@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "acceptance.hpp"
 #include "common/constants.hpp"
 #include "common/expects.hpp"
 #include "ranging/session.hpp"
@@ -44,17 +45,22 @@ TEST(SessionEdgeTest, ManyRoundsSurviveCounterWrap) {
 }
 
 TEST(SessionEdgeTest, Prf16Configuration) {
-  ScenarioConfig cfg = base_scenario(42);
-  cfg.phy.prf = dw::Prf::Mhz16;
-  cfg.cir.length = k::cir_len_prf16;
-  cfg.responders = {{0, {6.0, 5.0}}, {1, {11.0, 5.0}}};
-  ConcurrentRangingScenario scenario(cfg);
-  const auto out = scenario.run_round();
-  ASSERT_TRUE(out.payload_decoded);
-  EXPECT_EQ(out.cir.taps.size(), static_cast<std::size_t>(k::cir_len_prf16));
-  ASSERT_EQ(out.estimates.size(), 2u);
-  EXPECT_NEAR(out.estimates[0].distance_m, 4.0, 0.2);
-  EXPECT_NEAR(out.estimates[1].distance_m, 9.0, 0.8);
+  // Seeds 1-200, each a fresh fading and timing draw (tests/acceptance.hpp).
+  // The documented rate is 1752 of seeds 201-2200, which the test does not
+  // run; seeds 1-200 pass 179.
+  acceptance::expect_pass_rate(1, 200, 1752.0 / 2000.0, [](std::uint64_t seed) {
+    ScenarioConfig cfg = base_scenario(seed);
+    cfg.phy.prf = dw::Prf::Mhz16;
+    cfg.cir.length = k::cir_len_prf16;
+    cfg.responders = {{0, {6.0, 5.0}}, {1, {11.0, 5.0}}};
+    ConcurrentRangingScenario scenario(cfg);
+    const auto out = scenario.run_round();
+    return out.payload_decoded &&
+           out.cir.taps.size() == static_cast<std::size_t>(k::cir_len_prf16) &&
+           out.estimates.size() == 2 &&
+           std::abs(out.estimates[0].distance_m - 4.0) <= 0.2 &&
+           std::abs(out.estimates[1].distance_m - 9.0) <= 0.8;
+  });
 }
 
 TEST(SessionEdgeTest, DataRate850k) {

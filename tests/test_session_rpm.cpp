@@ -129,20 +129,21 @@ TEST(RpmSessionTest, SlotAwareSelectionImprovesCoverage) {
 
 TEST(RpmSessionTest, SyncResponderInNonZeroSlot) {
   // Only slots 1 and 2 are occupied: the sync (earliest) responder sits in
-  // slot 1 and interpretation must offset all slots accordingly.
-  ScenarioConfig cfg = combined_scenario(5);
-  cfg.ranging.shape_registers = {0x93};
-  cfg.responders = {{1, {5.0, 5.0}}, {2, {8.0, 5.0}}};  // 4 m and 7 m
-  ConcurrentRangingScenario scenario(cfg);
-  const RoundOutcome out = scenario.run_round();
-  ASSERT_TRUE(out.payload_decoded);
-  EXPECT_EQ(out.sync_responder_id, 1);
-  ASSERT_EQ(out.estimates.size(), 2u);
-  EXPECT_EQ(out.estimates[0].slot, 1);
-  EXPECT_EQ(out.estimates[1].slot, 2);
-  EXPECT_EQ(out.estimates[0].responder_id, 1);
-  EXPECT_EQ(out.estimates[1].responder_id, 2);
-  EXPECT_NEAR(out.estimates[1].distance_m, 7.0, 0.8);
+  // slot 1 and interpretation must offset all slots accordingly. Seeds
+  // 1-200; the documented rate is 1775 of seeds 201-2200, which the test
+  // does not run; seeds 1-200 pass 176.
+  acceptance::expect_pass_rate(1, 200, 1775.0 / 2000.0, [](std::uint64_t seed) {
+    ScenarioConfig cfg = combined_scenario(seed);
+    cfg.ranging.shape_registers = {0x93};
+    cfg.responders = {{1, {5.0, 5.0}}, {2, {8.0, 5.0}}};  // 4 m and 7 m
+    ConcurrentRangingScenario scenario(cfg);
+    const RoundOutcome out = scenario.run_round();
+    return out.payload_decoded && out.sync_responder_id == 1 &&
+           out.estimates.size() == 2 && out.estimates[0].slot == 1 &&
+           out.estimates[1].slot == 2 && out.estimates[0].responder_id == 1 &&
+           out.estimates[1].responder_id == 2 &&
+           std::abs(out.estimates[1].distance_m - 7.0) <= 0.8;
+  });
 }
 
 TEST(RpmSessionTest, TruthBookkeepingMatchesArrivalOrder) {

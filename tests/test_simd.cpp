@@ -5,16 +5,24 @@
 // (and thread-count deterministic) at every forced level.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/constants.hpp"
+#include "common/hash.hpp"
 #include "common/random.hpp"
 #include "dsp/fft.hpp"
 #include "dw1000/cir.hpp"
 #include "ranging/search_subtract.hpp"
 #include "runner/monte_carlo.hpp"
+#include "simd/math.hpp"
 #include "simd/simd.hpp"
 
 namespace uwb {
@@ -268,6 +276,241 @@ TEST(SimdKernels, StridedWindowUpdateMatchesDirectSum) {
         EXPECT_NEAR(y[i], want[i], 1e-12)
             << "level=" << simd::level_name(level) << " stride=" << stride
             << " i=" << i;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Real-valued math kernels (DESIGN.md §12.2): bit-identical across levels
+// over a million arguments each, domain edges included, and within 2 ulp of
+// the long-double libm over every domain a caller uses.
+
+/// `count` doubles uniform in [lo, hi], then the edges and their
+/// neighbours inside the domain.
+std::vector<double> arguments(std::uint64_t seed, std::size_t count, double lo,
+                              double hi) {
+  Rng rng(seed);
+  std::vector<double> x(count);
+  for (auto& v : x) v = rng.uniform(lo, hi);
+  for (const double edge : {lo, hi}) {
+    x.push_back(edge);
+    x.push_back(std::nextafter(edge, 0.5 * (lo + hi)));
+  }
+  return x;
+}
+
+/// Positive normal doubles 2^e·m with e uniform in [e_lo, e_hi), then the
+/// smallest normal, 1e-300 (Rng::rayleigh's floor), the largest double
+/// below 1, 1 and the largest double.
+std::vector<double> log_arguments(std::uint64_t seed, std::size_t count,
+                                  int e_lo, int e_hi) {
+  Rng rng(seed);
+  std::vector<double> x(count);
+  for (auto& v : x)
+    v = std::ldexp(rng.uniform(0.5, 1.0),
+                   static_cast<int>(rng.uniform_int(e_lo, e_hi - 1)));
+  for (const double edge :
+       {0x1p-1022, 1e-300, 0x1p-104, std::nextafter(1.0, 0.0), 1.0,
+        std::numeric_limits<double>::max()})
+    x.push_back(edge);
+  return x;
+}
+
+/// |computed − reference| in units of the ulp of the reference rounded to
+/// double (the ulp below a power of two counts as the one above it).
+double ulp_error(double computed, long double reference) {
+  const double rounded = static_cast<double>(reference);
+  if (rounded == 0.0) return computed == 0.0 ? 0.0 : HUGE_VAL;
+  int exponent = 0;
+  std::frexp(rounded, &exponent);
+  const long double ulp = std::ldexp(1.0L, exponent - 53);
+  return static_cast<double>(
+      std::fabs(static_cast<long double>(computed) - reference) / ulp);
+}
+
+std::vector<double> at_level(simd::Level level,
+                             void (*kernel)(const double*, double*,
+                                            std::size_t),
+                             const std::vector<double>& x) {
+  EXPECT_TRUE(simd::set_active_level(level));
+  std::vector<double> y(x.size());
+  kernel(x.data(), y.data(), x.size());
+  return y;
+}
+
+constexpr std::size_t kMathArgs = 1'000'000;
+
+TEST(SimdMath, KernelsBitIdenticalAcrossLevelsAndToTheScalarForms) {
+  LevelGuard guard;
+  const auto exp_args = arguments(1, kMathArgs, -708.0, 708.0);
+  const auto log_args = log_arguments(2, kMathArgs, -1021, 1024);
+  const auto trig_args = arguments(3, kMathArgs, -1024.0, 1024.0);
+  for (const simd::Level level : supported_levels()) {
+    const auto ex = at_level(level, simd::exp, exp_args);
+    const auto lg = at_level(level, simd::log, log_args);
+    std::vector<double> sn(trig_args.size()), cs(trig_args.size());
+    simd::sincos(trig_args.data(), sn.data(), cs.data(), trig_args.size());
+    for (std::size_t i = 0; i < exp_args.size(); ++i)
+      ASSERT_EQ(double_bits(ex[i]), double_bits(simd::exp(exp_args[i])))
+          << simd::level_name(level) << " exp(" << exp_args[i] << ")";
+    for (std::size_t i = 0; i < log_args.size(); ++i)
+      ASSERT_EQ(double_bits(lg[i]), double_bits(simd::log(log_args[i])))
+          << simd::level_name(level) << " log(" << log_args[i] << ")";
+    for (std::size_t i = 0; i < trig_args.size(); ++i) {
+      double s = 0.0, c = 0.0;
+      simd::sincos(trig_args[i], &s, &c);
+      ASSERT_EQ(double_bits(sn[i]), double_bits(s))
+          << simd::level_name(level) << " sin(" << trig_args[i] << ")";
+      ASSERT_EQ(double_bits(cs[i]), double_bits(c))
+          << simd::level_name(level) << " cos(" << trig_args[i] << ")";
+    }
+  }
+  // Every length below and around the vector width, in place.
+  for (const simd::Level level : supported_levels()) {
+    ASSERT_TRUE(simd::set_active_level(level));
+    for (std::size_t n = 0; n <= 9; ++n) {
+      std::vector<double> x(exp_args.begin(), exp_args.begin() + n);
+      simd::exp(x.data(), x.data(), n);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(double_bits(x[i]), double_bits(simd::exp(exp_args[i])));
+    }
+  }
+}
+
+TEST(SimdMath, WithinTwoUlpOfLongDoubleLibm) {
+  struct Domain {
+    const char* name;
+    std::vector<double> x;
+  };
+  double worst_exp = 0.0, worst_log = 0.0, worst_sin = 0.0, worst_cos = 0.0;
+  // exp: the render's pulse start values, the tail's power profile, and
+  // the documented domain.
+  for (const Domain& d :
+       {Domain{"render", arguments(4, kMathArgs, -120.0, 32.0)},
+        Domain{"tail", arguments(5, kMathArgs, -10.0, 0.0)},
+        Domain{"domain", arguments(6, kMathArgs, -708.0, 708.0)}}) {
+    double worst = 0.0;
+    for (const double x : d.x)
+      worst = std::max(worst, ulp_error(simd::exp(x),
+                                        std::exp(static_cast<long double>(x))));
+    EXPECT_LE(worst, 2.0) << "exp over the " << d.name << " range";
+    worst_exp = std::max(worst_exp, worst);
+  }
+  // log: the polar method's s in [2^-104, 1), and every positive normal.
+  for (const Domain& d :
+       {Domain{"polar", log_arguments(7, kMathArgs, -103, 0)},
+        Domain{"domain", log_arguments(8, kMathArgs, -1021, 1024)}}) {
+    double worst = 0.0;
+    for (const double x : d.x)
+      worst = std::max(worst, ulp_error(simd::log(x),
+                                        std::log(static_cast<long double>(x))));
+    EXPECT_LE(worst, 2.0) << "log over the " << d.name << " range";
+    worst_log = std::max(worst_log, worst);
+  }
+  // sincos: the render's carrier phases and the phase draws (|x| <= 32),
+  // the documented domain, and the doubles nearest every multiple of pi/2
+  // in it, where the reduction cancels most.
+  std::vector<double> near_multiples;
+  const long double half_pi = 1.570796326794896619231321691639751442L;
+  for (int m = 1; m * half_pi <= 1024.0L; ++m) {
+    double x = static_cast<double>(m * half_pi);
+    x = std::nextafter(std::nextafter(x, 0.0), 0.0);
+    for (int step = 0; step < 5; ++step, x = std::nextafter(x, 2048.0)) {
+      near_multiples.push_back(x);
+      near_multiples.push_back(-x);
+    }
+  }
+  for (const Domain& d :
+       {Domain{"phase", arguments(9, kMathArgs, -32.0, 32.0)},
+        Domain{"domain", arguments(10, kMathArgs, -1024.0, 1024.0)},
+        Domain{"near k*pi/2", near_multiples}}) {
+    double worst_s = 0.0, worst_c = 0.0;
+    for (const double x : d.x) {
+      double s = 0.0, c = 0.0;
+      simd::sincos(x, &s, &c);
+      const auto lx = static_cast<long double>(x);
+      worst_s = std::max(worst_s, ulp_error(s, std::sin(lx)));
+      worst_c = std::max(worst_c, ulp_error(c, std::cos(lx)));
+    }
+    EXPECT_LE(worst_s, 2.0) << "sin over the " << d.name << " range";
+    EXPECT_LE(worst_c, 2.0) << "cos over the " << d.name << " range";
+    worst_sin = std::max(worst_sin, worst_s);
+    worst_cos = std::max(worst_cos, worst_c);
+  }
+  std::printf("max ulp error: exp %.3f, log %.3f, sin %.3f, cos %.3f\n",
+              worst_exp, worst_log, worst_sin, worst_cos);
+  ::testing::Test::RecordProperty("max_ulp_exp", std::to_string(worst_exp));
+  ::testing::Test::RecordProperty("max_ulp_log", std::to_string(worst_log));
+  ::testing::Test::RecordProperty("max_ulp_sin", std::to_string(worst_sin));
+  ::testing::Test::RecordProperty("max_ulp_cos", std::to_string(worst_cos));
+}
+
+TEST(SimdMath, PulseStepsBitIdenticalAcrossLevelsAndToOneLaneAtATime) {
+  LevelGuard guard;
+  Rng rng(12);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::array<double, 24> state;
+    for (auto& x : state) x = rng.uniform(-1.5, 1.5);
+    const double step[5] = {rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0),
+                            std::cos(0.4), std::sin(0.4), 0.25};
+    const auto steps = static_cast<std::size_t>(rng.uniform_int(0, 40));
+    // One lane at a time, as PulseStepper::step runs it.
+    std::vector<double> want(4 * steps);
+    for (std::size_t l = 0; l < 4; ++l) {
+      double g = state[l], r = state[4 + l], h = state[8 + l];
+      double q = state[12 + l], c = state[16 + l], s = state[20 + l];
+      for (std::size_t m = 0; m < steps; ++m) {
+        want[4 * m + l] = g * c - step[4] * h;
+        g *= r;
+        r *= step[0];
+        h *= q;
+        q *= step[1];
+        const double next_c = c * step[2] - s * step[3];
+        s = s * step[2] + c * step[3];
+        c = next_c;
+      }
+    }
+    for (const simd::Level level : supported_levels()) {
+      ASSERT_TRUE(simd::set_active_level(level));
+      std::vector<double> v(4 * steps + 1, 7.0);
+      simd::pulse_steps4(state.data(), step, steps, v.data());
+      for (std::size_t i = 0; i < 4 * steps; ++i)
+        ASSERT_EQ(double_bits(v[i]), double_bits(want[i]))
+            << simd::level_name(level) << " value " << i;
+      EXPECT_EQ(v[4 * steps], 7.0) << "wrote past the end";
+    }
+  }
+}
+
+TEST(SimdPhilox, BulkBlocksEqualTheScalarBlock) {
+  LevelGuard guard;
+  Rng keys(11);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> cases;  // key, counter
+  for (int i = 0; i < 64; ++i) cases.emplace_back(keys.bits(), keys.bits());
+  for (const std::uint64_t counter :
+       {0ull, 0xfffffffdull, 0xffffffffull, 0x1fffffffeull, ~0ull - 2})
+    cases.emplace_back(keys.bits(), counter);  // across the 2^32 carry
+  for (const simd::Level level : supported_levels()) {
+    ASSERT_TRUE(simd::set_active_level(level));
+    for (const auto& [key, counter] : cases) {
+      for (std::size_t blocks = 0; blocks <= 13; ++blocks) {
+        std::vector<std::uint64_t> out(2 * blocks + 1, 0x5a5a5a5a5a5a5a5aull);
+        simd::philox4x32_10(key, counter, out.data(), blocks);
+        for (std::size_t b = 0; b < blocks; ++b) {
+          const std::uint64_t c = counter + b;
+          const auto x =
+              simd::philox4x32_10({static_cast<std::uint32_t>(c),
+                                   static_cast<std::uint32_t>(c >> 32), 0, 0},
+                                  {static_cast<std::uint32_t>(key),
+                                   static_cast<std::uint32_t>(key >> 32)});
+          ASSERT_EQ(out[2 * b], x[0] | (std::uint64_t{x[1]} << 32))
+              << simd::level_name(level) << " block " << b;
+          ASSERT_EQ(out[2 * b + 1], x[2] | (std::uint64_t{x[3]} << 32))
+              << simd::level_name(level) << " block " << b;
+        }
+        EXPECT_EQ(out[2 * blocks], 0x5a5a5a5a5a5a5a5aull)
+            << "wrote past the end";
+      }
     }
   }
 }
