@@ -18,7 +18,11 @@
 //    frames/sec at node counts beyond session scale, the delivered-frame
 //    digest identity against the reference where affordable, and the
 //    scaling exponent d ln(wall) / d ln(N) (1 = linear fan-out, 2 =
-//    all-pairs quadratic).
+//    all-pairs quadratic). Each N is timed as the fastest of three passes;
+//    its counters and digest come from the first.
+//
+// Both scaling exponents are least-squares slopes of ln(time) on ln(N)
+// over every N of their sweep.
 //
 // Extra flags on top of the standard bench set:
 //   --sessions N      single session responder count instead of the sweep
@@ -30,6 +34,7 @@
 // Wall-clock metrics (sessions_per_sec, *_frames_per_sec, *_ms, scaling
 // exponents) vary run to run; the identity flags, delivery/cull counters,
 // and digests are deterministic at any --threads value.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -165,6 +170,30 @@ TrafficResult run_traffic(bool culling, int node_count, std::uint64_t seed) {
   return result;
 }
 
+/// Least-squares slope of ln(time) on ln(N) over every point of a sweep:
+/// 1 = linear, 2 = quadratic.
+double scaling_exponent(const std::vector<int>& counts,
+                        const std::vector<double>& times) {
+  const auto n = static_cast<double>(counts.size());
+  double mean_x = 0.0;
+  double mean_y = 0.0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    mean_x += std::log(static_cast<double>(counts[i])) / n;
+    mean_y += std::log(times[i]) / n;
+  }
+  double sxy = 0.0;
+  double sxx = 0.0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const double dx = std::log(static_cast<double>(counts[i])) - mean_x;
+    sxy += dx * (std::log(times[i]) - mean_y);
+    sxx += dx * dx;
+  }
+  return sxy / sxx;
+}
+
+/// Raw-sweep timing passes per N; the fastest one is reported.
+constexpr int kTimingPasses = 3;
+
 bool same_samples(const runner::TrialResult& a, const runner::TrialResult& b,
                   const std::string& name) {
   const RVec& xs = a.samples(name);
@@ -283,12 +312,8 @@ int main(int argc, char** argv) {
   }
   report.metric("sessions_per_sec", headline_sessions_per_sec);
   if (session_counts.size() >= 2) {
-    // d ln(round time) / d ln(N) between the sweep's extremes: 1 = linear,
-    // 2 = quadratic. The culled medium keeps per-round work at O(k).
-    const double expo =
-        std::log(session_round_ms.back() / session_round_ms.front()) /
-        std::log(static_cast<double>(session_counts.back()) /
-                 session_counts.front());
+    // The culled medium keeps per-round work at O(k).
+    const double expo = scaling_exponent(session_counts, session_round_ms);
     report.metric("session_scaling_exponent", expo);
     std::printf("session scaling exponent (round time vs N): %.2f "
                 "(1 = linear, 2 = quadratic)\n", expo);
@@ -341,7 +366,10 @@ int main(int argc, char** argv) {
   for (const int n : medium_counts) {
     const std::string cell = "m" + std::to_string(n);
     const std::uint64_t seed = 9100 + static_cast<std::uint64_t>(n);
-    const TrafficResult culled = run_traffic(true, n, seed);
+    TrafficResult culled = run_traffic(true, n, seed);
+    for (int pass = 1; pass < kTimingPasses; ++pass)
+      culled.wall_ms =
+          std::min(culled.wall_ms, run_traffic(true, n, seed).wall_ms);
     medium_wall_ms.push_back(culled.wall_ms);
     const double fps =
         culled.wall_ms > 0.0 ? 1000.0 * n / culled.wall_ms : 0.0;
@@ -372,10 +400,7 @@ int main(int argc, char** argv) {
                 identity.c_str());
   }
   if (medium_counts.size() >= 2) {
-    const double expo =
-        std::log(medium_wall_ms.back() / medium_wall_ms.front()) /
-        std::log(static_cast<double>(medium_counts.back()) /
-                 medium_counts.front());
+    const double expo = scaling_exponent(medium_counts, medium_wall_ms);
     report.metric("medium_scaling_exponent", expo);
     std::printf("medium scaling exponent (wall vs N): %.2f "
                 "(1 = linear, 2 = quadratic)\n", expo);

@@ -190,7 +190,8 @@ void BM_SearchSubtract_SingleTemplate(benchmark::State& state) {
   const auto cir = test_cir(static_cast<int>(state.range(0)), 5);
   ranging::SearchSubtractDetector det{ranging::DetectorConfig{}};
   for (auto _ : state) {
-    auto found = det.detect(cir.taps, cir.ts_s, static_cast<int>(state.range(0)));
+    auto found =
+        det.detect(cir.taps, cir.ts_s, static_cast<int>(state.range(0)));
     benchmark::DoNotOptimize(found.data());
   }
 }
@@ -209,18 +210,17 @@ void BM_SearchSubtract_ThreeTemplateBank(benchmark::State& state) {
 BENCHMARK(BM_SearchSubtract_ThreeTemplateBank);
 
 void BM_SearchSubtract_ExactRecompute(benchmark::State& state) {
-  // The exact reference path (DetectorConfig::exact_recompute): every
-  // matched filter re-run from scratch per iteration. The gap to
-  // BM_SearchSubtract_ThreeTemplateBank is what the native-rate +
-  // incremental fast path buys at equal output.
+  // The exact reference path, which detect_with_trace runs: every matched
+  // filter re-run from scratch per iteration (plus the trace's copy of the
+  // winning output). The gap to BM_SearchSubtract_ThreeTemplateBank is what
+  // the native-rate + incremental fast path buys at equal output.
   const auto cir = test_cir(3, 6);
   ranging::DetectorConfig cfg;
   cfg.shape_registers = {0x93, 0xC8, 0xE6};
-  cfg.exact_recompute = true;
   ranging::SearchSubtractDetector det{cfg};
   for (auto _ : state) {
-    auto found = det.detect(cir.taps, cir.ts_s, 3);
-    benchmark::DoNotOptimize(found.data());
+    auto found = det.detect_with_trace(cir.taps, cir.ts_s, 3);
+    benchmark::DoNotOptimize(found.responses.data());
   }
 }
 BENCHMARK(BM_SearchSubtract_ExactRecompute);
@@ -498,15 +498,6 @@ void BM_MonteCarloRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MonteCarloRun)->Arg(1)->Arg(4);
-
-void BM_CachedPulseTemplate(benchmark::State& state) {
-  dw::clear_pulse_cache();
-  for (auto _ : state) {
-    const CVec& t = dw::cached_pulse_template(0x93, k::cir_ts_s / 8.0);
-    benchmark::DoNotOptimize(t.data());
-  }
-}
-BENCHMARK(BM_CachedPulseTemplate);
 
 void BM_MonteCarloScenarioRound(benchmark::State& state) {
   // One full scenario-per-trial Monte-Carlo round trip — the unit of work

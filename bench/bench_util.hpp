@@ -243,9 +243,9 @@ class JsonReport {
   static void append_obs_metrics(std::vector<Field>& metrics) {
     const obs::Snapshot snap = obs::MetricsRegistry::instance().aggregate();
 
-    // Memo-cache counters (pulse templates, detector template banks, FFT
-    // plans). Emitted explicitly so the key set stays stable even when a
-    // counter never fired (or instrumentation is compiled out).
+    // Memo-cache counters (detector template banks, FFT plans). Emitted
+    // explicitly so the key set stays stable even when a counter never
+    // fired (or instrumentation is compiled out).
     const auto add_cache = [&metrics, &snap](const char* name) {
       const double hits = static_cast<double>(
           snap.counter(std::string("cache_") + name + "_hits"));
@@ -259,7 +259,6 @@ class JsonReport {
       metrics.emplace_back(std::string("cache_") + name + "_hit_rate",
                            number(lookups > 0.0 ? hits / lookups : 0.0));
     };
-    add_cache("pulse");
     add_cache("bank");
     add_cache("fft_plan");
 

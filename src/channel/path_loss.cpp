@@ -1,27 +1,18 @@
 #include "channel/path_loss.hpp"
 
 #include <cmath>
-#include <numbers>
 
-#include "common/constants.hpp"
 #include "common/expects.hpp"
 
 namespace uwb::channel {
-
-double friis_loss_db(double distance_m, double frequency_hz) {
-  UWB_EXPECTS(distance_m > 0.0);
-  UWB_EXPECTS(frequency_hz > 0.0);
-  const double lambda = k::c_vacuum / frequency_hz;
-  const double ratio = 4.0 * std::numbers::pi * distance_m / lambda;
-  return 20.0 * std::log10(ratio);
-}
 
 double log_distance_loss_db(double distance_m, double exponent,
                             double reference_loss_db, double reference_m) {
   UWB_EXPECTS(distance_m > 0.0);
   UWB_EXPECTS(reference_m > 0.0);
   UWB_EXPECTS(exponent >= 0.0);
-  return reference_loss_db + 10.0 * exponent * std::log10(distance_m / reference_m);
+  return reference_loss_db +
+         10.0 * exponent * std::log10(distance_m / reference_m);
 }
 
 double loss_db_to_amplitude(double loss_db) {

@@ -1,16 +1,12 @@
 // Path-loss models.
 //
 // The paper (open challenge IV) stresses that the idealised Friis equation
-// does not hold in typical UWB operational areas; we provide both Friis and
-// the log-distance model actually used by the channel simulator, so that the
-// amplitude-independence ablation can contrast them.
+// does not hold in typical UWB operational areas; the channel simulator uses
+// the log-distance model (the amplitude-independence ablation fits its own
+// Friis boundary to contrast the two).
 #pragma once
 
 namespace uwb::channel {
-
-/// Free-space (Friis) path loss [dB] at distance d for carrier frequency f.
-/// d in metres, f in Hz. d must be > 0.
-double friis_loss_db(double distance_m, double frequency_hz);
 
 /// Log-distance path loss [dB]: PL(d) = PL(d0) + 10 n log10(d/d0).
 /// Typical indoor LOS UWB: n ~ 1.6-1.8; NLOS: n ~ 3-4.

@@ -27,12 +27,6 @@ std::size_t argmax_abs(const CVec& x) {
   return best;
 }
 
-std::size_t argmax(const RVec& x) {
-  UWB_EXPECTS(!x.empty());
-  return static_cast<std::size_t>(
-      std::distance(x.begin(), std::max_element(x.begin(), x.end())));
-}
-
 std::vector<Peak> local_maxima(const CVec& x, double threshold,
                                std::size_t min_distance) {
   UWB_EXPECTS(!x.empty());
@@ -45,7 +39,9 @@ std::vector<Peak> local_maxima(const CVec& x, double threshold,
       candidates.push_back({i, mag[i]});
   }
   std::sort(candidates.begin(), candidates.end(),
-            [](const Peak& a, const Peak& b) { return a.magnitude > b.magnitude; });
+            [](const Peak& a, const Peak& b) {
+              return a.magnitude > b.magnitude;
+            });
   std::vector<Peak> accepted;
   for (const Peak& c : candidates) {
     const bool clash = std::any_of(

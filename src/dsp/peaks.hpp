@@ -17,9 +17,6 @@ struct Peak {
 /// Index of the sample with the largest magnitude.
 std::size_t argmax_abs(const CVec& x);
 
-/// Index of the largest value.
-std::size_t argmax(const RVec& x);
-
 /// All local maxima of |x| with magnitude >= threshold, at least
 /// `min_distance` samples apart (greedy, strongest first).
 std::vector<Peak> local_maxima(const CVec& x, double threshold,

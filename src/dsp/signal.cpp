@@ -25,26 +25,9 @@ CVec normalize_energy(const CVec& x) {
   if (e == 0.0) return x;
   const double s = 1.0 / std::sqrt(e);
   CVec y(x.size());
-  std::transform(x.begin(), x.end(), y.begin(), [s](Complex v) { return v * s; });
+  std::transform(x.begin(), x.end(), y.begin(),
+                 [s](Complex v) { return v * s; });
   return y;
-}
-
-CVec normalize_peak(const CVec& x) {
-  double peak = 0.0;
-  for (const auto& v : x) peak = std::max(peak, std::abs(v));
-  if (peak == 0.0) return x;
-  const double s = 1.0 / peak;
-  CVec y(x.size());
-  std::transform(x.begin(), x.end(), y.begin(), [s](Complex v) { return v * s; });
-  return y;
-}
-
-void add_scaled_shifted(CVec& y, const CVec& x, Complex a, std::ptrdiff_t shift) {
-  const auto ny = static_cast<std::ptrdiff_t>(y.size());
-  const auto nx = static_cast<std::ptrdiff_t>(x.size());
-  const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(0, shift);
-  const std::ptrdiff_t hi = std::min(ny, shift + nx);
-  for (std::ptrdiff_t i = lo; i < hi; ++i) y[i] += a * x[i - shift];
 }
 
 Complex sample_at(const CVec& x, double t) {

@@ -1,8 +1,6 @@
 // Elementwise helpers on complex signals.
 #pragma once
 
-#include <cstddef>
-
 #include "common/types.hpp"
 
 namespace uwb::dsp {
@@ -15,12 +13,6 @@ double energy(const CVec& x);
 
 /// Scale to unit energy. No-op on an all-zero signal.
 CVec normalize_energy(const CVec& x);
-
-/// Scale so that max |x[i]| == 1. No-op on an all-zero signal.
-CVec normalize_peak(const CVec& x);
-
-/// y[i] += a * x[i - shift] for integer shift (out-of-range samples ignored).
-void add_scaled_shifted(CVec& y, const CVec& x, Complex a, std::ptrdiff_t shift);
 
 /// Linear interpolation of x at fractional index t (clamped to range).
 Complex sample_at(const CVec& x, double t);

@@ -10,7 +10,8 @@ namespace uwb::dsp {
 
 double mean(const RVec& x) {
   UWB_EXPECTS(!x.empty());
-  return std::accumulate(x.begin(), x.end(), 0.0) / static_cast<double>(x.size());
+  return std::accumulate(x.begin(), x.end(), 0.0) /
+         static_cast<double>(x.size());
 }
 
 double variance(const RVec& x) {
@@ -42,13 +43,6 @@ double rms(const RVec& x) {
   double acc = 0.0;
   for (double v : x) acc += v * v;
   return std::sqrt(acc / static_cast<double>(x.size()));
-}
-
-double max_abs(const RVec& x) {
-  UWB_EXPECTS(!x.empty());
-  double m = 0.0;
-  for (double v : x) m = std::max(m, std::abs(v));
-  return m;
 }
 
 }  // namespace uwb::dsp

@@ -16,6 +16,5 @@ double median(RVec x);
 /// Linear-interpolated percentile, p in [0, 100].
 double percentile(RVec x, double p);
 double rms(const RVec& x);
-double max_abs(const RVec& x);
 
 }  // namespace uwb::dsp

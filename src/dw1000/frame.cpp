@@ -1,31 +1,10 @@
 #include "dw1000/frame.hpp"
 
-#include "common/expects.hpp"
-
 namespace uwb::dw {
 
 namespace {
 constexpr int kHeaderBytes = 9;  // FC(2) seq(1) PAN(2) dst(2) src(2)
 constexpr int kFcsBytes = 2;
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u40(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 5; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint16_t get_u16(const std::vector<std::uint8_t>& in, std::size_t at) {
-  return static_cast<std::uint16_t>(in[at] | (in[at + 1] << 8));
-}
-
-std::uint64_t get_u40(const std::vector<std::uint8_t>& in, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 5; ++i) v |= static_cast<std::uint64_t>(in[at + i]) << (8 * i);
-  return v;
-}
 }  // namespace
 
 int MacFrame::payload_bytes() const {
@@ -33,65 +12,6 @@ int MacFrame::payload_bytes() const {
   if (type == FrameType::Resp) size += 1 + 5 + 5;  // id + two 40-bit stamps
   if (type == FrameType::Final) size += 5 + 5 + 5;  // three 40-bit stamps
   return size;
-}
-
-std::vector<std::uint8_t> MacFrame::serialize() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(static_cast<std::size_t>(payload_bytes()));
-  put_u16(out, 0x8841);  // frame control: data, PAN compressed, short addrs
-  out.push_back(seq);
-  put_u16(out, 0xDECA);  // PAN id
-  put_u16(out, dst);
-  put_u16(out, src);
-  out.push_back(static_cast<std::uint8_t>(type));
-  if (type == FrameType::Resp) {
-    out.push_back(responder_id);
-    put_u40(out, rx_timestamp.ticks());
-    put_u40(out, tx_timestamp.ticks());
-  }
-  if (type == FrameType::Final) {
-    put_u40(out, rx_timestamp.ticks());
-    put_u40(out, tx_timestamp.ticks());
-    put_u40(out, aux_timestamp.ticks());
-  }
-  // FCS placeholder (the simulator does not model bit errors in the FCS).
-  put_u16(out, 0x0000);
-  UWB_ENSURES(static_cast<int>(out.size()) == payload_bytes());
-  return out;
-}
-
-std::optional<MacFrame> MacFrame::deserialize(
-    const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < kHeaderBytes + 1 + kFcsBytes) return std::nullopt;
-  MacFrame f;
-  if (get_u16(bytes, 0) != 0x8841) return std::nullopt;
-  f.seq = bytes[2];
-  if (get_u16(bytes, 3) != 0xDECA) return std::nullopt;
-  f.dst = get_u16(bytes, 5);
-  f.src = get_u16(bytes, 7);
-  const auto t = bytes[9];
-  if (t < 1 || t > 4) return std::nullopt;
-  f.type = static_cast<FrameType>(t);
-  std::size_t at = 10;
-  if (f.type == FrameType::Resp) {
-    if (bytes.size() < at + 11 + kFcsBytes) return std::nullopt;
-    f.responder_id = bytes[at++];
-    f.rx_timestamp = DwTimestamp(get_u40(bytes, at));
-    at += 5;
-    f.tx_timestamp = DwTimestamp(get_u40(bytes, at));
-    at += 5;
-  }
-  if (f.type == FrameType::Final) {
-    if (bytes.size() < at + 15 + kFcsBytes) return std::nullopt;
-    f.rx_timestamp = DwTimestamp(get_u40(bytes, at));
-    at += 5;
-    f.tx_timestamp = DwTimestamp(get_u40(bytes, at));
-    at += 5;
-    f.aux_timestamp = DwTimestamp(get_u40(bytes, at));
-    at += 5;
-  }
-  if (bytes.size() != at + kFcsBytes) return std::nullopt;
-  return f;
 }
 
 }  // namespace uwb::dw

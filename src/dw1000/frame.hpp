@@ -2,14 +2,13 @@
 //
 // The wire format models a compact IEEE 802.15.4 data frame: 9 header bytes
 // (FC 2, seq 1, PAN 2, dst 2, src 2), a 1-byte message type, type-specific
-// fields, and a 2-byte FCS. The serialised size feeds the PHY air-time
-// calculator; a 12-byte INIT reproduces the paper's 178.5 us minimum
+// fields, and a 2-byte FCS. Frames travel through the simulator as structs;
+// only their wire size is modelled, and it feeds the PHY air-time
+// calculator: a 12-byte INIT reproduces the paper's 178.5 us minimum
 // response delay.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 #include "dw1000/clock.hpp"
 
@@ -37,16 +36,8 @@ struct MacFrame {
   /// FINAL (DS-TWR) only: POLL transmission timestamp at the initiator.
   DwTimestamp aux_timestamp;
 
-  /// Serialised wire size in bytes (drives the air-time model).
+  /// Wire size in bytes (drives the air-time model).
   int payload_bytes() const;
-
-  /// Serialise to bytes (little-endian, 5-byte timestamps).
-  std::vector<std::uint8_t> serialize() const;
-
-  /// Parse; returns nullopt on malformed input.
-  static std::optional<MacFrame> deserialize(const std::vector<std::uint8_t>& bytes);
-
-  bool operator==(const MacFrame&) const = default;
 };
 
 }  // namespace uwb::dw

@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
-#include <unordered_map>
-#include <utility>
 
 #include "common/constants.hpp"
 #include "common/expects.hpp"
-#include "common/hash.hpp"
-#include "obs/obs.hpp"
 #include "simd/math.hpp"
 #include "simd/simd.hpp"
 
@@ -206,7 +202,8 @@ CVec sample_pulse_template(std::uint8_t tc_pgdelay, double ts_s) {
   const auto half_n = static_cast<std::size_t>(std::ceil(half / ts_s));
   CVec tmpl(2 * half_n + 1);
   for (std::size_t i = 0; i < tmpl.size(); ++i) {
-    const double t = (static_cast<double>(i) - static_cast<double>(half_n)) * ts_s;
+    const double t =
+        (static_cast<double>(i) - static_cast<double>(half_n)) * ts_s;
     tmpl[i] = Complex(pulse_value(tc_pgdelay, t), 0.0);
   }
   return tmpl;
@@ -217,49 +214,5 @@ std::size_t template_centre_index(std::uint8_t tc_pgdelay, double ts_s) {
   const double half = pulse_duration_s(tc_pgdelay) / 2.0;
   return static_cast<std::size_t>(std::ceil(half / ts_s));
 }
-
-namespace {
-
-struct PulseCache {
-  // Key: register byte plus the exact bit pattern of the sample period.
-  using Key = std::pair<std::uint8_t, std::uint64_t>;
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const {
-      return static_cast<std::size_t>(
-          hash_combine(hash_mix(key.first), key.second));
-    }
-  };
-  // Lookup only: find and emplace, never iterated.
-  // uwb-lint: allow(unordered-container)
-  std::unordered_map<Key, CVec, KeyHash> entries;
-  PulseCacheStats stats;
-};
-
-PulseCache& pulse_cache() {
-  thread_local PulseCache cache;
-  return cache;
-}
-
-}  // namespace
-
-const CVec& cached_pulse_template(std::uint8_t tc_pgdelay, double ts_s) {
-  UWB_EXPECTS(ts_s > 0.0);
-  PulseCache& cache = pulse_cache();
-  const auto key = std::make_pair(tc_pgdelay, double_bits(ts_s));
-  const auto it = cache.entries.find(key);
-  if (it != cache.entries.end()) {
-    ++cache.stats.hits;
-    UWB_OBS_COUNT("cache_pulse_hits", 1);
-    return it->second;
-  }
-  ++cache.stats.misses;
-  UWB_OBS_COUNT("cache_pulse_misses", 1);
-  return cache.entries.emplace(key, sample_pulse_template(tc_pgdelay, ts_s))
-      .first->second;
-}
-
-PulseCacheStats pulse_cache_stats() { return pulse_cache().stats; }
-
-void clear_pulse_cache() { pulse_cache() = PulseCache{}; }
 
 }  // namespace uwb::dw

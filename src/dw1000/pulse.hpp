@@ -124,21 +124,4 @@ CVec sample_pulse_template(std::uint8_t tc_pgdelay, double ts_s);
 /// Index of the centre (peak) sample of sample_pulse_template's output.
 std::size_t template_centre_index(std::uint8_t tc_pgdelay, double ts_s);
 
-/// Thread-locally memoised sample_pulse_template(). The returned reference
-/// stays valid for the lifetime of the calling thread; repeated requests
-/// for the same (register, Ts) pair — e.g. one scenario construction per
-/// Monte-Carlo trial — stop re-sampling the pulse. Never shared across
-/// threads, so no synchronisation is involved.
-const CVec& cached_pulse_template(std::uint8_t tc_pgdelay, double ts_s);
-
-/// Hit/miss counters of the calling thread's pulse-template cache.
-struct PulseCacheStats {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-};
-PulseCacheStats pulse_cache_stats();
-
-/// Drop the calling thread's cached templates (tests / memory pressure).
-void clear_pulse_cache();
-
 }  // namespace uwb::dw

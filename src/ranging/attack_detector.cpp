@@ -4,62 +4,16 @@
 #include <cmath>
 
 #include "common/expects.hpp"
-#include "dsp/signal.hpp"
-#include "dw1000/pulse.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/obs.hpp"
-#include "ranging/xcorr_id.hpp"
 
 namespace uwb::ranging {
-
-namespace {
-
-/// Peak normalised correlation of two unit-energy snippets over a small lag
-/// search (same +-1/4-window search XcorrIdentifier uses, absorbing the
-/// delayed-TX truncation shift).
-double peak_correlation(const CVec& probe, const CVec& ref) {
-  const auto np = static_cast<std::ptrdiff_t>(probe.size());
-  const auto nr = static_cast<std::ptrdiff_t>(ref.size());
-  const std::ptrdiff_t max_lag = np / 4;
-  double best = 0.0;
-  for (std::ptrdiff_t lag = -max_lag; lag <= max_lag; ++lag) {
-    Complex acc{};
-    for (std::ptrdiff_t i = std::max<std::ptrdiff_t>(0, lag);
-         i < std::min(np, np + lag); ++i) {
-      const std::ptrdiff_t j = i - lag;
-      if (j < 0 || j >= nr) continue;
-      acc += probe[static_cast<std::size_t>(i)] *
-             std::conj(ref[static_cast<std::size_t>(j)]);
-    }
-    best = std::max(best, std::abs(acc));
-  }
-  return std::min(best, 1.0);
-}
-
-/// Unit-energy window of the register's pulse template around its centre
-/// sample, sized to match an extract_snippet() probe of half-width
-/// `window_s`.
-CVec template_snippet(std::uint8_t reg, double ts_s, double window_s) {
-  const CVec& tmpl = dw::cached_pulse_template(reg, ts_s);
-  const auto n = static_cast<std::ptrdiff_t>(tmpl.size());
-  const auto centre =
-      static_cast<std::ptrdiff_t>(dw::template_centre_index(reg, ts_s));
-  const auto half = static_cast<std::ptrdiff_t>(std::ceil(window_s / ts_s));
-  CVec snippet;
-  for (std::ptrdiff_t i = centre - half; i <= centre + half; ++i)
-    snippet.push_back(i >= 0 && i < n ? tmpl[static_cast<std::size_t>(i)]
-                                      : Complex{});
-  return dsp::normalize_energy(snippet);
-}
-
-}  // namespace
 
 const char* to_string(AttackCheck check) {
   switch (check) {
     case AttackCheck::kCfoImplausible: return "cfo_implausible";
     case AttackCheck::kReplySchedule: return "reply_schedule";
     case AttackCheck::kGhostTail: return "ghost_tail";
-    case AttackCheck::kShapeMargin: return "shape_margin";
     case AttackCheck::kUnknownId: return "unknown_id";
   }
   return "unknown";
@@ -72,8 +26,6 @@ void AttackDetectorConfig::validate() const {
   UWB_EXPECTS(tail_window_s > tail_gap_s);
   UWB_EXPECTS(min_tail_ratio >= 0.0);
   UWB_EXPECTS(strong_peak_fraction >= 0.0 && strong_peak_fraction <= 1.0);
-  UWB_EXPECTS(min_shape_margin >= 0.0 && min_shape_margin <= 1.0);
-  UWB_EXPECTS(shape_window_s > 0.0);
   UWB_EXPECTS(unknown_min_rel_amplitude >= 0.0 &&
               unknown_min_rel_amplitude <= 1.0);
 }
@@ -106,35 +58,12 @@ double AttackDetector::tail_energy_ratio(const CVec& cir_taps, double ts_s,
   return tail / peak_energy;
 }
 
-double AttackDetector::shape_margin(
-    const CVec& cir_taps, double ts_s, double tau_s, double window_s,
-    const std::vector<std::uint8_t>& shape_registers) {
-  if (shape_registers.size() < 2) return 1.0;
-  if (cir_taps.empty()) return 1.0;
-  const CVec probe =
-      XcorrIdentifier::extract_snippet(cir_taps, ts_s, tau_s, window_s);
-  double best = 0.0;
-  double second = 0.0;
-  for (const std::uint8_t reg : shape_registers) {
-    const double score =
-        peak_correlation(probe, template_snippet(reg, ts_s, window_s));
-    if (score > best) {
-      second = best;
-      best = score;
-    } else if (score > second) {
-      second = score;
-    }
-  }
-  return best - second;
-}
-
 std::vector<AttackVerdict> AttackDetector::detect(
     const RoundView& round) const {
   std::vector<AttackVerdict> verdicts;
   if (!config_.enabled) return verdicts;
   UWB_EXPECTS(round.cir != nullptr && round.detections != nullptr &&
-              round.estimates != nullptr && round.ranging != nullptr &&
-              round.configured_ids != nullptr);
+              round.estimates != nullptr && round.configured_ids != nullptr);
   UWB_EXPECTS(round.estimates->size() == round.detections->size());
 
   const auto indict = [&verdicts](int responder_id, AttackCheck check,
@@ -179,15 +108,6 @@ std::vector<AttackVerdict> AttackDetector::detect(
       if (tail < config_.min_tail_ratio)
         indict(est.responder_id, AttackCheck::kGhostTail, tail,
                config_.min_tail_ratio, det.tau_s);
-
-      if (config_.min_shape_margin > 0.0) {
-        const double margin =
-            shape_margin(taps, ts_s, det.tau_s, config_.shape_window_s,
-                         round.ranging->shape_registers);
-        if (margin < config_.min_shape_margin)
-          indict(est.responder_id, AttackCheck::kShapeMargin, margin,
-                 config_.min_shape_margin, det.tau_s);
-      }
     }
 
     if (est.responder_id >= 0 &&

@@ -5,17 +5,15 @@
 // the decoded slot/shape IDs — for the internal inconsistencies the
 // src/fault/attack.hpp adversary model leaves behind:
 //
-//   check            attack caught                    physical invariant
-//   ---------------  -------------------------------  --------------------------
-//   cfo_implausible  clock-skew carrier overshoot     crystals are < ~10 ppm off
-//   reply_schedule   forged reply timestamp           Delta_RESP is programmed,
-//                                                     off only by TX quantisation
-//   ghost_tail       early ghost CIR peak             a real first path drags a
-//                                                     multipath tail behind it
-//   shape_margin     replayed out-of-bank pulse       a genuine response matches
-//                    (opt-in, off by default)         exactly one bank template
-//   unknown_id       replayed shapes (in- and         decoded IDs come from the
-//                    out-of-bank) flipping the        deployed responder set
+//   check            attack caught                  physical invariant
+//   ---------------  -----------------------------  ---------------------------
+//   cfo_implausible  clock-skew carrier overshoot   crystals are < ~10 ppm off
+//   reply_schedule   forged reply timestamp         Delta_RESP is programmed,
+//                                                   off only by TX quantisation
+//   ghost_tail       early ghost CIR peak           a real first path drags a
+//                                                   multipath tail behind it
+//   unknown_id       replayed shapes (in- and       decoded IDs come from the
+//                    out-of-bank) flipping the      deployed responder set
 //                    decoded ID
 //
 // Every verdict names the responder it indicts, the check that fired, and
@@ -31,9 +29,9 @@
 // at >= 20 ns effective separation sit at 0.003..0.019. Best-template
 // correlations and margins, by contrast, overlap completely between benign
 // and forged pulses (DW1000 TC_PGDELAY shapes are too similar under
-// multipath), so the shape-margin check ships disabled (min_shape_margin =
-// 0) and replay forgeries are caught by the unknown-ID check instead: the
-// forged shape flips the decoded (slot, shape) ID out of the deployed set.
+// multipath), so there is no shape check: replay forgeries are caught by
+// the unknown-ID check instead, because the forged shape flips the decoded
+// (slot, shape) ID out of the deployed set.
 // There is deliberately no duplicate-ID check: a multipath reflection of a
 // nearby responder landing in its own slot decodes to the same ID and
 // would indict an honest node.
@@ -53,7 +51,6 @@ enum class AttackCheck : std::uint8_t {
   kCfoImplausible,
   kReplySchedule,
   kGhostTail,
-  kShapeMargin,
   kUnknownId,
 };
 
@@ -94,17 +91,8 @@ struct AttackDetectorConfig {
   double tail_window_s = 20e-9;
   double min_tail_ratio = 0.02;
   /// Only peaks at least this fraction of the round's strongest response
-  /// are tail/shape-checked (weak peaks ride on noise either way).
+  /// are tail-checked (weak peaks ride on noise either way).
   double strong_peak_fraction = 0.35;
-  /// Shape check: min margin of the best bank-template correlation over the
-  /// runner-up. Disabled by default (0): measured benign margins reach down
-  /// to 0.006 while out-of-bank forgeries score margins *above* the benign
-  /// median, so no positive threshold separates them — forged shapes are
-  /// caught via the decoded-ID flip (unknown_id) instead. Opt-in for
-  /// forensic runs that tolerate false positives.
-  double min_shape_margin = 0.0;
-  /// CIR half-window around a peak for the shape correlation [s].
-  double shape_window_s = 15e-9;
   /// Unknown-ID check fires only for responses at least this fraction of
   /// the strongest response (benign weak-peak misclassifications pass).
   double unknown_min_rel_amplitude = 0.5;
@@ -128,7 +116,6 @@ struct RoundView {
   const dw::CirEstimate* cir = nullptr;
   const std::vector<DetectedResponse>* detections = nullptr;
   const std::vector<ResponderEstimate>* estimates = nullptr;
-  const ConcurrentRangingConfig* ranging = nullptr;
   /// Deployed responder IDs (the unknown_id check's ground set).
   const std::set<int>* configured_ids = nullptr;
 };
@@ -147,12 +134,6 @@ class AttackDetector {
   /// (helper, exposed for tests and threshold calibration).
   static double tail_energy_ratio(const CVec& cir_taps, double ts_s,
                                   double tau_s, double gap_s, double window_s);
-
-  /// Margin of the best-matching bank template's normalised correlation
-  /// over the runner-up at `tau_s` (1.0 when the bank has one shape).
-  static double shape_margin(const CVec& cir_taps, double ts_s, double tau_s,
-                             double window_s,
-                             const std::vector<std::uint8_t>& shape_registers);
 
  private:
   AttackDetectorConfig config_;

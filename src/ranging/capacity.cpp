@@ -55,44 +55,6 @@ std::int64_t concurrent_message_count(int num_nodes) {
   return num_nodes;
 }
 
-RpmPlan plan_rpm(const dw::PhyConfig& phy, double max_range_m,
-                 double delay_spread_s, int responders) {
-  UWB_EXPECTS(max_range_m > 0.0);
-  UWB_EXPECTS(delay_spread_s >= 0.0);
-  UWB_EXPECTS(responders >= 1);
-
-  RpmPlan plan;
-  // Aliasing-free slot width: responses within one slot spread over the
-  // round-trip range difference plus the multipath tail.
-  const double slot_width_s = 2.0 * max_range_m / k::c_air + delay_spread_s;
-  const double span_s = cir_max_offset_s(phy);
-  const int slots = static_cast<int>(std::floor(span_s / slot_width_s));
-  if (slots < 1) return plan;  // even a single slot cannot hold the spread
-
-  plan.num_slots = slots;
-  plan.slot_spacing_s = span_s / slots;
-  plan.num_pulse_shapes = static_cast<int>(
-      std::ceil(static_cast<double>(responders) / slots));
-  if (plan.num_pulse_shapes > k::num_pulse_shapes) return plan;  // infeasible
-
-  // Spread the registers across the full range for maximum template
-  // separability; a single shape uses the default.
-  plan.shape_registers.clear();
-  if (plan.num_pulse_shapes == 1) {
-    plan.shape_registers.push_back(k::tc_pgdelay_default);
-  } else {
-    const int span = k::tc_pgdelay_max - k::tc_pgdelay_default;
-    for (int i = 0; i < plan.num_pulse_shapes; ++i) {
-      plan.shape_registers.push_back(static_cast<std::uint8_t>(
-          k::tc_pgdelay_default +
-          span * i / (plan.num_pulse_shapes - 1)));
-    }
-  }
-  plan.capacity = plan.num_slots * plan.num_pulse_shapes;
-  plan.feasible = true;
-  return plan;
-}
-
 RoundCost twr_round_cost(int num_neighbors, const dw::PhyConfig& phy,
                          double response_delay_s,
                          const dw::EnergyModelParams& energy) {

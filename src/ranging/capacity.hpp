@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "dw1000/energy.hpp"
 #include "dw1000/phy_config.hpp"
@@ -43,25 +42,6 @@ struct RoundCost {
   double network_j = 0.0;
   int initiator_messages = 0;  // TX + RX operations at the initiator
 };
-
-/// A deployment plan for the combined RPM x pulse-shaping scheme.
-struct RpmPlan {
-  bool feasible = false;
-  int num_slots = 1;
-  double slot_spacing_s = 0.0;
-  int num_pulse_shapes = 1;
-  /// Evenly spread TC_PGDELAY values for the chosen shape count.
-  std::vector<std::uint8_t> shape_registers;
-  /// num_slots * num_pulse_shapes.
-  int capacity = 0;
-};
-
-/// Choose slots, spacing, and pulse shapes for a deployment: the slot width
-/// covers the aliasing-free worst case (round-trip range spread plus the
-/// channel delay spread), the CIR span bounds the slot count, and the shape
-/// count covers `responders` within the slot budget.
-RpmPlan plan_rpm(const dw::PhyConfig& phy, double max_range_m,
-                 double delay_spread_s, int responders);
 
 /// SS-TWR: the initiator runs N-1 sequential exchanges.
 RoundCost twr_round_cost(int num_neighbors, const dw::PhyConfig& phy,

@@ -17,35 +17,6 @@ DetectorConfig network_detector_config(const ConcurrentRangingConfig& ranging) {
 }
 }  // namespace
 
-Status NetworkRangingSession::validate_config(const NetworkConfig& config) {
-  const auto invalid = [](std::string message) {
-    return Status::error(ErrorCode::kInvalidConfig, std::move(message));
-  };
-  try {
-    config.ranging.validate();
-  } catch (const PreconditionError& e) {
-    return invalid(e.what());
-  }
-  if (config.node_positions.size() < 2)
-    return invalid("network needs at least 2 nodes, got " +
-                   std::to_string(config.node_positions.size()));
-  const int responders = static_cast<int>(config.node_positions.size()) - 1;
-  if (responders > config.ranging.max_responders())
-    return invalid(std::to_string(config.node_positions.size()) +
-                   " nodes need " + std::to_string(responders) +
-                   " responder ids per round but the slot/shape plan only " +
-                   "addresses " +
-                   std::to_string(config.ranging.max_responders()));
-  return Status::success();
-}
-
-Result<std::unique_ptr<NetworkRangingSession>> NetworkRangingSession::create(
-    NetworkConfig config) {
-  Status status = validate_config(config);
-  if (!status.ok()) return status;
-  return std::make_unique<NetworkRangingSession>(std::move(config));
-}
-
 NetworkRangingSession::NetworkRangingSession(NetworkConfig config)
     : config_(std::move(config)), rng_(config_.seed),
       detector_(network_detector_config(config_.ranging)) {
@@ -143,14 +114,16 @@ NetworkRound NetworkRangingSession::run_round(int initiator_index) {
   dw::MacFrame init;
   init.type = dw::FrameType::Init;
   init.src = static_cast<std::uint16_t>(initiator_index);
-  const double init_airtime = config_.phy.frame_duration_s(init.payload_bytes());
+  const double init_airtime =
+      config_.phy.frame_duration_s(init.payload_bytes());
   const SimTime t_tx = t0 + SimTime::from_micros(20.0);
   sim_.at(t_tx, [this, &initiator, init]() {
     initiator.exit_rx();
     t_tx_init_ = initiator.transmit_now(init);
   });
-  sim_.at(t_tx + SimTime::from_seconds(init_airtime) + SimTime::from_micros(5.0),
-          [&initiator]() { initiator.enter_rx(); });
+  sim_.at(
+      t_tx + SimTime::from_seconds(init_airtime) + SimTime::from_micros(5.0),
+      [&initiator]() { initiator.enter_rx(); });
 
   const double max_extra =
       config_.ranging.num_slots > 1
@@ -214,9 +187,8 @@ NetworkRound NetworkRangingSession::run_round(int initiator_index) {
 NetworkSweep NetworkRangingSession::run_full_sweep() {
   NetworkSweep sweep;
   const double start_s = sim_.now().seconds();
-  sweep.matrix.assign(
-      static_cast<std::size_t>(node_count()),
-      std::vector<std::optional<double>>(static_cast<std::size_t>(node_count())));
+  const auto count = static_cast<std::size_t>(node_count());
+  sweep.matrix.assign(count, std::vector<std::optional<double>>(count));
   for (int i = 0; i < node_count(); ++i) {
     const NetworkRound round = run_round(i);
     if (round.completed) ++sweep.completed_rounds;

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "channel/channel_model.hpp"
-#include "common/result.hpp"
 #include "geom/room.hpp"
 #include "ranging/protocol.hpp"
 #include "ranging/search_subtract.hpp"
@@ -66,20 +65,10 @@ struct NetworkSweep {
 
 class NetworkRangingSession {
  public:
-  /// Precondition: validate_config(config).ok(). Prefer create() when the
-  /// configuration comes from user input.
+  /// Precondition (UWB_EXPECTS): a valid ranging config, at least 2 nodes,
+  /// and no more responders per round than the slot/shape plan addresses.
   explicit NetworkRangingSession(NetworkConfig config);
   ~NetworkRangingSession();
-
-  /// Runtime-recoverable configuration check (kInvalidConfig + message
-  /// instead of aborting); the constructor keeps UWB_EXPECTS for the same
-  /// conditions as programmer-error preconditions.
-  [[nodiscard]] static Status validate_config(const NetworkConfig& config);
-
-  /// Validating factory: the Status-path alternative to the throwing
-  /// constructor.
-  [[nodiscard]] static Result<std::unique_ptr<NetworkRangingSession>> create(
-      NetworkConfig config);
 
   NetworkRangingSession(const NetworkRangingSession&) = delete;
   NetworkRangingSession& operator=(const NetworkRangingSession&) = delete;

@@ -75,8 +75,8 @@ SearchSubtractDetector::SearchSubtractDetector(DetectorConfig config)
 }
 
 SearchSubtractDetector::~SearchSubtractDetector() = default;
-SearchSubtractDetector::SearchSubtractDetector(SearchSubtractDetector&&) noexcept =
-    default;
+SearchSubtractDetector::SearchSubtractDetector(
+    SearchSubtractDetector&&) noexcept = default;
 SearchSubtractDetector& SearchSubtractDetector::operator=(
     SearchSubtractDetector&&) noexcept = default;
 
@@ -108,8 +108,9 @@ struct BankCache {
   };
   // Lookup only: find and emplace, never iterated.
   // uwb-lint: allow(unordered-container)
-  std::unordered_map<Key, std::shared_ptr<const SearchSubtractDetector::TemplateBank>,
-                     KeyHash>
+  std::unordered_map<
+      Key, std::shared_ptr<const SearchSubtractDetector::TemplateBank>,
+      KeyHash>
       entries;
   std::size_t hits = 0;
   std::size_t misses = 0;
@@ -189,7 +190,7 @@ const SearchSubtractDetector::TemplateBank& SearchSubtractDetector::bank_for(
   bank->ts_up = ts_up;
   bank->n = n;
   for (std::uint8_t reg : config_.shape_registers) {
-    CVec raw = dw::cached_pulse_template(reg, ts_up);
+    CVec raw = dw::sample_pulse_template(reg, ts_up);
     const double norm = std::sqrt(dsp::energy(raw));
     UWB_ENSURES(norm > 0.0);
     TemplateBank::Entry entry{dsp::MatchedFilter(std::move(raw)), {}, {}, norm,
@@ -239,8 +240,9 @@ std::vector<DetectedResponse> SearchSubtractDetector::detect(
   return detect_impl(cir_taps, ts_s, max_responses, nullptr);
 }
 
-SearchSubtractDetector::DetectionTrace SearchSubtractDetector::detect_with_trace(
-    const CVec& cir_taps, double ts_s, int max_responses) const {
+SearchSubtractDetector::DetectionTrace
+SearchSubtractDetector::detect_with_trace(const CVec& cir_taps, double ts_s,
+                                          int max_responses) const {
   DetectionTrace trace;
   trace.ts_up = ts_s / config_.upsample_factor;
   trace.responses = detect_impl(cir_taps, ts_s, max_responses, &trace);
@@ -253,8 +255,8 @@ std::vector<DetectedResponse> SearchSubtractDetector::detect_impl(
   UWB_EXPECTS(!cir_taps.empty());
   UWB_EXPECTS(max_responses >= 1);
   const TemplateBank& bank = bank_for(ts_s, cir_taps.size());
-  if (trace != nullptr || config_.exact_recompute)
-    return detect_exact(cir_taps, bank, max_responses, trace);
+  if (trace != nullptr)
+    return detect_exact(cir_taps, bank, max_responses, *trace);
   return detect_fast(cir_taps, bank, max_responses);
 }
 
@@ -318,7 +320,7 @@ Complex correlate_at(const CVec& r, const CVec& s, std::size_t j) {
 
 std::vector<DetectedResponse> SearchSubtractDetector::detect_exact(
     const CVec& cir_taps, const TemplateBank& bank, int max_responses,
-    DetectionTrace* trace) const {
+    DetectionTrace& trace) const {
   const double ts_up = bank.ts_up;
   CVec residual = detail::upsample_padded(cir_taps, config_.upsample_factor);
 
@@ -361,7 +363,7 @@ std::vector<DetectedResponse> SearchSubtractDetector::detect_exact(
                    .v2 = {"shape", static_cast<double>(best.shape)});
       // The rejected final output still belongs to the trace (it is what
       // shows the residual has hit the noise floor).
-      if (trace) trace->mf_outputs.push_back(std::move(best_y));
+      trace.mf_outputs.push_back(std::move(best_y));
       break;
     }
     strongest = std::max(strongest, best.mag);
@@ -378,7 +380,7 @@ std::vector<DetectedResponse> SearchSubtractDetector::detect_exact(
     const Complex amp_at_peak =
         best_y[best.index] * (mag_refined / best.mag) / entry.raw_norm;
     // best_y is no longer needed: hand it to the trace without copying.
-    if (trace) trace->mf_outputs.push_back(std::move(best_y));
+    trace.mf_outputs.push_back(std::move(best_y));
 
     DetectedResponse resp;
     resp.index_upsampled = static_cast<double>(best.index) + frac +
@@ -610,7 +612,8 @@ std::vector<DetectedResponse> SearchSubtractDetector::search_loop(
     const std::ptrdiff_t m_lo = std::max<std::ptrdiff_t>(0, -n0);
     const std::ptrdiff_t m_hi = std::min(len + 1, m - n0);
     CVec& delta = st.delta;
-    delta.resize(static_cast<std::size_t>(std::max<std::ptrdiff_t>(0, m_hi - m_lo)));
+    delta.resize(
+        static_cast<std::size_t>(std::max<std::ptrdiff_t>(0, m_hi - m_lo)));
     for (std::ptrdiff_t mm = m_lo; mm < m_hi; ++mm) {
       const double t = (static_cast<double>(mm) - centre - frac) * ts_up;
       const Complex dv = amp_at_peak * dw::pulse_value(entry.reg, t);

@@ -17,11 +17,12 @@
 // of the native maximum, and evaluates the upsampled grid by direct dot
 // products only within F - 1 samples of a candidate. After each
 // subtraction it patches the native outputs incrementally — a subtraction
-// only perturbs a ~template-length window. The exact reference path (DetectorConfig::exact_recompute, and
-// always used when tracing) re-runs every matched filter over the whole
+// only perturbs a ~template-length window. The exact reference path, which
+// detect_with_trace runs, re-runs every matched filter over the whole
 // upsampled grid per iteration and takes its global maximum; both measure
 // the noise floor at the native positions, and debug builds assert the
-// incremental outputs equal a fresh correlation to roundoff.
+// incremental outputs equal a fresh correlation to roundoff. The two paths
+// return the same responses to roundoff (tests/test_fastpath_equivalence).
 #pragma once
 
 #include <cstddef>
@@ -95,7 +96,7 @@ class SearchSubtractDetector final : public ResponseDetector {
   std::vector<DetectedResponse> detect_exact(const CVec& cir_taps,
                                              const TemplateBank& bank,
                                              int max_responses,
-                                             DetectionTrace* trace) const;
+                                             DetectionTrace& trace) const;
   std::vector<DetectedResponse> detect_fast(const CVec& cir_taps,
                                             const TemplateBank& bank,
                                             int max_responses) const;

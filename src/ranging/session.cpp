@@ -48,7 +48,8 @@ void ResilienceConfig::validate() const {
   UWB_EXPECTS(rx_extra_listen > Seconds(0.0));
 }
 
-Status ConcurrentRangingScenario::validate_config(const ScenarioConfig& config) {
+Status ConcurrentRangingScenario::validate_config(
+    const ScenarioConfig& config) {
   const auto invalid = [](std::string message) {
     return Status::error(ErrorCode::kInvalidConfig, std::move(message));
   };
@@ -123,7 +124,8 @@ ConcurrentRangingScenario::ConcurrentRangingScenario(ScenarioConfig config)
     medium_->set_attack_injector(attacker_.get());
   }
   if (config_.attack_detector.enabled)
-    attack_detector_ = std::make_unique<AttackDetector>(config_.attack_detector);
+    attack_detector_ =
+        std::make_unique<AttackDetector>(config_.attack_detector);
   for (const ResponderSpec& spec : config_.responders)
     configured_ids_.insert(spec.id);
 
@@ -143,7 +145,8 @@ ConcurrentRangingScenario::ConcurrentRangingScenario(ScenarioConfig config)
   };
 
   initiator_ = std::make_unique<sim::Node>(
-      sim_, *medium_, make_node_config(kInitiatorId, config_.initiator_position),
+      sim_, *medium_,
+      make_node_config(kInitiatorId, config_.initiator_position),
       Rng(sim::node_seed(config_.seed, kInitiatorId)));
   initiator_->set_rx_handler(
       [this](sim::RxResult&& r) { initiator_result_ = std::move(r); });
@@ -352,8 +355,9 @@ RoundOutcome ConcurrentRangingScenario::run_attempt() {
     initiator_->exit_rx();
     t_tx_init_ = initiator_->transmit_now(init);
   });
-  sim_.at(t_tx + SimTime::from_seconds(init_airtime) + SimTime::from_micros(5.0),
-          [this]() { initiator_->enter_rx(); });
+  sim_.at(
+      t_tx + SimTime::from_seconds(init_airtime) + SimTime::from_micros(5.0),
+      [this]() { initiator_->enter_rx(); });
 
   const double max_extra =
       config_.ranging.num_slots > 1
@@ -440,7 +444,6 @@ RoundOutcome ConcurrentRangingScenario::run_attempt() {
     view.cir = &out.cir;
     view.detections = &out.detections;
     view.estimates = &out.estimates;
-    view.ranging = &config_.ranging;
     view.configured_ids = &configured_ids_;
     out.verdicts = attack_detector_->detect(view);
   }

@@ -125,8 +125,8 @@ struct ScenarioConfig {
   /// (ablation switch: off shows SS-TWR's raw drift sensitivity).
   bool cfo_correction = true;
   /// Physical per-device antenna delay applied to every node (0 =
-  /// calibrated-out, the default for algorithm experiments). See
-  /// ranging::estimate_antenna_delay for the commissioning procedure.
+  /// calibrated-out, the default for algorithm experiments). A symmetric
+  /// delay inflates every SS-TWR distance by c * delay.
   Seconds antenna_delay{};
   /// Fault-injection plan (inert by default; see src/fault/fault.hpp). An
   /// all-zero plan leaves every RNG stream untouched, so results are
@@ -197,7 +197,8 @@ class ConcurrentRangingScenario {
   ~ConcurrentRangingScenario();
 
   ConcurrentRangingScenario(const ConcurrentRangingScenario&) = delete;
-  ConcurrentRangingScenario& operator=(const ConcurrentRangingScenario&) = delete;
+  ConcurrentRangingScenario& operator=(const ConcurrentRangingScenario&) =
+      delete;
 
   /// Check a configuration for runtime-recoverable errors (user input):
   /// returns kInvalidConfig with a human-readable message instead of
@@ -207,8 +208,8 @@ class ConcurrentRangingScenario {
 
   /// Validating factory: the Status-path alternative to the throwing
   /// constructor.
-  [[nodiscard]] static Result<std::unique_ptr<ConcurrentRangingScenario>> create(
-      ScenarioConfig config);
+  [[nodiscard]] static Result<std::unique_ptr<ConcurrentRangingScenario>>
+  create(ScenarioConfig config);
 
   /// Run one concurrent-ranging round: up to 1 + max_retries protocol
   /// attempts with deterministic backoff, per-responder status reporting,

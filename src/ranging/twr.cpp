@@ -29,15 +29,4 @@ Meters ss_twr_distance(const TwrTimestamps& ts, double cfo_ppm) {
   return d;
 }
 
-Seconds estimate_antenna_delay(Meters measured, Meters true_distance) {
-  UWB_EXPECTS(true_distance >= Meters(0.0));
-  // Symmetric delays: d_meas = d_true + c * delay (half per leg, both legs).
-  return tof_from_distance(measured - true_distance);
-}
-
-Meters correct_antenna_delay(Meters measured, Seconds delay_a, Seconds delay_b) {
-  UWB_EXPECTS(delay_a >= Seconds(0.0) && delay_b >= Seconds(0.0));
-  return measured - distance_from_tof((delay_a + delay_b) / 2.0);
-}
-
 }  // namespace uwb::ranging

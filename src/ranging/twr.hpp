@@ -27,13 +27,4 @@ Meters ss_twr_distance(const TwrTimestamps& ts, double cfo_ppm = 0.0);
 /// Time of flight instead of distance.
 Seconds ss_twr_tof(const TwrTimestamps& ts, double cfo_ppm = 0.0);
 
-/// Antenna-delay commissioning (Decawave APS014): with two identical
-/// uncalibrated devices a symmetric per-device antenna delay inflates every
-/// SS-TWR distance by c * delay. Estimate it from a known-distance link.
-Seconds estimate_antenna_delay(Meters measured, Meters true_distance);
-
-/// Remove two (possibly different) calibrated antenna delays from a
-/// measured SS-TWR distance.
-Meters correct_antenna_delay(Meters measured, Seconds delay_a, Seconds delay_b);
-
 }  // namespace uwb::ranging

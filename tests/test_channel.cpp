@@ -19,15 +19,6 @@
 namespace uwb::channel {
 namespace {
 
-TEST(PathLossTest, FriisKnownValue) {
-  // Free space at 1 m, 6.4896 GHz: 20 log10(4 pi d f / c) ~= 48.7 dB.
-  const double loss = friis_loss_db(1.0, 6489.6e6);
-  EXPECT_NEAR(loss, 48.7, 0.2);
-  // +20 dB per decade of distance.
-  EXPECT_NEAR(friis_loss_db(10.0, 6489.6e6) - loss, 20.0, 1e-9);
-  EXPECT_THROW(friis_loss_db(0.0, 1e9), PreconditionError);
-}
-
 TEST(PathLossTest, LogDistanceSlope) {
   const double l1 = log_distance_loss_db(1.0, 1.8, 40.0);
   EXPECT_DOUBLE_EQ(l1, 40.0);

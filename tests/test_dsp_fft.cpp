@@ -31,7 +31,8 @@ CVec naive_dft(const CVec& x) {
 double max_err(const CVec& a, const CVec& b) {
   EXPECT_EQ(a.size(), b.size());
   double m = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) m = std::max(m, std::abs(a[i] - b[i]));
+  for (std::size_t i = 0; i < a.size(); ++i)
+    m = std::max(m, std::abs(a[i] - b[i]));
   return m;
 }
 
@@ -51,7 +52,8 @@ TEST(FftTest, ImpulseHasFlatSpectrum) {
   CVec x(16, Complex{});
   x[0] = 1.0;
   const CVec spec = fft(x);
-  for (const auto& v : spec) EXPECT_NEAR(std::abs(v - Complex(1.0, 0.0)), 0.0, 1e-12);
+  for (const auto& v : spec)
+    EXPECT_NEAR(std::abs(v - Complex(1.0, 0.0)), 0.0, 1e-12);
 }
 
 TEST(FftTest, SingleToneLandsInOneBin) {
@@ -59,7 +61,8 @@ TEST(FftTest, SingleToneLandsInOneBin) {
   CVec x(n);
   const int bin = 5;
   for (std::size_t i = 0; i < n; ++i) {
-    const double ang = 2.0 * std::numbers::pi * bin * static_cast<double>(i) / n;
+    const double ang =
+        2.0 * std::numbers::pi * bin * static_cast<double>(i) / n;
     x[i] = Complex(std::cos(ang), std::sin(ang));
   }
   const CVec spec = fft(x);
@@ -77,7 +80,8 @@ TEST_P(FftLengthTest, MatchesNaiveDft) {
   Rng rng(GetParam());
   CVec x(GetParam());
   for (auto& v : x) v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-  EXPECT_LT(max_err(fft(x), naive_dft(x)), 1e-8 * static_cast<double>(x.size()));
+  EXPECT_LT(max_err(fft(x), naive_dft(x)),
+            1e-8 * static_cast<double>(x.size()));
 }
 
 TEST_P(FftLengthTest, RoundTrip) {
@@ -95,7 +99,8 @@ TEST_P(FftLengthTest, ParsevalHolds) {
   for (const auto& v : x) time_e += std::norm(v);
   double freq_e = 0.0;
   for (const auto& v : fft(x)) freq_e += std::norm(v);
-  EXPECT_NEAR(freq_e / static_cast<double>(x.size()), time_e, 1e-8 * time_e + 1e-12);
+  EXPECT_NEAR(freq_e / static_cast<double>(x.size()), time_e,
+              1e-8 * time_e + 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Lengths, FftLengthTest,
@@ -139,7 +144,8 @@ TEST(UpsampleTest, InterpolatesBandlimitedSignalExactly) {
   const int bin = 3;
   CVec x(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const double ang = 2.0 * std::numbers::pi * bin * static_cast<double>(i) / n;
+    const double ang =
+        2.0 * std::numbers::pi * bin * static_cast<double>(i) / n;
     x[i] = Complex(std::cos(ang), 0.0);
   }
   const CVec y = upsample_fft(x, factor);

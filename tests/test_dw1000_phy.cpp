@@ -1,5 +1,5 @@
 // Unit tests: PHY configuration, frame air-times (incl. the paper's 178.5 us
-// minimum response delay), and MAC frame serialisation.
+// minimum response delay), and MAC frame wire sizes.
 #include <gtest/gtest.h>
 
 #include "common/expects.hpp"
@@ -120,85 +120,12 @@ TEST(MacFrameTest, PayloadSizes) {
   MacFrame resp;
   resp.type = FrameType::Resp;
   EXPECT_EQ(resp.payload_bytes(), 23);  // + id + two 40-bit timestamps
-}
-
-TEST(MacFrameTest, SerializeRoundTripInit) {
-  MacFrame f;
-  f.type = FrameType::Init;
-  f.src = 0x1234;
-  f.dst = kBroadcast;
-  f.seq = 42;
-  const auto bytes = f.serialize();
-  EXPECT_EQ(static_cast<int>(bytes.size()), f.payload_bytes());
-  const auto parsed = MacFrame::deserialize(bytes);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, f);
-}
-
-TEST(MacFrameTest, SerializeRoundTripResp) {
-  MacFrame f;
-  f.type = FrameType::Resp;
-  f.src = 7;
-  f.dst = 0;
-  f.responder_id = 9;
-  f.rx_timestamp = DwTimestamp(0xABCDEF0123ULL);
-  f.tx_timestamp = DwTimestamp(0x9876543210ULL);
-  const auto bytes = f.serialize();
-  const auto parsed = MacFrame::deserialize(bytes);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, f);
-  EXPECT_EQ(parsed->rx_timestamp.ticks(), 0xABCDEF0123ULL);
-}
-
-TEST(MacFrameTest, SerializeRoundTripFinal) {
-  MacFrame f;
-  f.type = FrameType::Final;
-  f.src = 0;
-  f.dst = 1;
-  f.rx_timestamp = DwTimestamp(0x1111111111ULL);
-  f.tx_timestamp = DwTimestamp(0x2222222222ULL);
-  f.aux_timestamp = DwTimestamp(0x3333333333ULL);
-  const auto bytes = f.serialize();
-  EXPECT_EQ(static_cast<int>(bytes.size()), f.payload_bytes());
-  EXPECT_EQ(f.payload_bytes(), 27);  // header + type + 3x40-bit + FCS
-  const auto parsed = MacFrame::deserialize(bytes);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, f);
-}
-
-TEST(MacFrameTest, DeserializeRejectsTruncatedFinal) {
-  MacFrame f;
-  f.type = FrameType::Final;
-  auto bytes = f.serialize();
-  bytes.resize(bytes.size() - 8);
-  EXPECT_FALSE(MacFrame::deserialize(bytes).has_value());
-}
-
-TEST(MacFrameTest, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(MacFrame::deserialize({}).has_value());
-  EXPECT_FALSE(MacFrame::deserialize({1, 2, 3}).has_value());
-  // Valid INIT with a corrupted frame-control field.
-  MacFrame f;
-  f.type = FrameType::Init;
-  auto bytes = f.serialize();
-  bytes[0] ^= 0xFF;
-  EXPECT_FALSE(MacFrame::deserialize(bytes).has_value());
-}
-
-TEST(MacFrameTest, DeserializeRejectsBadType) {
-  MacFrame f;
-  f.type = FrameType::Init;
-  auto bytes = f.serialize();
-  bytes[9] = 0x77;  // type field out of range
-  EXPECT_FALSE(MacFrame::deserialize(bytes).has_value());
-}
-
-TEST(MacFrameTest, DeserializeRejectsTruncatedResp) {
-  MacFrame f;
-  f.type = FrameType::Resp;
-  auto bytes = f.serialize();
-  bytes.resize(bytes.size() - 6);
-  EXPECT_FALSE(MacFrame::deserialize(bytes).has_value());
+  MacFrame final_frame;
+  final_frame.type = FrameType::Final;
+  EXPECT_EQ(final_frame.payload_bytes(), 27);  // + three 40-bit timestamps
+  MacFrame data;
+  data.type = FrameType::Data;
+  EXPECT_EQ(data.payload_bytes(), 12);  // header + type + FCS only
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Equivalence tests: the native-rate + incremental fast detection path
-// against the exact per-iteration recompute path (DESIGN.md Sect. 8),
+// against the exact per-iteration recompute path that detect_with_trace
+// runs (DESIGN.md Sect. 8),
 // including the candidate search's worst cases and CIRs shorter than a
 // template, and bit-identical Monte-Carlo detection across thread counts.
 #include <gtest/gtest.h>
@@ -62,27 +63,28 @@ void expect_same_responses(const std::vector<DetectedResponse>& fast,
   }
 }
 
+// The exact path's responses: tracing always runs it.
+std::vector<DetectedResponse> detect_exact(const SearchSubtractDetector& det,
+                                           const dw::CirEstimate& cir,
+                                           int max_responses) {
+  return det.detect_with_trace(cir.taps, cir.ts_s, max_responses).responses;
+}
+
 TEST(FastPathEquivalence, MatchesExactOnRandomMultiResponderCirs) {
-  SearchSubtractDetector fast{multi_shape_config()};
-  DetectorConfig exact_cfg = multi_shape_config();
-  exact_cfg.exact_recompute = true;
-  SearchSubtractDetector exact{exact_cfg};
+  const SearchSubtractDetector det{multi_shape_config()};
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const auto cir = random_cir(seed, 2, 5);
-    expect_same_responses(fast.detect(cir.taps, cir.ts_s, 6),
-                          exact.detect(cir.taps, cir.ts_s, 6), seed);
+    expect_same_responses(det.detect(cir.taps, cir.ts_s, 6),
+                          detect_exact(det, cir, 6), seed);
   }
 }
 
 TEST(FastPathEquivalence, MatchesExactWithSingleTemplateBank) {
-  SearchSubtractDetector fast{DetectorConfig{}};
-  DetectorConfig exact_cfg;
-  exact_cfg.exact_recompute = true;
-  SearchSubtractDetector exact{exact_cfg};
+  const SearchSubtractDetector det{DetectorConfig{}};
   for (std::uint64_t seed = 100; seed <= 106; ++seed) {
     const auto cir = random_cir(seed, 1, 4);
-    expect_same_responses(fast.detect(cir.taps, cir.ts_s, 5),
-                          exact.detect(cir.taps, cir.ts_s, 5), seed);
+    expect_same_responses(det.detect(cir.taps, cir.ts_s, 5),
+                          detect_exact(det, cir, 5), seed);
   }
 }
 
@@ -90,37 +92,26 @@ TEST(FastPathEquivalence, MatchesExactWithoutUpsampling) {
   // factor == 1 skips the upsample fusion and takes the plain copy branch.
   DetectorConfig cfg = multi_shape_config();
   cfg.upsample_factor = 1;
-  SearchSubtractDetector fast{cfg};
-  DetectorConfig exact_cfg = cfg;
-  exact_cfg.exact_recompute = true;
-  SearchSubtractDetector exact{exact_cfg};
+  const SearchSubtractDetector det{cfg};
   for (std::uint64_t seed = 200; seed <= 204; ++seed) {
     const auto cir = random_cir(seed, 2, 4);
-    expect_same_responses(fast.detect(cir.taps, cir.ts_s, 5),
-                          exact.detect(cir.taps, cir.ts_s, 5), seed);
+    expect_same_responses(det.detect(cir.taps, cir.ts_s, 5),
+                          detect_exact(det, cir, 5), seed);
   }
 }
 
 TEST(FastPathEquivalence, TracedDetectEqualsExactPath) {
-  // Tracing always runs the exact path; its responses must match a plain
-  // exact_recompute detect bit for bit (identical code path and inputs).
-  DetectorConfig exact_cfg = multi_shape_config();
-  exact_cfg.exact_recompute = true;
-  SearchSubtractDetector exact{exact_cfg};
-  SearchSubtractDetector traced{multi_shape_config()};
+  // Tracing runs the exact path: its responses match the fast path's to
+  // roundoff, and it records the filter output of every iteration.
+  const SearchSubtractDetector det{multi_shape_config()};
   const auto cir = random_cir(7, 3, 3);
-  const auto plain = exact.detect(cir.taps, cir.ts_s, 4);
-  const auto trace = traced.detect_with_trace(cir.taps, cir.ts_s, 4);
-  ASSERT_EQ(trace.responses.size(), plain.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(trace.responses[i].tau_s, plain[i].tau_s);
-    EXPECT_EQ(trace.responses[i].amplitude, plain[i].amplitude);
-    EXPECT_EQ(trace.responses[i].shape_index, plain[i].shape_index);
-  }
+  const auto fast = det.detect(cir.taps, cir.ts_s, 4);
+  const auto trace = det.detect_with_trace(cir.taps, cir.ts_s, 4);
+  expect_same_responses(fast, trace.responses, 7);
   // One filter output per iteration, including the final rejected one when
   // the search stopped at the noise floor before max_responses.
-  EXPECT_GE(trace.mf_outputs.size(), plain.size());
-  EXPECT_LE(trace.mf_outputs.size(), plain.size() + 1);
+  EXPECT_GE(trace.mf_outputs.size(), trace.responses.size());
+  EXPECT_LE(trace.mf_outputs.size(), trace.responses.size() + 1);
 }
 
 // Two pulses of one shape: the stronger at `strong_tap` (fractional), the
@@ -149,16 +140,14 @@ TEST(FastPathEquivalence, CandidatesCoverWorstSubSampleOffsets) {
   for (const std::uint8_t reg : {0x93, 0xB8, 0xC8, 0xE0, 0xE6}) {
     DetectorConfig cfg;
     cfg.shape_registers = {reg};
-    const SearchSubtractDetector fast{cfg};
-    cfg.exact_recompute = true;
-    const SearchSubtractDetector exact{cfg};
+    const SearchSubtractDetector det{cfg};
     for (int i = 0; i < 64; ++i) {
       for (const double ratio :
            {0.70, 0.75, 0.80, 0.85, 0.90, 0.93, 0.95, 0.97, 0.99}) {
         const double strong_tap = 300.0 + i / 64.0;
         const auto cir = two_pulse_cir(reg, strong_tap, 500.0, ratio);
-        const auto f = fast.detect(cir.taps, cir.ts_s, 1);
-        const auto e = exact.detect(cir.taps, cir.ts_s, 1);
+        const auto f = det.detect(cir.taps, cir.ts_s, 1);
+        const auto e = detect_exact(det, cir, 1);
         ASSERT_EQ(f.size(), 1u);
         ASSERT_EQ(e.size(), 1u);
         EXPECT_NEAR(f[0].tau_s, e[0].tau_s, 1e-6 * k::cir_ts_s)
@@ -178,9 +167,7 @@ TEST(FastPathEquivalence, MatchesExactOnCirsShorterThanATemplate) {
   // others detect and subtract.
   DetectorConfig cfg;
   cfg.shape_registers = {0x93, 0xE6};
-  const SearchSubtractDetector fast{cfg};
-  cfg.exact_recompute = true;
-  const SearchSubtractDetector exact{cfg};
+  const SearchSubtractDetector det{cfg};
   for (const int taps : {1, 4, 8, 16, 24}) {
     std::vector<dw::CirArrival> arrivals(2);
     arrivals[0].time_into_window_s = 0.3 * taps * k::cir_ts_s;
@@ -193,9 +180,9 @@ TEST(FastPathEquivalence, MatchesExactOnCirsShorterThanATemplate) {
     Rng rng(static_cast<std::uint64_t>(taps));
     const auto cir = dw::synthesize_cir(arrivals, params, rng);
     ASSERT_EQ(cir.taps.size(), static_cast<std::size_t>(taps));
-    const auto found = exact.detect(cir.taps, cir.ts_s, 3);
+    const auto found = detect_exact(det, cir, 3);
     EXPECT_EQ(found.empty(), taps == 1 || taps == 8) << "taps=" << taps;
-    expect_same_responses(fast.detect(cir.taps, cir.ts_s, 3), found,
+    expect_same_responses(det.detect(cir.taps, cir.ts_s, 3), found,
                           static_cast<std::uint64_t>(taps));
   }
 }

@@ -21,17 +21,23 @@ NetworkConfig small_network(std::uint64_t seed) {
 }
 
 TEST(NetworkTest, SingleRoundMeasuresAllNeighbours) {
-  NetworkRangingSession session(small_network(1));
-  const NetworkRound round = session.run_round(0);
-  ASSERT_TRUE(round.completed);
-  EXPECT_EQ(round.frames_in_batch, 3);
-  EXPECT_FALSE(round.distances[0].has_value());  // no self-distance
-  for (int j = 1; j < 4; ++j) {
-    ASSERT_TRUE(round.distances[static_cast<std::size_t>(j)].has_value())
-        << "node " << j;
-    EXPECT_NEAR(*round.distances[static_cast<std::size_t>(j)],
-                session.true_distance(0, j).value(), 0.9);
-  }
+  // Node 0 initiates. A seed passes when the round completes with all three
+  // responses in the batch, no self-distance, and a distance within 0.9 m
+  // to each neighbour. The documented rate is 1 766 of seeds 201-2 200
+  // (88.3 %), which the test does not run; seeds 1-200 pass 176.
+  acceptance::expect_pass_rate(1, 200, 1766.0 / 2000.0, [](std::uint64_t seed) {
+    NetworkRangingSession session(small_network(seed));
+    const NetworkRound round = session.run_round(0);
+    if (!round.completed || round.frames_in_batch != 3) return false;
+    if (round.distances[0].has_value()) return false;  // no self-distance
+    for (int j = 1; j < 4; ++j) {
+      const auto& d = round.distances[static_cast<std::size_t>(j)];
+      if (!d.has_value() ||
+          std::abs(*d - session.true_distance(0, j).value()) > 0.9)
+        return false;
+    }
+    return true;
+  });
 }
 
 TEST(NetworkTest, EveryNodeCanInitiate) {
@@ -83,18 +89,23 @@ TEST(NetworkTest, SweepTracksEnergyAndTime) {
 }
 
 TEST(NetworkTest, ReciprocalDistancesAgree) {
-  NetworkRangingSession session(small_network(5));
-  const NetworkSweep sweep = session.run_full_sweep();
-  for (int i = 0; i < 4; ++i)
-    for (int j = i + 1; j < 4; ++j) {
-      const auto& a = sweep.matrix[static_cast<std::size_t>(i)]
-                                  [static_cast<std::size_t>(j)];
-      const auto& b = sweep.matrix[static_cast<std::size_t>(j)]
-                                  [static_cast<std::size_t>(i)];
-      if (a.has_value() && b.has_value()) {
-        EXPECT_NEAR(*a, *b, 1.5) << i << "," << j;
+  // A seed passes when every pair measured in both directions agrees to
+  // 1.5 m. The documented rate is 1 843 of seeds 201-2 200 (92.2 %), which
+  // the test does not run; seeds 1-200 pass 182.
+  acceptance::expect_pass_rate(1, 200, 1843.0 / 2000.0, [](std::uint64_t seed) {
+    NetworkRangingSession session(small_network(seed));
+    const NetworkSweep sweep = session.run_full_sweep();
+    for (int i = 0; i < 4; ++i)
+      for (int j = i + 1; j < 4; ++j) {
+        const auto& a = sweep.matrix[static_cast<std::size_t>(i)]
+                                    [static_cast<std::size_t>(j)];
+        const auto& b = sweep.matrix[static_cast<std::size_t>(j)]
+                                    [static_cast<std::size_t>(i)];
+        if (a.has_value() && b.has_value() && std::abs(*a - *b) > 1.5)
+          return false;
       }
-    }
+    return true;
+  });
 }
 
 TEST(NetworkTest, TwoNodeNetworkIsPlainTwr) {

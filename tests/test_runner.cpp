@@ -8,9 +8,10 @@
 #include <stdexcept>
 #include <thread>
 
+#include "common/constants.hpp"
 #include "common/random.hpp"
-#include "dw1000/pulse.hpp"
 #include "obs/metrics.hpp"
+#include "ranging/search_subtract.hpp"
 #include "ranging/session.hpp"
 #include "runner/monte_carlo.hpp"
 #include "runner/thread_pool.hpp"
@@ -101,7 +102,8 @@ runner::TrialResult run_mc(int threads, int n_trials, int chunk = 0) {
   cfg.base_seed = 77;
   cfg.chunk = chunk;
   return runner::MonteCarlo(cfg).run(
-      n_trials, [](const runner::TrialContext& ctx, runner::TrialRecorder& rec) {
+      n_trials,
+      [](const runner::TrialContext& ctx, runner::TrialRecorder& rec) {
         Rng rng(ctx.seed);
         rec.sample("gauss", rng.normal(0.0, 1.0));
         rec.sample("uniform", rng.uniform(0.0, 1.0));
@@ -242,37 +244,31 @@ TEST(MonteCarlo, ScenarioRoundsBitIdenticalAcrossThreads) {
 
 // --- worker context & caches -------------------------------------------------
 
-TEST(WorkerContext, CachedPulseTemplateMatchesUncached) {
-  auto& ctx = runner::WorkerContext::current();
-  ctx.clear();
-  const CVec direct = dw::sample_pulse_template(0xC8, 1e-10);
-  const CVec& cached = dw::cached_pulse_template(0xC8, 1e-10);
-  ASSERT_EQ(cached.size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i)
-    EXPECT_EQ(cached[i], direct[i]);
-  // Second lookup is a hit and returns the same storage.
-  const auto before = ctx.stats();
-  const CVec& again = dw::cached_pulse_template(0xC8, 1e-10);
-  EXPECT_EQ(&again, &cached);
-  EXPECT_EQ(ctx.stats().pulse_hits, before.pulse_hits + 1);
-}
-
 TEST(WorkerContext, EachThreadHasItsOwnCaches) {
-  auto& main_ctx = runner::WorkerContext::current();
-  main_ctx.clear();
-  dw::cached_pulse_template(0x93, 1e-10);
-  const auto main_stats = main_ctx.stats();
-  std::size_t other_misses = 1;  // sentinel; overwritten by the thread
-  std::thread([&other_misses] {
+  using ranging::SearchSubtractDetector;
+  runner::WorkerContext::current().clear();
+  const CVec cir(1016, Complex{});
+  // A fresh detector builds its template bank through the calling
+  // thread's bank cache.
+  const auto build_bank = [&cir] {
+    SearchSubtractDetector(ranging::DetectorConfig{})
+        .matched_filter_output(cir, k::cir_ts_s, 0);
+  };
+  build_bank();
+  const auto main_stats = SearchSubtractDetector::bank_cache_stats();
+  std::size_t other_misses = 0;
+  std::thread([&build_bank, &other_misses] {
     // A fresh thread starts cold: its first lookup must be a miss even
-    // though the main thread already cached this exact template.
-    auto& ctx = runner::WorkerContext::current();
-    other_misses = ctx.stats().pulse_misses;
-    dw::cached_pulse_template(0x93, 1e-10);
-    other_misses = ctx.stats().pulse_misses - other_misses;
+    // though the main thread already cached this exact bank.
+    const std::size_t before =
+        SearchSubtractDetector::bank_cache_stats().misses;
+    build_bank();
+    other_misses =
+        SearchSubtractDetector::bank_cache_stats().misses - before;
   }).join();
   EXPECT_EQ(other_misses, 1u);
-  EXPECT_EQ(main_ctx.stats().pulse_misses, main_stats.pulse_misses);
+  EXPECT_EQ(SearchSubtractDetector::bank_cache_stats().misses,
+            main_stats.misses);
 }
 
 }  // namespace

@@ -59,6 +59,8 @@ TEST(AcceptanceTest, WilsonBoundsOfTheDocumentedRates) {
   EXPECT_NEAR(acceptance::wilson_lower_bound(0.5, 100), 0.40383, 1e-5);
   EXPECT_EQ(acceptance::min_passes(944.0 / 2000.0, 200), 81);
   EXPECT_EQ(acceptance::min_passes(1203.0 / 2000.0, 200), 107);
+  EXPECT_EQ(acceptance::min_passes(1766.0 / 2000.0, 200), 167);
+  EXPECT_EQ(acceptance::min_passes(1843.0 / 2000.0, 200), 176);
   EXPECT_EQ(acceptance::min_passes(0.0, 200), 0);
 }
 

@@ -8,8 +8,8 @@
 #include "acceptance.hpp"
 #include "common/constants.hpp"
 #include "common/expects.hpp"
+#include "common/units.hpp"
 #include "ranging/session.hpp"
-#include "ranging/twr.hpp"
 
 namespace uwb::ranging {
 namespace {
@@ -162,11 +162,12 @@ TEST(SessionEdgeTest, UncalibratedAntennaDelayBiasesAndIsCorrectable) {
   const auto out = scenario.run_round();
   ASSERT_TRUE(out.payload_decoded);
   EXPECT_NEAR(out.d_twr_m, 5.0 + 299'702'547.0 * 100e-9, 0.2);
-  // Commission against the known 5 m link, then correct.
-  const Seconds delay = estimate_antenna_delay(Meters(out.d_twr_m), Meters(5.0));
+  // Commission against the known 5 m link (symmetric delays: d_meas =
+  // d_true + c * delay), then correct.
+  const Seconds delay = tof_from_distance(Meters(out.d_twr_m) - Meters(5.0));
   EXPECT_NEAR(delay.value(), 100e-9, 1e-9);
-  EXPECT_NEAR(correct_antenna_delay(Meters(out.d_twr_m), delay, delay).value(), 5.0,
-              0.05);
+  EXPECT_NEAR(
+      (Meters(out.d_twr_m) - distance_from_tof(delay)).value(), 5.0, 0.05);
 }
 
 TEST(SessionEdgeTest, SameSeedSameOutcomeAcrossConfigCopies) {

@@ -533,7 +533,8 @@ TEST(SimdFft, TransformsBitIdenticalAcrossLevels) {
     const CVec ref_inv = dsp::ifft(x);
     for (const simd::Level level : supported_levels()) {
       ASSERT_TRUE(simd::set_active_level(level));
-      dsp::clear_fft_plan_cache();  // plans are level-independent; rebuild anyway
+      // Plans are level-independent; rebuild them anyway.
+      dsp::clear_fft_plan_cache();
       const CVec fwd = dsp::fft(x);
       const CVec inv = dsp::ifft(x);
       for (std::size_t k = 0; k < n; ++k) {
@@ -585,14 +586,12 @@ TEST(SimdDetector, FastPathMatchesExactAtEveryLevel) {
   LevelGuard guard;
   for (const simd::Level level : supported_levels()) {
     ASSERT_TRUE(simd::set_active_level(level));
-    ranging::SearchSubtractDetector fast{multi_shape_config()};
-    ranging::DetectorConfig exact_cfg = multi_shape_config();
-    exact_cfg.exact_recompute = true;
-    ranging::SearchSubtractDetector exact{exact_cfg};
+    const ranging::SearchSubtractDetector det{multi_shape_config()};
     for (std::uint64_t seed = 300; seed <= 305; ++seed) {
       const auto cir = random_cir(seed, 2, 5);
-      const auto f = fast.detect(cir.taps, cir.ts_s, 6);
-      const auto e = exact.detect(cir.taps, cir.ts_s, 6);
+      const auto f = det.detect(cir.taps, cir.ts_s, 6);
+      // Tracing runs the exact path.
+      const auto e = det.detect_with_trace(cir.taps, cir.ts_s, 6).responses;
       ASSERT_EQ(f.size(), e.size())
           << "level=" << simd::level_name(level) << " seed=" << seed;
       for (std::size_t i = 0; i < f.size(); ++i) {

@@ -71,26 +71,6 @@ TEST(TwrTest, WorksAcrossCounterWrap) {
   EXPECT_NEAR(ss_twr_distance(ts).value(), 4.0, 0.01);
 }
 
-TEST(AntennaDelayTest, EstimateFromKnownDistance) {
-  // d_meas = d_true + c * delay for symmetric devices.
-  const double delay = 100e-9;
-  const double measured = 5.0 + k::c_air * delay;
-  EXPECT_NEAR(estimate_antenna_delay(Meters(measured), Meters(5.0)).value(),
-              delay, 1e-12);
-}
-
-TEST(AntennaDelayTest, CorrectionRemovesBias) {
-  const double measured = 5.0 + k::c_air * (80e-9 + 120e-9) / 2.0;
-  EXPECT_NEAR(
-      correct_antenna_delay(Meters(measured), Seconds(80e-9), Seconds(120e-9))
-          .value(),
-      5.0, 1e-9);
-  EXPECT_THROW(
-      correct_antenna_delay(Meters(5.0), Seconds(-1e-9), Seconds(0.0)),
-      PreconditionError);
-}
-
-
 TEST(TwrTest, NonPositiveIntervalsThrow) {
   TwrTimestamps ts = make_timestamps(3.0 / k::c_air, 290e-6);
   std::swap(ts.t_tx_init, ts.t_rx_init);  // negative round time

@@ -61,9 +61,6 @@ ALLOWLIST = (
      "Chrome trace export, written by the benches after a run"),
     ("obs/flight_recorder.cpp.o", "fopen",
      "JSONL export of a recording, written by the benches after a run"),
-    ("dw1000/cir_io.cpp.o", "fstream",
-     "CIR trace import and export for tools and benches; nothing on the "
-     "simulated timeline calls it"),
     ("simd/simd.cpp.o", "getenv",
      "UWB_SIMD_LEVEL pins the dispatch level once at startup; an "
      "unsupported value aborts instead of diverging"),
