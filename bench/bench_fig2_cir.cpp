@@ -52,8 +52,9 @@ int main(int argc, char** argv) {
   std::printf("\nfirst path index: %.2f taps (LOS anchored at 64)\n", fp);
 
   bench::subheading("significant components tau_0 .. tau_k");
+  RVec scratch;
   const auto peaks = dsp::local_maxima(
-      cir.taps, 6.0 * dsp::noise_sigma_estimate(cir.taps), 3);
+      cir.taps, 6.0 * dsp::noise_sigma_estimate(cir.taps, scratch), 3);
   std::printf("%-6s %-12s %-14s %s\n", "k", "tap index", "delay [ns]",
               "magnitude");
   int k = 0;

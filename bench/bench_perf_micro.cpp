@@ -90,7 +90,7 @@ BENCHMARK(BM_MatchedFilterUpsampledCir);
 // twiddles recomputed with std::polar inside the butterfly loop, Bluestein
 // rebuilding its chirp and kernel per call, matched filtering running its
 // own forward transform per template. Kept here as the denominator of the
-// speedup the plan cache buys (DESIGN.md Sect. 8).
+// speedup the precomputed plans buy (DESIGN.md Sect. 8).
 
 void reference_fft_pow2(CVec& x, bool inverse) {
   const std::size_t n = x.size();
@@ -501,7 +501,8 @@ BENCHMARK(BM_MonteCarloRun)->Arg(1)->Arg(4);
 
 void BM_MonteCarloScenarioRound(benchmark::State& state) {
   // One full scenario-per-trial Monte-Carlo round trip — the unit of work
-  // every ported bench schedules. Warm thread-local caches dominate.
+  // every ported bench schedules, on the process-wide plans built by the
+  // first iteration.
   runner::MonteCarlo::Config cfg;
   cfg.threads = 1;
   cfg.base_seed = 11;

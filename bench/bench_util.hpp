@@ -236,37 +236,14 @@ class JsonReport {
   using Field = std::pair<std::string, std::string>;
 
   // Observability snapshot of the whole run, merged over every worker
-  // shard (obs::MetricsRegistry). Cache hit/miss counters keep their PR 2
-  // `cache_*` keys; everything else is prefixed `obs_`. Both prefixes are
-  // scheduling/thread-count dependent (wall-clock or per-thread memo
-  // traffic), so the CI determinism check skips them, like `mc_`.
+  // shard (obs::MetricsRegistry), every key prefixed `obs_`. Span totals
+  // and trial latencies are wall-clock telemetry, so the CI determinism
+  // check skips the prefix, like `mc_`.
   static void append_obs_metrics(std::vector<Field>& metrics) {
     const obs::Snapshot snap = obs::MetricsRegistry::instance().aggregate();
 
-    // Memo-cache counters (detector template banks, FFT plans). Emitted
-    // explicitly so the key set stays stable even when a counter never
-    // fired (or instrumentation is compiled out).
-    const auto add_cache = [&metrics, &snap](const char* name) {
-      const double hits = static_cast<double>(
-          snap.counter(std::string("cache_") + name + "_hits"));
-      const double misses = static_cast<double>(
-          snap.counter(std::string("cache_") + name + "_misses"));
-      metrics.emplace_back(std::string("cache_") + name + "_hits",
-                           number(hits));
-      metrics.emplace_back(std::string("cache_") + name + "_misses",
-                           number(misses));
-      const double lookups = hits + misses;
-      metrics.emplace_back(std::string("cache_") + name + "_hit_rate",
-                           number(lookups > 0.0 ? hits / lookups : 0.0));
-    };
-    add_cache("bank");
-    add_cache("fft_plan");
-
-    // Remaining counters and all gauges, under the obs_ prefix.
     for (const auto& [name, value] : snap.counters)
-      if (name.rfind("cache_", 0) != 0)
-        metrics.emplace_back("obs_" + name,
-                             number(static_cast<double>(value)));
+      metrics.emplace_back("obs_" + name, number(static_cast<double>(value)));
     for (const auto& [name, value] : snap.gauges)
       metrics.emplace_back("obs_" + name, number(value));
 

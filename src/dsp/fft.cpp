@@ -1,13 +1,12 @@
 #include "dsp/fft.hpp"
 
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <numbers>
-#include <unordered_map>
 #include <utility>
 
 #include "common/expects.hpp"
-#include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "simd/simd.hpp"
 
 namespace uwb::dsp {
@@ -69,7 +68,7 @@ FftPlan::FftPlan(std::size_t n) : n_(n), pow2_(is_pow2(n)) {
     chirp_[k] = Complex(std::cos(ang), std::sin(ang));
   }
   m_ = next_pow2(2 * n - 1);
-  sub_ = std::make_unique<FftPlan>(m_);
+  sub_ = std::make_unique<const FftPlan>(m_);
   const auto make_kernel = [&](bool conj_chirp) {
     CVec b(m_, Complex{});
     b[0] = conj_chirp ? std::conj(chirp_[0]) : chirp_[0];
@@ -80,7 +79,6 @@ FftPlan::FftPlan(std::size_t n) : n_(n), pow2_(is_pow2(n)) {
   };
   kernel_fwd_ = make_kernel(false);
   kernel_inv_ = make_kernel(true);
-  scratch_.resize(m_);
 }
 
 template <bool Inverse>
@@ -132,7 +130,8 @@ void FftPlan::transform_pow2(Complex* x, bool inverse) const {
 template <bool Inverse>
 void FftPlan::run_bluestein(const Complex* x, Complex* y) const {
   const std::size_t n = n_, m = m_;
-  Complex* a = scratch_.data();
+  CVec buf(m);  // zero-padded past n
+  Complex* a = buf.data();
   const double* w = reinterpret_cast<const double*>(chirp_.data());
   double* ad = as_doubles(a);
   // a[k] = x[k] * conj(chirp[k]) forward, x[k] * chirp[k] inverse.
@@ -141,7 +140,6 @@ void FftPlan::run_bluestein(const Complex* x, Complex* y) const {
     simd::cmul(xd, w, ad, n);
   else
     simd::cmul_conj(xd, w, ad, n);
-  std::fill(a + n, a + m, Complex{});
   sub_->transform_pow2(a, false);
   const CVec& kernel = Inverse ? kernel_inv_ : kernel_fwd_;
   const double* kd = reinterpret_cast<const double*>(kernel.data());
@@ -170,75 +168,16 @@ void FftPlan::transform(const Complex* x, Complex* y, bool inverse) const {
     run_bluestein<false>(x, y);
 }
 
-namespace {
-
-struct PlanCache {
-  // Lookup only: find and emplace, never iterated.
-  // uwb-lint: allow(unordered-container)
-  std::unordered_map<std::size_t, std::unique_ptr<FftPlan>> plans;
-  const FftPlan* last = nullptr;
-  std::size_t last_n = 0;
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-};
-
-PlanCache& plan_cache() {
-  thread_local PlanCache cache;
-  return cache;
-}
-
-}  // namespace
-
 const FftPlan& plan_for(std::size_t n) {
   UWB_EXPECTS(n >= 1);
-  PlanCache& cache = plan_cache();
-  if (cache.last_n == n) {
-    ++cache.hits;
-    UWB_OBS_COUNT("cache_fft_plan_hits", 1);
-    return *cache.last;
-  }
-  auto it = cache.plans.find(n);
-  if (it == cache.plans.end()) {
-    ++cache.misses;
-    UWB_OBS_COUNT("cache_fft_plan_misses", 1);
-    // One allocation per distinct transform size, then cached for the
-    // process lifetime; the detect loop runs on the last_n fast path.
-    it = cache.plans.emplace(n, std::make_unique<FftPlan>(n)).first;
-  } else {
-    ++cache.hits;
-    UWB_OBS_COUNT("cache_fft_plan_hits", 1);
-  }
-  cache.last = it->second.get();
-  cache.last_n = n;
-  return *cache.last;
-}
-
-FftPlanCacheStats fft_plan_cache_stats() {
-  const PlanCache& cache = plan_cache();
-  return {cache.hits, cache.misses};
-}
-
-FftPlanCacheStats fft_plan_cache_stats_total() {
-  // Registry-backed totals (obs shards sum per-thread counts).
-  const auto snap = obs::MetricsRegistry::instance().aggregate();
-  return {snap.counter("cache_fft_plan_hits"),
-          snap.counter("cache_fft_plan_misses")};
-}
-
-void clear_fft_plan_cache() {
-  PlanCache& cache = plan_cache();
-  cache.plans.clear();
-  cache.last = nullptr;
-  cache.last_n = 0;
-}
-
-CVec& fft_scratch(int slot, std::size_t n) {
-  constexpr int kSlots = 3;
-  UWB_EXPECTS(slot >= 0 && slot < kSlots);
-  thread_local CVec buffers[kSlots];
-  CVec& buf = buffers[slot];
-  if (buf.size() != n) buf.resize(n);
-  return buf;
+  // Insert-only: a plan, once built, keeps its address until the process
+  // exits. Building under the lock builds each length exactly once.
+  static std::mutex mu;
+  static std::map<std::size_t, std::unique_ptr<const FftPlan>> plans;
+  const std::lock_guard<std::mutex> lock(mu);
+  std::unique_ptr<const FftPlan>& plan = plans[n];
+  if (!plan) plan = std::make_unique<const FftPlan>(n);
+  return *plan;
 }
 
 CVec fft(const CVec& x) {

@@ -6,11 +6,10 @@
 //
 // Transforms execute against an `FftPlan`: precomputed bit-reversal tables,
 // per-stage twiddle factors, and (for Bluestein lengths) the chirp and its
-// kernel spectra. Plans are memoised per thread via `plan_for`, so repeated
+// kernel spectra. A plan is immutable once built, so one plan serves every
+// thread: `plan_for` builds each length once per process, and repeated
 // transforms of the hot lengths (1024/8192 in the detection pipeline)
-// never recompute trigonometry or reallocate workspace. Plans are not
-// thread-safe: a plan must stay on the thread that built it, which the
-// thread-local cache guarantees.
+// never recompute trigonometry.
 #pragma once
 
 #include <cstddef>
@@ -31,8 +30,9 @@ std::size_t next_pow2(std::size_t n);
 ///
 /// Power-of-two lengths hold a bit-reversal permutation plus contiguous
 /// per-stage twiddle tables; other lengths hold the Bluestein chirp, the
-/// forward/inverse kernel spectra, a nested plan for the padded
-/// power-of-two convolution length, and a reusable scratch buffer.
+/// forward/inverse kernel spectra and a nested plan for the padded
+/// power-of-two convolution length. Immutable after construction, so
+/// concurrent transforms on one plan are safe.
 class FftPlan {
  public:
   explicit FftPlan(std::size_t n);
@@ -61,42 +61,22 @@ class FftPlan {
   std::vector<std::uint32_t> rev_;
   CVec tw_;
   // Bluestein state: chirp w[k] = e^{+i*pi*k^2/n}, kernel spectra for both
-  // directions at the padded length m_, nested pow-2 plan, and scratch.
+  // directions at the padded length m_, and the nested pow-2 plan.
   std::size_t m_ = 0;
   CVec chirp_;
   CVec kernel_fwd_;
   CVec kernel_inv_;
-  std::unique_ptr<FftPlan> sub_;
-  mutable CVec scratch_;
+  std::unique_ptr<const FftPlan> sub_;
 };
 
-/// The calling thread's cached plan for length n (built on first use; the
-/// reference stays valid for the thread's lifetime).
+/// The process-wide plan for length n: built by the first call for n (under
+/// a mutex, so once per process), then shared by every thread. The
+/// reference stays valid for the process lifetime.
 const FftPlan& plan_for(std::size_t n);
 
-/// Hit/miss counters of an FFT plan cache.
-struct FftPlanCacheStats {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-};
-
-/// Counters of the calling thread's plan cache.
-FftPlanCacheStats fft_plan_cache_stats();
-
-/// Process-wide counters aggregated across every thread's plan cache (what
-/// the bench JSON reports: worker-thread caches are invisible to the main
-/// thread otherwise).
-FftPlanCacheStats fft_plan_cache_stats_total();
-
-/// Drop the calling thread's cached plans (tests / memory pressure).
-void clear_fft_plan_cache();
-
-/// Reusable per-thread scratch buffer for transform intermediates. The
-/// returned buffer has size n and undefined contents; it is clobbered by
-/// the next dsp call that requests the same slot, so finish with it before
-/// calling back into routines that may share the slot (slots 0-1 are used
-/// by upsample_fft, slot 2 by MatchedFilter::apply).
-CVec& fft_scratch(int slot, std::size_t n);
+/// No-op, kept only because perfbench calls it (the next benchmark
+/// revision drops the call, ROADMAP item 7); no plan cache is per thread.
+inline void clear_fft_plan_cache() {}
 
 /// Forward DFT of arbitrary length. Returns X[k] = sum_n x[n] e^{-2pi i kn/N}.
 CVec fft(const CVec& x);

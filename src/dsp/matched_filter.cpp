@@ -53,9 +53,8 @@ CVec MatchedFilter::apply(const CVec& r) const {
   // linear correlation.
   const std::size_t padded = next_pow2(n + np - 1);
   const FftPlan& plan = plan_for(padded);
-  CVec& x = fft_scratch(2, padded);
+  CVec x(padded);  // zero-padded past n
   std::copy(r.begin(), r.end(), x.begin());
-  std::fill(x.begin() + static_cast<std::ptrdiff_t>(n), x.end(), Complex{});
   plan.transform_pow2(x.data(), false);
   double* xd = reinterpret_cast<double*>(x.data());
   const CVec& tspec = template_spectrum(padded);

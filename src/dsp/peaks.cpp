@@ -57,13 +57,12 @@ std::vector<Peak> local_maxima(const CVec& x, double threshold,
   return accepted;
 }
 
-double noise_sigma_estimate(const CVec& x) {
+double noise_sigma_estimate(const CVec& x, RVec& sq) {
   UWB_EXPECTS(!x.empty());
   UWB_EXPECTS(x.size() <= std::numeric_limits<std::uint32_t>::max());
   // Select the median of |x|^2 (same element as the median of |x|, one
-  // sqrt instead of a hypot per sample) in a reused per-thread buffer:
-  // the detector calls this once per search-and-subtract iteration.
-  thread_local RVec sq;
+  // sqrt instead of a hypot per sample) in the caller's buffer: the
+  // detector calls this once per search-and-subtract iteration.
   sq.resize(x.size());
 
   // Radix select: non-negative doubles (+0, subnormals, +inf included)

@@ -24,7 +24,9 @@ std::vector<Peak> local_maxima(const CVec& x, double threshold,
 
 /// Estimate the per-component noise sigma of a complex signal whose samples
 /// are mostly circular Gaussian noise, via the median of the Rayleigh
-/// magnitudes (robust against a few strong signal taps).
-double noise_sigma_estimate(const CVec& x);
+/// magnitudes (robust against a few strong signal taps). `scratch` is the
+/// working buffer (resized to x.size(), contents left unspecified); a
+/// caller that estimates often passes the same one to allocate only once.
+double noise_sigma_estimate(const CVec& x, RVec& scratch);
 
 }  // namespace uwb::dsp

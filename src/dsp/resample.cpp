@@ -44,7 +44,7 @@ CVec upsample_fft(const CVec& x, int factor) {
   if (factor == 1) return x;
   const std::size_t n = x.size();
   const std::size_t m = n * static_cast<std::size_t>(factor);
-  CVec& spec = fft_scratch(0, n);
+  CVec spec(n);
   plan_for(n).transform(x.data(), spec.data(), false);
   const FftPlan& pm = plan_for(m);
   CVec y(m);
@@ -54,7 +54,7 @@ CVec upsample_fft(const CVec& x, int factor) {
     upsample_spectrum(spec.data(), n, factor, y.data());
     pm.transform_pow2(y.data(), true);
   } else {
-    CVec& padded = fft_scratch(1, m);
+    CVec padded(m);
     upsample_spectrum(spec.data(), n, factor, padded.data());
     pm.transform(padded.data(), y.data(), true);
   }

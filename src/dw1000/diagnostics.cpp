@@ -14,7 +14,8 @@ namespace uwb::dw {
 RxDiagnostics analyze_cir(const CVec& cir_taps) {
   UWB_EXPECTS(!cir_taps.empty());
   RxDiagnostics diag;
-  diag.noise_sigma = dsp::noise_sigma_estimate(cir_taps);
+  RVec scratch;
+  diag.noise_sigma = dsp::noise_sigma_estimate(cir_taps, scratch);
   diag.first_path_index = detect_first_path(cir_taps);
 
   // Interpolate the first-path magnitude at the (fractional) index, then

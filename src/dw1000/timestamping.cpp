@@ -30,7 +30,8 @@ double detect_first_path(const CVec& cir_taps, double noise_floor_factor,
   UWB_EXPECTS(noise_floor_factor > 0.0 && relative_factor > 0.0);
   const RVec mag = dsp::magnitude(cir_taps);
   const double peak = *std::max_element(mag.begin(), mag.end());
-  const double noise = dsp::noise_sigma_estimate(cir_taps);
+  RVec scratch;
+  const double noise = dsp::noise_sigma_estimate(cir_taps, scratch);
   const double threshold = std::max(noise_floor_factor * noise,
                                     relative_factor * peak);
   for (std::size_t i = 0; i < mag.size(); ++i) {

@@ -62,7 +62,6 @@ std::vector<SpecularPath> solve(const Room& room, Vec2 tx, Vec2 rx,
     sp.obstruction_loss_db =
         obstruction_loss_db(tx, p) + obstruction_loss_db(p, rx);
     sp.order = 1;
-    sp.wall_indices = {static_cast<int>(i)};
     paths.push_back(sp);
   }
   if (max_order == 1) return paths;
@@ -90,7 +89,6 @@ std::vector<SpecularPath> solve(const Room& room, Vec2 tx, Vec2 rx,
                                obstruction_loss_db(pi, pj) +
                                obstruction_loss_db(pj, rx);
       sp.order = 2;
-      sp.wall_indices = {static_cast<int>(i), static_cast<int>(j)};
       paths.push_back(sp);
     }
   }

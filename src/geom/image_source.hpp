@@ -28,8 +28,6 @@ struct SpecularPath {
   double obstruction_loss_db = 0.0;
   /// Number of wall bounces (0 = line of sight).
   int order = 0;
-  /// Indices (into Room::walls()) of the bounce walls, in order.
-  std::vector<int> wall_indices;
 };
 
 /// LOS path plus specular reflections up to `max_order` (0, 1 or 2).

@@ -4,14 +4,14 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
 #include "common/expects.hpp"
 #include "common/hash.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/matched_filter.hpp"
@@ -38,16 +38,20 @@ CVec upsample_padded(const CVec& cir_taps, int factor) {
 
 }  // namespace detail
 
-struct SearchSubtractDetector::TemplateBank {
+struct DetectorPlan {
   double ts_up = 0.0;
-  std::size_t n = 0;  // native correlation length: next_pow2(CIR taps)
+  std::size_t n = 0;                    // next_pow2(CIR taps)
+  const dsp::FftPlan* fft_n = nullptr;  // the n-point transform
+  const dsp::FftPlan* fft_m = nullptr;  // the M = n * F point transform
   struct Entry {
-    dsp::MatchedFilter filter;
+    // The template as sampled, which the exact path builds its matched
+    // filters from per call; they normalise it to unit_template's bits.
+    CVec sampled;
     CVec unit_template;
-    // The M-point spectrum of the conj-time-reversed template (M = n * F),
-    // folded onto n bins by dsp::fold_spectrum and scaled by 1/M: one
-    // n-point inverse transform of its product with the CIR spectrum is
-    // the correlation at every F-th sample of the upsampled residual.
+    // The M-point spectrum of the conj-time-reversed template, folded onto
+    // n bins by dsp::fold_spectrum and scaled by 1/M: one n-point inverse
+    // transform of its product with the CIR spectrum is the correlation at
+    // every F-th sample of the upsampled residual.
     CVec native_spectrum;
     double raw_norm = 0.0;         // ||s|| on the upsampled grid
     double kappa = 1.0;            // native_coverage() of the template
@@ -60,13 +64,14 @@ struct SearchSubtractDetector::TemplateBank {
 
 // Per-CIR working set of the fast detection path: the CIR spectrum, the
 // upsampled residual, the per-template correlation at the native positions,
-// and the subtracted waveform. One per thread, so a warm thread allocates
-// nothing.
+// the subtracted waveform and the noise estimate's buffer. One per thread,
+// so a warm thread allocates nothing.
 struct SearchSubtractDetector::FastState {
   CVec spectrum;        // n-point spectrum of the padded CIR, times F
   CVec residual;        // upsampled residual r, M = n * F samples
   CVec delta;           // subtracted waveform inside the update window
   std::vector<CVec> u;  // u[i][q] = y_i[F q], one per template
+  RVec noise_scratch;   // dsp::noise_sigma_estimate's buffer
 };
 
 SearchSubtractDetector::SearchSubtractDetector(DetectorConfig config)
@@ -74,52 +79,7 @@ SearchSubtractDetector::SearchSubtractDetector(DetectorConfig config)
   detail::validate_detector_config(config_);
 }
 
-SearchSubtractDetector::~SearchSubtractDetector() = default;
-SearchSubtractDetector::SearchSubtractDetector(
-    SearchSubtractDetector&&) noexcept = default;
-SearchSubtractDetector& SearchSubtractDetector::operator=(
-    SearchSubtractDetector&&) noexcept = default;
-
 namespace {
-
-// Thread-local bank cache: detectors constructed per Monte-Carlo trial with
-// identical configuration share one bank (templates and matched-filter
-// spectra) instead of rebuilding it every trial. Keyed by everything the
-// bank depends on: the shape registers, the upsampled sample period, the
-// native correlation length and the upsample factor.
-struct BankCache {
-  struct Key {
-    std::vector<std::uint8_t> registers;
-    std::uint64_t ts_up_bits = 0;
-    std::size_t n = 0;
-    int factor = 0;
-    bool operator==(const Key& other) const {
-      return ts_up_bits == other.ts_up_bits && n == other.n &&
-             factor == other.factor && registers == other.registers;
-    }
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const {
-      std::uint64_t h = hash_combine(hash_mix(key.ts_up_bits), key.n);
-      h = hash_combine(h, static_cast<std::uint64_t>(key.factor));
-      for (const std::uint8_t reg : key.registers) h = hash_combine(h, reg);
-      return static_cast<std::size_t>(h);
-    }
-  };
-  // Lookup only: find and emplace, never iterated.
-  // uwb-lint: allow(unordered-container)
-  std::unordered_map<
-      Key, std::shared_ptr<const SearchSubtractDetector::TemplateBank>,
-      KeyHash>
-      entries;
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-};
-
-BankCache& bank_cache() {
-  thread_local BankCache cache;
-  return cache;
-}
 
 // The calling thread's fast-path working set, reused by every detect().
 SearchSubtractDetector::FastState& fast_state() {
@@ -151,12 +111,12 @@ double native_coverage(const CVec& unit_template, int factor) {
 // (M - p) mod M, so the circular correlation index is the template start;
 // a template longer than M wraps), folded onto n bins and scaled by 1/M.
 CVec native_template_spectrum(const CVec& unit_template, std::size_t n,
-                              int factor) {
-  const std::size_t m = n * static_cast<std::size_t>(factor);
+                              int factor, const dsp::FftPlan& fft_m) {
+  const std::size_t m = fft_m.size();
   CVec t(m, Complex{});
   for (std::size_t p = 0; p < unit_template.size(); ++p)
     t[(m - p % m) % m] += std::conj(unit_template[p]);
-  dsp::plan_for(m).transform_pow2(t.data(), false);
+  fft_m.transform_pow2(t.data(), false);
   CVec folded(n);
   dsp::fold_spectrum(t.data(), n, factor, folded.data());
   simd::scale(reinterpret_cast<double*>(folded.data()),
@@ -164,65 +124,71 @@ CVec native_template_spectrum(const CVec& unit_template, std::size_t n,
   return folded;
 }
 
+std::unique_ptr<const DetectorPlan> build_plan(const DetectorConfig& cfg,
+                                               double ts_up, std::size_t n) {
+  const int factor = cfg.upsample_factor;
+  auto plan = std::make_unique<DetectorPlan>();
+  plan->ts_up = ts_up;
+  plan->n = n;
+  plan->fft_n = &dsp::plan_for(n);
+  plan->fft_m = &dsp::plan_for(n * static_cast<std::size_t>(factor));
+  for (const std::uint8_t reg : cfg.shape_registers) {
+    DetectorPlan::Entry entry;
+    entry.sampled = dw::sample_pulse_template(reg, ts_up);
+    entry.raw_norm = std::sqrt(dsp::energy(entry.sampled));
+    UWB_ENSURES(entry.raw_norm > 0.0);
+    entry.unit_template = dsp::normalize_energy(entry.sampled);
+    entry.native_spectrum = native_template_spectrum(entry.unit_template, n,
+                                                     factor, *plan->fft_m);
+    entry.kappa = native_coverage(entry.unit_template, factor);
+    entry.centre_index = dw::template_centre_index(reg, ts_up);
+    entry.length = entry.unit_template.size();
+    entry.reg = reg;
+    plan->entries.push_back(std::move(entry));
+  }
+  return plan;
+}
+
+// Everything a plan depends on.
+struct PlanKey {
+  std::uint64_t ts_up_bits = 0;
+  std::size_t n = 0;
+  int factor = 0;
+  std::vector<std::uint8_t> registers;
+};
+
+// The process-wide plan memo. A run meets a handful of keys, so a list
+// searched in order serves; it only ever appends, so a plan keeps its
+// address until the process exits. Building under the lock builds each
+// plan exactly once.
+const DetectorPlan& shared_plan(const DetectorConfig& cfg, double ts_up,
+                                std::size_t n) {
+  static std::mutex mu;
+  static std::vector<std::pair<PlanKey, std::unique_ptr<const DetectorPlan>>>
+      plans;
+  const std::uint64_t ts_up_bits = double_bits(ts_up);
+  const std::lock_guard<std::mutex> lock(mu);
+  for (const auto& [key, plan] : plans)
+    if (key.ts_up_bits == ts_up_bits && key.n == n &&
+        key.factor == cfg.upsample_factor &&
+        key.registers == cfg.shape_registers)
+      return *plan;
+  plans.emplace_back(
+      PlanKey{ts_up_bits, n, cfg.upsample_factor, cfg.shape_registers},
+      build_plan(cfg, ts_up, n));
+  return *plans.back().second;
+}
+
 }  // namespace
 
-const SearchSubtractDetector::TemplateBank& SearchSubtractDetector::bank_for(
-    double ts_s, std::size_t cir_len) const {
+const DetectorPlan& SearchSubtractDetector::plan(double ts_s,
+                                                 std::size_t cir_len) const {
   UWB_EXPECTS(ts_s > 0.0);
   const double ts_up = ts_s / config_.upsample_factor;
   const std::size_t n = dsp::next_pow2(cir_len);
-  if (bank_ && std::abs(bank_->ts_up - ts_up) < 1e-18 && bank_->n == n)
-    return *bank_;
-
-  BankCache& cache = bank_cache();
-  const BankCache::Key key{config_.shape_registers, double_bits(ts_up), n,
-                           config_.upsample_factor};
-  if (const auto it = cache.entries.find(key); it != cache.entries.end()) {
-    ++cache.hits;
-    UWB_OBS_COUNT("cache_bank_hits", 1);
-    bank_ = it->second;
-    return *bank_;
-  }
-  ++cache.misses;
-  UWB_OBS_COUNT("cache_bank_misses", 1);
-
-  auto bank = std::make_shared<TemplateBank>();
-  bank->ts_up = ts_up;
-  bank->n = n;
-  for (std::uint8_t reg : config_.shape_registers) {
-    CVec raw = dw::sample_pulse_template(reg, ts_up);
-    const double norm = std::sqrt(dsp::energy(raw));
-    UWB_ENSURES(norm > 0.0);
-    TemplateBank::Entry entry{dsp::MatchedFilter(std::move(raw)), {}, {}, norm,
-                              1.0, dw::template_centre_index(reg, ts_up),
-                              0, reg};
-    entry.unit_template = entry.filter.unit_template();
-    entry.native_spectrum = native_template_spectrum(
-        entry.unit_template, n, config_.upsample_factor);
-    entry.kappa = native_coverage(entry.unit_template, config_.upsample_factor);
-    entry.length = entry.unit_template.size();
-    bank->entries.push_back(std::move(entry));
-  }
-  bank_ = bank;
-  cache.entries.emplace(key, std::move(bank));
-  return *bank_;
-}
-
-SearchSubtractDetector::BankCacheStats
-SearchSubtractDetector::bank_cache_stats() {
-  const BankCache& cache = bank_cache();
-  return {cache.hits, cache.misses};
-}
-
-SearchSubtractDetector::BankCacheStats
-SearchSubtractDetector::bank_cache_stats_total() {
-  // Registry-backed totals (obs shards sum per-thread counts).
-  const auto snap = obs::MetricsRegistry::instance().aggregate();
-  return {snap.counter("cache_bank_hits"), snap.counter("cache_bank_misses")};
-}
-
-void SearchSubtractDetector::clear_bank_cache() {
-  bank_cache().entries.clear();
+  if (plan_ == nullptr || plan_->ts_up != ts_up || plan_->n != n)
+    plan_ = &shared_plan(config_, ts_up, n);
+  return *plan_;
 }
 
 CVec SearchSubtractDetector::matched_filter_output(const CVec& cir_taps,
@@ -230,9 +196,11 @@ CVec SearchSubtractDetector::matched_filter_output(const CVec& cir_taps,
                                                    int shape_index) const {
   UWB_EXPECTS(shape_index >= 0 &&
               shape_index < static_cast<int>(config_.shape_registers.size()));
-  const TemplateBank& bank = bank_for(ts_s, cir_taps.size());
+  const DetectorPlan::Entry& entry =
+      plan(ts_s, cir_taps.size())
+          .entries[static_cast<std::size_t>(shape_index)];
   const CVec up = dsp::upsample_fft(cir_taps, config_.upsample_factor);
-  return bank.entries[static_cast<std::size_t>(shape_index)].filter.apply(up);
+  return dsp::MatchedFilter(entry.sampled).apply(up);
 }
 
 std::vector<DetectedResponse> SearchSubtractDetector::detect(
@@ -254,10 +222,10 @@ std::vector<DetectedResponse> SearchSubtractDetector::detect_impl(
     DetectionTrace* trace) const {
   UWB_EXPECTS(!cir_taps.empty());
   UWB_EXPECTS(max_responses >= 1);
-  const TemplateBank& bank = bank_for(ts_s, cir_taps.size());
+  const DetectorPlan& resolved = plan(ts_s, cir_taps.size());
   if (trace != nullptr)
-    return detect_exact(cir_taps, bank, max_responses, *trace);
-  return detect_fast(cir_taps, bank, max_responses);
+    return detect_exact(cir_taps, resolved, max_responses, *trace);
+  return detect_fast(cir_taps, resolved, max_responses);
 }
 
 namespace {
@@ -303,7 +271,8 @@ double native_noise_sigma(const CVec& y, int factor) {
   CVec native(y.size() / static_cast<std::size_t>(factor));
   for (std::size_t q = 0; q < native.size(); ++q)
     native[q] = y[q * static_cast<std::size_t>(factor)];
-  return dsp::noise_sigma_estimate(native);
+  RVec scratch;
+  return dsp::noise_sigma_estimate(native, scratch);
 }
 
 // y[j] = sum_m r[j + m] * conj(s[m]) on the upsampled grid by one direct
@@ -319,10 +288,14 @@ Complex correlate_at(const CVec& r, const CVec& s, std::size_t j) {
 }  // namespace
 
 std::vector<DetectedResponse> SearchSubtractDetector::detect_exact(
-    const CVec& cir_taps, const TemplateBank& bank, int max_responses,
+    const CVec& cir_taps, const DetectorPlan& plan, int max_responses,
     DetectionTrace& trace) const {
-  const double ts_up = bank.ts_up;
+  const double ts_up = plan.ts_up;
   CVec residual = detail::upsample_padded(cir_taps, config_.upsample_factor);
+  std::vector<dsp::MatchedFilter> filters;
+  filters.reserve(plan.entries.size());
+  for (const DetectorPlan::Entry& entry : plan.entries)
+    filters.emplace_back(entry.sampled);
 
   std::vector<DetectedResponse> found;
   found.reserve(static_cast<std::size_t>(max_responses));
@@ -331,8 +304,8 @@ std::vector<DetectedResponse> SearchSubtractDetector::detect_exact(
     // Step 2/3: matched filter every template, take the global maximum.
     PeakSelection best;
     CVec best_y;
-    for (std::size_t i = 0; i < bank.entries.size(); ++i) {
-      CVec y = bank.entries[i].filter.apply(residual);
+    for (std::size_t i = 0; i < filters.size(); ++i) {
+      CVec y = filters[i].apply(residual);
       const std::size_t idx = dsp::argmax_abs(y);
       const double mag = std::abs(y[idx]);
       if (mag > best.mag) {
@@ -368,7 +341,7 @@ std::vector<DetectedResponse> SearchSubtractDetector::detect_exact(
     }
     strongest = std::max(strongest, best.mag);
 
-    const auto& entry = bank.entries[static_cast<std::size_t>(best.shape)];
+    const auto& entry = plan.entries[static_cast<std::size_t>(best.shape)];
 
     // Sub-sample refinement: parabolic interpolation of |y| around the peak
     // gives the fractional pulse position; subtracting the fractionally
@@ -421,10 +394,10 @@ std::vector<DetectedResponse> SearchSubtractDetector::detect_exact(
 }
 
 void SearchSubtractDetector::prepare_residual(const CVec& cir_taps,
-                                              const TemplateBank& bank,
+                                              const DetectorPlan& plan,
                                               FastState& st) const {
   const int factor = config_.upsample_factor;
-  const std::size_t n = bank.n;
+  const std::size_t n = plan.n;
   const std::size_t m = n * static_cast<std::size_t>(factor);
   UWB_OBS_SPAN("upsample");
   // Step 1: the n-point spectrum S of the zero-padded CIR, and the
@@ -438,13 +411,13 @@ void SearchSubtractDetector::prepare_residual(const CVec& cir_taps,
   CVec& residual = st.residual;
   // Without upsampling r is the padded CIR itself.
   if (factor == 1) residual.assign(spectrum.begin(), spectrum.end());
-  dsp::plan_for(n).transform_pow2(spectrum.data(), false);
+  plan.fft_n->transform_pow2(spectrum.data(), false);
   if (factor == 1) return;
   simd::scale(reinterpret_cast<double*>(spectrum.data()),
               static_cast<double>(factor), n);
   residual.resize(m);
   dsp::upsample_spectrum(spectrum.data(), n, factor, residual.data());
-  dsp::plan_for(m).transform_pow2(residual.data(), true);
+  plan.fft_m->transform_pow2(residual.data(), true);
   simd::scale(reinterpret_cast<double*>(residual.data()),
               1.0 / static_cast<double>(m), m);
 }
@@ -453,25 +426,25 @@ void SearchSubtractDetector::prepare_residual(const CVec& cir_taps,
 // detect (the bank_correlate span of bench_fig4_detection). It allocates
 // nothing: HotPathAllocTest.BankCorrelateAllocatesNothing pins it, and
 // SearchLoopAllocatesNothing the search loop after it.
-void SearchSubtractDetector::bank_correlate(const TemplateBank& bank,
+void SearchSubtractDetector::bank_correlate(const DetectorPlan& plan,
                                             FastState& st) const {
   // Step 2 (first iteration): u_i = IFFT_n(S * native_spectrum_i), the
   // circular correlation at j = F q, one n-point transform per template.
-  const std::size_t n_shapes = bank.entries.size();
-  const std::size_t n = bank.n;
+  const std::size_t n_shapes = plan.entries.size();
+  const std::size_t n = plan.n;
   const auto factor = static_cast<std::ptrdiff_t>(config_.upsample_factor);
   const auto m = static_cast<std::ptrdiff_t>(st.residual.size());
   if (st.u.size() < n_shapes) st.u.resize(n_shapes);
   UWB_OBS_SPAN("bank_correlate");
   const auto* r = reinterpret_cast<const double*>(st.residual.data());
   for (std::size_t i = 0; i < n_shapes; ++i) {
-    const TemplateBank::Entry& entry = bank.entries[i];
+    const DetectorPlan::Entry& entry = plan.entries[i];
     CVec& u = st.u[i];
     u.resize(n);
     simd::cmul(reinterpret_cast<const double*>(st.spectrum.data()),
                reinterpret_cast<const double*>(entry.native_spectrum.data()),
                reinterpret_cast<double*>(u.data()), n);
-    dsp::plan_for(n).transform_pow2(u.data(), true);
+    plan.fft_n->transform_pow2(u.data(), true);
     // The circular correlation wraps the template samples that run past
     // the end of r back onto r[0 ...]; take them out, so u[q] is the
     // linear correlation y_i[F q] of the exact path.
@@ -491,11 +464,11 @@ void SearchSubtractDetector::bank_correlate(const TemplateBank& bank,
 }
 
 std::vector<DetectedResponse> SearchSubtractDetector::search_loop(
-    const TemplateBank& bank, int max_responses, FastState& st) const {
-  const double ts_up = bank.ts_up;
-  const std::size_t n = bank.n;
+    const DetectorPlan& plan, int max_responses, FastState& st) const {
+  const double ts_up = plan.ts_up;
+  const std::size_t n = plan.n;
   const auto factor = static_cast<std::ptrdiff_t>(config_.upsample_factor);
-  const std::size_t n_shapes = bank.entries.size();
+  const std::size_t n_shapes = plan.entries.size();
   CVec& residual = st.residual;
   const auto m = static_cast<std::ptrdiff_t>(residual.size());
 
@@ -526,7 +499,7 @@ std::vector<DetectedResponse> SearchSubtractDetector::search_loop(
       native_max = std::max(native_max, std::norm(u[q]));
     }
     for (std::size_t i = 0; i < n_shapes; ++i) {
-      const TemplateBank::Entry& entry = bank.entries[i];
+      const DetectorPlan::Entry& entry = plan.entries[i];
       const CVec& u = st.u[i];
       const double cut = kCandidateMargin * entry.kappa * native_max;
       std::ptrdiff_t next = 0;  // first ×F position not yet evaluated
@@ -551,14 +524,14 @@ std::vector<DetectedResponse> SearchSubtractDetector::search_loop(
     }
     }
     UWB_ENSURES(best.shape >= 0);
-    const auto& entry = bank.entries[static_cast<std::size_t>(best.shape)];
+    const auto& entry = plan.entries[static_cast<std::size_t>(best.shape)];
     best.mag = std::abs(best_y);
 
     double noise = 0.0;
     {
     UWB_OBS_SPAN("noise_estimate");
     noise = dsp::noise_sigma_estimate(
-        st.u[static_cast<std::size_t>(best.shape)]);
+        st.u[static_cast<std::size_t>(best.shape)], st.noise_scratch);
     }
     if (best.mag < config_.noise_threshold_factor * noise) {
       UWB_FR_EVENT(.kind = obs::FrKind::kDetect, .name = "peak_rejected",
@@ -629,9 +602,9 @@ std::vector<DetectedResponse> SearchSubtractDetector::search_loop(
     const std::ptrdiff_t w_hi = n0 + m_hi;
     const auto* dd = reinterpret_cast<const double*>(delta.data());
     for (std::size_t i = 0; i < n_shapes; ++i) {
-      const auto len_i = static_cast<std::ptrdiff_t>(bank.entries[i].length);
+      const auto len_i = static_cast<std::ptrdiff_t>(plan.entries[i].length);
       const auto* sd = reinterpret_cast<const double*>(
-          bank.entries[i].unit_template.data());
+          plan.entries[i].unit_template.data());
       const std::ptrdiff_t first = w_lo - len_i + 1;  // lowest overlapping j
       const std::ptrdiff_t q_lo = first > 0 ? (first + factor - 1) / factor : 0;
       const std::ptrdiff_t q_hi = std::min(static_cast<std::ptrdiff_t>(n),
@@ -647,7 +620,7 @@ std::vector<DetectedResponse> SearchSubtractDetector::search_loop(
         double max_diff = 0.0, ref_peak = 0.0;
         for (std::size_t q = 0; q < n; ++q) {
           const Complex ref_q = correlate_at(
-              residual, bank.entries[i].unit_template,
+              residual, plan.entries[i].unit_template,
               q * static_cast<std::size_t>(factor));
           max_diff = std::max(max_diff, std::abs(ref_q - st.u[i][q]));
           ref_peak = std::max(ref_peak, std::abs(ref_q));
@@ -669,11 +642,11 @@ std::vector<DetectedResponse> SearchSubtractDetector::search_loop(
 }
 
 std::vector<DetectedResponse> SearchSubtractDetector::detect_fast(
-    const CVec& cir_taps, const TemplateBank& bank, int max_responses) const {
+    const CVec& cir_taps, const DetectorPlan& plan, int max_responses) const {
   FastState& st = fast_state();
-  prepare_residual(cir_taps, bank, st);
-  bank_correlate(bank, st);
-  return search_loop(bank, max_responses, st);
+  prepare_residual(cir_taps, plan, st);
+  bank_correlate(plan, st);
+  return search_loop(plan, max_responses, st);
 }
 
 }  // namespace uwb::ranging

@@ -26,19 +26,21 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 
 #include "ranging/detector.hpp"
 
 namespace uwb::ranging {
 
+/// Immutable precomputed state of the detector for one key (shape
+/// registers, upsampled sample period, upsampling factor, native
+/// correlation length): the template bank, its folded spectra and the FFT
+/// plans. Built once per process per key and shared by every detector on
+/// every thread; defined in search_subtract.cpp.
+struct DetectorPlan;
+
 class SearchSubtractDetector final : public ResponseDetector {
  public:
   explicit SearchSubtractDetector(DetectorConfig config);
-  ~SearchSubtractDetector() override;
-
-  SearchSubtractDetector(SearchSubtractDetector&&) noexcept;
-  SearchSubtractDetector& operator=(SearchSubtractDetector&&) noexcept;
 
   std::vector<DetectedResponse> detect(const CVec& cir_taps, double ts_s,
                                        int max_responses) const override;
@@ -65,58 +67,39 @@ class SearchSubtractDetector final : public ResponseDetector {
 
   const DetectorConfig& config() const { return config_; }
 
-  /// Hit/miss counters of the calling thread's template-bank cache.
-  struct BankCacheStats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-  };
-  static BankCacheStats bank_cache_stats();
-
-  /// Process-wide bank-cache counters aggregated over every thread (what
-  /// the bench JSON reports; worker-thread caches are invisible to the
-  /// main thread otherwise).
-  static BankCacheStats bank_cache_stats_total();
-
-  /// Drop the calling thread's cached banks (tests / memory pressure).
-  static void clear_bank_cache();
-
-  /// Opaque precomputed template bank (public only so the thread-local
-  /// bank cache in the implementation can name it).
-  struct TemplateBank;
+  /// The plan for CIRs of `cir_len` taps spaced `ts_s`: the one object every
+  /// detector of this config resolves, on any thread.
+  const DetectorPlan& plan(double ts_s, std::size_t cir_len) const;
 
   /// Opaque per-CIR working set of the fast path (public only so the
   /// thread-local scratch in the implementation can name it).
   struct FastState;
 
  private:
-  const TemplateBank& bank_for(double ts_s, std::size_t cir_len) const;
   std::vector<DetectedResponse> detect_impl(const CVec& cir_taps, double ts_s,
                                             int max_responses,
                                             DetectionTrace* trace) const;
   std::vector<DetectedResponse> detect_exact(const CVec& cir_taps,
-                                             const TemplateBank& bank,
+                                             const DetectorPlan& plan,
                                              int max_responses,
                                              DetectionTrace& trace) const;
   std::vector<DetectedResponse> detect_fast(const CVec& cir_taps,
-                                            const TemplateBank& bank,
+                                            const DetectorPlan& plan,
                                             int max_responses) const;
   // Stages of the fast path, run in order by detect_fast.
-  void prepare_residual(const CVec& cir_taps, const TemplateBank& bank,
+  void prepare_residual(const CVec& cir_taps, const DetectorPlan& plan,
                         FastState& st) const;
-  void bank_correlate(const TemplateBank& bank, FastState& st) const;
-  std::vector<DetectedResponse> search_loop(const TemplateBank& bank,
+  void bank_correlate(const DetectorPlan& plan, FastState& st) const;
+  std::vector<DetectedResponse> search_loop(const DetectorPlan& plan,
                                             int max_responses,
                                             FastState& st) const;
 
   DetectorConfig config_;
-  // Handle into the thread-local template-bank cache (lazily resolved; all
-  // detectors on one thread with the same shape bank and sample period
-  // share one bank, so per-trial detector construction in the Monte-Carlo
-  // harnesses stops rebuilding templates and filter spectra). Banks are
-  // never shared across threads — a detector must only be used on the
-  // thread that first called detect() on it, which was already required by
-  // the lazily-built matched-filter spectra.
-  mutable std::shared_ptr<const TemplateBank> bank_;
+  // The plan of the last CIR length and sample period detected, re-resolved
+  // by plan() when either changes. Plans live until the process exits.
+  // Resolving writes this pointer, so one detector serves one thread at a
+  // time; detectors of equal config on different threads share the plan.
+  mutable const DetectorPlan* plan_ = nullptr;
 };
 
 }  // namespace uwb::ranging

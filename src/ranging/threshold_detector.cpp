@@ -28,7 +28,8 @@ std::vector<DetectedResponse> ThresholdDetector::detect(const CVec& cir_taps,
   const double ts_up = ts_s / config_.upsample_factor;
   const CVec up = detail::upsample_padded(cir_taps, config_.upsample_factor);
   const RVec mag = dsp::magnitude(up);
-  const double noise = dsp::noise_sigma_estimate(up);
+  RVec scratch;
+  const double noise = dsp::noise_sigma_estimate(up, scratch);
   const double peak = *std::max_element(mag.begin(), mag.end());
   const double threshold =
       std::max(config_.noise_threshold_factor * noise,

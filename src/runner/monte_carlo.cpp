@@ -9,7 +9,6 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "runner/thread_pool.hpp"
-#include "runner/worker_context.hpp"
 
 namespace uwb::runner {
 
@@ -100,7 +99,6 @@ TrialResult MonteCarlo::run(int n_trials, const TrialFn& fn) const {
     TrialContext ctx;
     ctx.trial_index = i;
     ctx.seed = derive_seed(config_.base_seed, static_cast<std::uint64_t>(i));
-    ctx.worker = &WorkerContext::current();
     // Per-trial wall time lands in the worker's shard; the registry merge
     // yields one process-wide latency histogram (obs_trial_latency_* in the
     // bench JSON).
@@ -111,7 +109,8 @@ TrialResult MonteCarlo::run(int n_trials, const TrialFn& fn) const {
     }
     const double elapsed_ms =
         static_cast<double>(obs::monotonic_ns() - t0) / 1e6;
-    ctx.worker->metrics()
+    obs::MetricsRegistry::instance()
+        .local_shard()
         .histogram("trial_latency_ms", obs::latency_buckets_ms())
         .observe(elapsed_ms);
   };

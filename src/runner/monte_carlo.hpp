@@ -12,8 +12,10 @@
 // The trial function must draw all randomness from the provided seed and
 // must not touch shared mutable state; everything else (scenario
 // construction, detection, statistics) is per-trial. Expensive immutables
-// are transparently reused across trials on one worker via thread-local
-// caches (see WorkerContext).
+// are built once per process and shared read-only by every worker: the
+// detector's plans (ranging::DetectorPlan) and the FFT plans
+// (dsp::plan_for). A trial records metrics into its worker's shard,
+// obs::MetricsRegistry::instance().local_shard().
 #pragma once
 
 #include <cstdint>
@@ -26,8 +28,6 @@
 
 namespace uwb::runner {
 
-class WorkerContext;
-
 /// Inputs handed to the trial function.
 struct TrialContext {
   /// Trial number in [0, n_trials).
@@ -35,8 +35,6 @@ struct TrialContext {
   /// derive_seed(base_seed, trial_index) — the only randomness source a
   /// trial may use.
   std::uint64_t seed = 0;
-  /// Per-thread caches of the worker executing this trial.
-  WorkerContext* worker = nullptr;
 };
 
 /// Collects named samples and counters from one trial. Metric names are

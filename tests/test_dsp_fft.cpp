@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <thread>
 
 #include "common/constants.hpp"
 #include "common/expects.hpp"
@@ -279,18 +280,23 @@ TEST(FftPlanTest, BluesteinPlanMatchesNaiveDft) {
 }
 
 TEST(FftPlanTest, CacheHitsOnRepeatedLengths) {
+  // plan_for builds each length once per process: every later lookup of
+  // that length, on this thread or another, returns the same plan, and
+  // clear_fft_plan_cache (a no-op) leaves it in place.
+  const FftPlan& first = plan_for(512);
+  EXPECT_EQ(first.size(), 512u);
+  EXPECT_EQ(&plan_for(512), &first);
   clear_fft_plan_cache();
-  const auto before = fft_plan_cache_stats();
-  plan_for(512);
-  plan_for(512);
-  plan_for(512);
-  const auto after = fft_plan_cache_stats();
-  EXPECT_EQ(after.misses - before.misses, 1u);
-  EXPECT_EQ(after.hits - before.hits, 2u);
-  // The registry-backed aggregate moves with the per-thread counters.
-  const auto total = fft_plan_cache_stats_total();
-  EXPECT_GE(total.hits, after.hits);
-  EXPECT_GE(total.misses, after.misses);
+  EXPECT_EQ(&plan_for(512), &first);
+  const FftPlan* from_other_thread = nullptr;
+  std::thread([&from_other_thread] {
+    from_other_thread = &plan_for(512);
+  }).join();
+  EXPECT_EQ(from_other_thread, &first);
+  const FftPlan& other = plan_for(1016);
+  EXPECT_NE(&other, &first);
+  EXPECT_EQ(other.size(), 1016u);
+  EXPECT_EQ(&plan_for(1016), &other);
 }
 
 }  // namespace

@@ -144,7 +144,8 @@ TEST(PeaksTest, NoiseSigmaEstimateOnPureNoise) {
   CVec x(4096);
   const double sigma = 0.3;
   for (auto& v : x) v = rng.complex_normal(sigma);
-  EXPECT_NEAR(noise_sigma_estimate(x), sigma, 0.02);
+  RVec scratch;
+  EXPECT_NEAR(noise_sigma_estimate(x, scratch), sigma, 0.02);
 }
 
 TEST(PeaksTest, NoiseSigmaRobustToStrongTaps) {
@@ -154,7 +155,8 @@ TEST(PeaksTest, NoiseSigmaRobustToStrongTaps) {
   // A handful of very strong "signal" taps should barely move the estimate.
   for (int i = 0; i < 20; ++i)
     x[static_cast<std::size_t>(i * 100)] = {50.0, 0.0};
-  EXPECT_NEAR(noise_sigma_estimate(x), 0.1, 0.02);
+  RVec scratch;
+  EXPECT_NEAR(noise_sigma_estimate(x, scratch), 0.1, 0.02);
 }
 
 /// The estimate as a plain nth_element median of |x|^2 computes it.
@@ -171,6 +173,7 @@ TEST(PeaksTest, NoiseSigmaEstimateSelectsTheNthElementMedian) {
   // no detector stop decision moves. NaN stays unspecified, as there.
   Rng rng(12);
   const double inf = std::numeric_limits<double>::infinity();
+  RVec scratch;  // reused dirty across inputs, as the detector reuses it
   for (const std::size_t n : {1u, 2u, 7u, 33u, 1001u, 8192u}) {
     SCOPED_TRACE(n);
     const auto noise = [&](double sigma) {
@@ -198,7 +201,7 @@ TEST(PeaksTest, NoiseSigmaEstimateSelectsTheNthElementMedian) {
     for (std::size_t i = 1; i < n; i += 3) infinite[i] = {inf, 1.0};
     inputs.push_back(infinite);
     for (const CVec& x : inputs)
-      EXPECT_EQ(noise_sigma_estimate(x), nth_element_noise_sigma(x));
+      EXPECT_EQ(noise_sigma_estimate(x, scratch), nth_element_noise_sigma(x));
   }
 }
 

@@ -35,7 +35,8 @@ TEST(CirTest, EmptyArrivalsGiveNoise) {
   Rng rng(1);
   const CirEstimate cir = synthesize_cir({}, params, rng);
   ASSERT_EQ(cir.taps.size(), static_cast<std::size_t>(k::cir_len_prf64));
-  EXPECT_NEAR(dsp::noise_sigma_estimate(cir.taps), 0.01, 0.003);
+  RVec scratch;
+  EXPECT_NEAR(dsp::noise_sigma_estimate(cir.taps, scratch), 0.01, 0.003);
 }
 
 TEST(CirTest, SinglePulsePeaksAtArrival) {

@@ -2,11 +2,14 @@
 // against the exact per-iteration recompute path that detect_with_trace
 // runs (DESIGN.md Sect. 8),
 // including the candidate search's worst cases and CIRs shorter than a
-// template, and bit-identical Monte-Carlo detection across thread counts.
+// template, bit-identical Monte-Carlo detection across thread counts, and
+// one shared DetectorPlan per config when threads race to first use it.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <latch>
+#include <thread>
 #include <vector>
 
 #include "common/constants.hpp"
@@ -188,19 +191,28 @@ TEST(FastPathEquivalence, MatchesExactOnCirsShorterThanATemplate) {
 }
 
 TEST(FastPathEquivalence, BankCacheCountsSharedBanks) {
-  SearchSubtractDetector::clear_bank_cache();
-  const auto before = SearchSubtractDetector::bank_cache_stats();
+  // Two detectors of one config share one bank: the second resolves the
+  // plan object the first built, and detects bit for bit alike. Another
+  // shape set, or a CIR of another padded length, resolves its own plan.
   const auto cir = random_cir(3, 2, 2);
+  const std::size_t taps = cir.taps.size();
   SearchSubtractDetector a{multi_shape_config()};
   SearchSubtractDetector b{multi_shape_config()};
-  a.detect(cir.taps, cir.ts_s, 2);
-  b.detect(cir.taps, cir.ts_s, 2);  // same config: bank comes from cache
-  const auto after = SearchSubtractDetector::bank_cache_stats();
-  EXPECT_EQ(after.misses - before.misses, 1u);
-  EXPECT_EQ(after.hits - before.hits, 1u);
-  // The registry-backed totals move with the per-thread counters.
-  const auto total = SearchSubtractDetector::bank_cache_stats_total();
-  EXPECT_GE(total.hits + total.misses, 2u);
+  const auto found_a = a.detect(cir.taps, cir.ts_s, 2);
+  const auto found_b = b.detect(cir.taps, cir.ts_s, 2);
+  const DetectorPlan* shared = &a.plan(cir.ts_s, taps);
+  EXPECT_EQ(&b.plan(cir.ts_s, taps), shared);
+  EXPECT_NE(&SearchSubtractDetector{DetectorConfig{}}.plan(cir.ts_s, taps),
+            shared);
+  EXPECT_NE(&b.plan(cir.ts_s, taps / 2), shared);
+  EXPECT_EQ(&b.plan(cir.ts_s, taps), shared);
+  ASSERT_EQ(found_b.size(), found_a.size());
+  for (std::size_t i = 0; i < found_a.size(); ++i) {
+    EXPECT_EQ(found_b[i].tau_s, found_a[i].tau_s) << "i=" << i;
+    EXPECT_EQ(found_b[i].index_upsampled, found_a[i].index_upsampled);
+    EXPECT_EQ(found_b[i].amplitude, found_a[i].amplitude);
+    EXPECT_EQ(found_b[i].shape_index, found_a[i].shape_index);
+  }
 }
 
 TEST(FastPathEquivalence, McDetectionBitIdenticalAcrossThreadCounts) {
@@ -234,6 +246,63 @@ TEST(FastPathEquivalence, McDetectionBitIdenticalAcrossThreadCounts) {
     ASSERT_EQ(a.size(), b.size()) << name;
     for (std::size_t i = 0; i < a.size(); ++i)
       EXPECT_EQ(a[i], b[i]) << name << "[" << i << "]";
+  }
+}
+
+// --- the shared plan ---------------------------------------------------------
+
+TEST(DetectorPlanTest, ConcurrentFirstUseSharesOnePlan) {
+  // A config no other test uses, so four threads race to build its plan:
+  // the memo must hand every thread the same object, and every detection
+  // must equal a one-thread run bit for bit.
+  DetectorConfig cfg;
+  cfg.upsample_factor = 4;
+  cfg.shape_registers = {0xE6, 0x93};
+  std::vector<dw::CirEstimate> cirs;
+  for (std::uint64_t seed = 40; seed < 46; ++seed)
+    cirs.push_back(random_cir(seed, 1, 4));
+  using Responses = std::vector<std::vector<DetectedResponse>>;
+  const auto detect_all = [&cirs](const SearchSubtractDetector& det) {
+    Responses out;
+    for (const auto& cir : cirs)
+      out.push_back(det.detect(cir.taps, cir.ts_s, 5));
+    return out;
+  };
+  const double ts_s = cirs.front().ts_s;
+  const std::size_t taps = cirs.front().taps.size();
+
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<const DetectorPlan*> plans(kThreads);
+  std::vector<Responses> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      const SearchSubtractDetector det{cfg};
+      results[static_cast<std::size_t>(t)] = detect_all(det);
+      plans[static_cast<std::size_t>(t)] = &det.plan(ts_s, taps);
+    });
+  for (auto& thread : threads) thread.join();
+
+  const SearchSubtractDetector det{cfg};
+  const Responses reference = detect_all(det);
+  const DetectorPlan* shared = &det.plan(ts_s, taps);
+  EXPECT_NE(shared, &SearchSubtractDetector{DetectorConfig{}}.plan(ts_s, taps));
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(plans[t], shared) << "thread " << t;
+    ASSERT_EQ(results[t].size(), reference.size());
+    for (std::size_t c = 0; c < reference.size(); ++c) {
+      ASSERT_EQ(results[t][c].size(), reference[c].size());
+      for (std::size_t i = 0; i < reference[c].size(); ++i) {
+        const DetectedResponse& a = results[t][c][i];
+        const DetectedResponse& b = reference[c][i];
+        EXPECT_EQ(a.tau_s, b.tau_s) << "thread " << t << " cir " << c;
+        EXPECT_EQ(a.index_upsampled, b.index_upsampled);
+        EXPECT_EQ(a.amplitude, b.amplitude);
+        EXPECT_EQ(a.shape_index, b.shape_index);
+      }
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "acceptance.hpp"
 #include "fault/fault.hpp"
 #include "ranging/session.hpp"
 #include "runner/monte_carlo.hpp"
@@ -203,46 +204,47 @@ TEST(FaultSessionTest, RetryBackoffScheduleIsDeterministic) {
 }
 
 TEST(FaultSessionTest, EveryRangingStatusReachable) {
-  // Sweep fault mixes until all five statuses have been observed.
+  // Each fault mix runs enough rounds that missing its status is
+  // practically impossible on any draw. The rarest is kCrcError: 17.0% of
+  // 40 000 rounds of its mix show it (2 000 scenarios of 20 rounds; 46 of
+  // them saw none, where independent rounds predict 48), Wilson 95% lower
+  // bound 16.6%, so 90 rounds miss it with probability below 1e-7. Every
+  // other status shows in at least 98% of its mix's rounds (4 000 rounds
+  // each), so all five are seen except with probability below 1e-6
+  // (EXPERIMENTS.md).
+  constexpr int kRounds = 90;
   std::map<RangingStatus, int> seen;
-  const auto tally = [&seen](ConcurrentRangingScenario& scenario, int rounds) {
-    for (int i = 0; i < rounds; ++i)
+  const auto tally = [&seen](const ScenarioConfig& cfg) {
+    ConcurrentRangingScenario scenario(cfg);
+    for (int i = 0; i < kRounds; ++i)
       for (const auto& rep : scenario.run_round().responder_reports)
         ++seen[rep.status];
   };
 
-  {
-    ScenarioConfig cfg = office(61, 3);  // healthy: kOk
-    ConcurrentRangingScenario s(cfg);
-    tally(s, 2);
-  }
+  tally(office(61, 3));  // healthy: kOk
   {
     ScenarioConfig cfg = office(62, 3);  // preamble misses: kNoPreamble
     cfg.fault.enabled = true;
     cfg.fault.preamble_miss_prob = 0.8;
-    ConcurrentRangingScenario s(cfg);
-    tally(s, 8);
+    tally(cfg);
   }
   {
     ScenarioConfig cfg = office(63, 2);  // CRC faults: kCrcError
     cfg.fault.enabled = true;
     cfg.fault.crc_error_prob = 0.9;
-    ConcurrentRangingScenario s(cfg);
-    tally(s, 8);
+    tally(cfg);
   }
   {
     ScenarioConfig cfg = office(64, 2);  // late TX aborts: kLateTxAbort
     cfg.fault.enabled = true;
     cfg.fault.late_tx_abort_prob = 0.9;
-    ConcurrentRangingScenario s(cfg);
-    tally(s, 8);
+    tally(cfg);
   }
   {
     ScenarioConfig cfg = office(65, 2);  // mute windows: kTimedOut
     cfg.fault.enabled = true;
     cfg.fault.dropout_prob = 0.9;
-    ConcurrentRangingScenario s(cfg);
-    tally(s, 8);
+    tally(cfg);
   }
   for (const auto status :
        {RangingStatus::kOk, RangingStatus::kNoPreamble,
@@ -304,9 +306,13 @@ TEST(FaultSessionTest, ReplyJitterSpreadsResponseSpacing) {
   // *relative timing* of the concurrent responses. With the delayed-TX
   // truncation disabled (its ~8 ns quantisation would mask nanosecond
   // jitter) the round-to-round spread of the two responses' arrival
-  // spacing is sigma * sqrt(2) — and near zero without jitter.
-  const auto spacing_stddev = [](double jitter_sigma_s) {
-    ScenarioConfig cfg = office(68, 2);
+  // spacing is sigma * sqrt(2) — and near zero without jitter. A seed
+  // passes when 2 ns of jitter spreads the spacing of 20 rounds by more
+  // than 2 ns and by more than six times the jitter-free spread; the
+  // documented rate is 1 921 of seeds 201-2 200 (EXPERIMENTS.md).
+  const auto spacing_stddev = [](std::uint64_t seed, double jitter_sigma_s,
+                                 bool* enough_rounds) {
+    ScenarioConfig cfg = office(seed, 2);
     cfg.ranging.num_slots = 4;
     cfg.ranging.slot_spacing_s = 150e-9;
     cfg.delayed_tx_truncation = false;
@@ -322,7 +328,7 @@ TEST(FaultSessionTest, ReplyJitterSpreadsResponseSpacing) {
       spacings.push_back((out.truths[1].resp_arrival.seconds() -
                           out.truths[0].resp_arrival.seconds()));
     }
-    EXPECT_GT(spacings.size(), 15u);
+    *enough_rounds = *enough_rounds && spacings.size() > 15u;
     double mean = 0.0;
     for (const double s : spacings) mean += s;
     mean /= static_cast<double>(spacings.size());
@@ -332,10 +338,13 @@ TEST(FaultSessionTest, ReplyJitterSpreadsResponseSpacing) {
   };
   // The no-jitter floor is ~0.2 ns: the responders' noisy INIT RX
   // timestamps propagate into the reply schedule.
-  const double base = spacing_stddev(0.0);
-  const double jittered = spacing_stddev(2e-9);
-  EXPECT_GT(jittered, 2e-9);          // ~sqrt(2) * 2 ns expected
-  EXPECT_GT(jittered, 6.0 * base);
+  acceptance::expect_pass_rate(
+      1, 200, 1921.0 / 2000.0, [&spacing_stddev](std::uint64_t seed) {
+        bool enough_rounds = true;
+        const double base = spacing_stddev(seed, 0.0, &enough_rounds);
+        const double jittered = spacing_stddev(seed, 2e-9, &enough_rounds);
+        return enough_rounds && jittered > 2e-9 && jittered > 6.0 * base;
+      });
 }
 
 TEST(FaultConfigTest, PlanValidation) {

@@ -2,12 +2,12 @@
 // reached through their public callers.
 //
 // This binary replaces the global operator new with a counting one. Each
-// test first warms its caller up (thread-local shards and handles, FFT
-// plans, the pulse and template-bank memo caches, scratch buffers, the
-// event queue's capacity); those allocations happen once per process or
-// per size and are not part of the contract. It then pins the exact count
-// per call, so a new allocation anywhere under a hot path fails here in
-// every build type and under the sanitizers.
+// test first warms its caller up (thread-local shards and handles, the
+// process-wide detector and FFT plans, the detector's thread-local working
+// set, the event queue's capacity); those allocations happen once per
+// process, thread or size and are not part of the contract. It then pins
+// the exact count per call, so a new allocation anywhere under a hot path
+// fails here in every build type and under the sanitizers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -244,12 +244,11 @@ TEST(HotPathAllocTest, CirRenderAllocatesOnlyItsTaps) {
 // Medium::deliver runs once per receiver inside Medium::transmit. Every
 // receiver of this Fig. 4 hallway is in range and detectable, so each
 // transmit makes one deliver call per receiver and nothing else allocates.
-// Per delivered frame today: the path list, one bounce-wall list per
-// reflected path plus its copy into that list, the tap list, and the
-// event closure (the AirFrame is too large for std::function's inline
-// buffer). Lower the pin with each allocation removed; the goal is 0.
-TEST(HotPathAllocTest, MediumDeliverAllocatesSevenPerCall) {
-  constexpr std::uint64_t kPerDeliver = 7;
+// Per delivered frame today: the path list, the tap list, and the event
+// closure (the AirFrame is too large for std::function's inline buffer).
+// Lower the pin with each allocation removed; the goal is 0.
+TEST(HotPathAllocTest, MediumDeliverAllocatesThreePerCall) {
+  constexpr std::uint64_t kPerDeliver = 3;
   sim::Simulator simulator;
   sim::Medium medium(
       simulator,

@@ -172,7 +172,7 @@ TEST_F(ObsTest, MergeRejectsMismatchedLayouts) {
 // Record the same deterministic per-trial counts through the Monte-Carlo
 // runner at different thread counts: the merged registry aggregate must be
 // bit-identical (integer sums are order-independent). Uses the Shard API
-// via WorkerContext.
+// through each worker's local shard.
 Snapshot run_counting_trials(int threads, int n_trials) {
   MetricsRegistry::instance().reset();
   runner::MonteCarlo::Config cfg;
@@ -180,7 +180,7 @@ Snapshot run_counting_trials(int threads, int n_trials) {
   cfg.base_seed = 42;
   const auto result = runner::MonteCarlo(cfg).run(
       n_trials, [](const runner::TrialContext& ctx, runner::TrialRecorder&) {
-        Shard& shard = ctx.worker->metrics();
+        Shard& shard = MetricsRegistry::instance().local_shard();
         shard.counter("trials_seen").add(1);
         // Trial-dependent but schedule-independent: depends only on index.
         shard.counter("weighted").add(

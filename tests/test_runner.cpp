@@ -242,33 +242,32 @@ TEST(MonteCarlo, ScenarioRoundsBitIdenticalAcrossThreads) {
   expect_bit_identical(run_rounds(1), run_rounds(8));
 }
 
-// --- worker context & caches -------------------------------------------------
+// --- per-worker state --------------------------------------------------------
 
 TEST(WorkerContext, EachThreadHasItsOwnCaches) {
-  using ranging::SearchSubtractDetector;
-  runner::WorkerContext::current().clear();
-  const CVec cir(1016, Complex{});
-  // A fresh detector builds its template bank through the calling
-  // thread's bank cache.
-  const auto build_bank = [&cir] {
-    SearchSubtractDetector(ranging::DetectorConfig{})
-        .matched_filter_output(cir, k::cir_ts_s, 0);
+  // What a worker owns is its metrics shard: one shard per thread, the same
+  // on every call from that thread. The detector plan is not per worker:
+  // a fresh thread resolves the object the main thread built, and
+  // WorkerContext::current().clear() (a no-op) does not rebuild it.
+  auto& registry = obs::MetricsRegistry::instance();
+  obs::Shard* const main_shard = &registry.local_shard();
+  EXPECT_EQ(&registry.local_shard(), main_shard);
+  const auto resolve_plan = [] {
+    return &ranging::SearchSubtractDetector(ranging::DetectorConfig{})
+                .plan(k::cir_ts_s, 1016);
   };
-  build_bank();
-  const auto main_stats = SearchSubtractDetector::bank_cache_stats();
-  std::size_t other_misses = 0;
-  std::thread([&build_bank, &other_misses] {
-    // A fresh thread starts cold: its first lookup must be a miss even
-    // though the main thread already cached this exact bank.
-    const std::size_t before =
-        SearchSubtractDetector::bank_cache_stats().misses;
-    build_bank();
-    other_misses =
-        SearchSubtractDetector::bank_cache_stats().misses - before;
+  const ranging::DetectorPlan* const main_plan = resolve_plan();
+  obs::Shard* other_shard = nullptr;
+  const ranging::DetectorPlan* other_plan = nullptr;
+  std::thread([&] {
+    runner::WorkerContext::current().clear();
+    other_shard = &registry.local_shard();
+    other_plan = resolve_plan();
   }).join();
-  EXPECT_EQ(other_misses, 1u);
-  EXPECT_EQ(SearchSubtractDetector::bank_cache_stats().misses,
-            main_stats.misses);
+  EXPECT_NE(other_shard, main_shard);
+  EXPECT_EQ(other_plan, main_plan);
+  runner::WorkerContext::current().clear();
+  EXPECT_EQ(resolve_plan(), main_plan);
 }
 
 }  // namespace

@@ -61,6 +61,7 @@ TEST(AcceptanceTest, WilsonBoundsOfTheDocumentedRates) {
   EXPECT_EQ(acceptance::min_passes(1203.0 / 2000.0, 200), 107);
   EXPECT_EQ(acceptance::min_passes(1766.0 / 2000.0, 200), 167);
   EXPECT_EQ(acceptance::min_passes(1843.0 / 2000.0, 200), 176);
+  EXPECT_EQ(acceptance::min_passes(1921.0 / 2000.0, 200), 185);
   EXPECT_EQ(acceptance::min_passes(0.0, 200), 0);
 }
 

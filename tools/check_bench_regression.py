@@ -22,8 +22,8 @@ benchmarks present only in the baseline are reported and ignored.
 ``--determinism`` mode instead diffs the ``metrics`` objects of two
 JsonReport files (e.g. the same bench run with different ``--threads``)
 and fails on any differing value outside the scheduling-dependent
-prefixes ``mc_``, ``cache_``, and ``obs_`` (wall-clock and per-thread
-bookkeeping, which legitimately vary).
+prefixes ``mc_`` and ``obs_`` (wall-clock and thread-count bookkeeping,
+which legitimately vary).
 
 ``--exact PATTERN`` (repeatable, default mode only) adds an exact gate for
 deterministic work counters: every baseline metric whose name matches the
@@ -67,7 +67,7 @@ import sys
 
 # Metrics whose values depend on thread count, scheduling, or wall time;
 # the determinism diff ignores them.
-NONDETERMINISTIC_PREFIXES = ("mc_", "cache_", "obs_")
+NONDETERMINISTIC_PREFIXES = ("mc_", "obs_")
 
 
 def fatal(message: str) -> "NoReturn":  # noqa: F821 - py3.8 compat

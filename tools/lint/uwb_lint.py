@@ -44,8 +44,8 @@ cannot know about:
   unordered-container  src/ declares no unordered or pointer-keyed
                        container: their iteration order, and so the order
                        of any reduction over them, depends on the platform
-                       or on allocation addresses. Lookup-only memo caches
-                       carry an allow marker.
+                       or on allocation addresses. The memos in src/ use an
+                       ordered map or a list, and need no allow marker.
 
 Implementation: when libclang is importable the checker could parse real
 ASTs, but the baked toolchain ships without it, so the real path is a

@@ -2,8 +2,9 @@
 """Self-tests for tools/check_bench_regression.py.
 
 Covers the exact work-counter gate (``--exact``) next to the wall-clock
-gate it rides on, and the ceiling gate (``--max``), on small JsonReport
-files written to a temporary directory. Run directly or via
+gate it rides on, the ceiling gate (``--max``) and the determinism diff
+(``--determinism``), on small JsonReport files written to a temporary
+directory. Run directly or via
 `python3 -m unittest discover tools`.
 """
 
@@ -107,6 +108,26 @@ class ExactGateTest(GateTestCase):
         code, out = self.run_gate(BASELINE, "--determinism",
                                   "--exact", "cell_*_total")
         self.assertEqual(code, 2, out)
+
+
+class DeterminismTest(GateTestCase):
+    def test_scheduling_prefixes_are_skipped(self):
+        current = dict(BASELINE)
+        current["metrics"] = dict(BASELINE["metrics"], mc_wall_ms=12.0,
+                                  obs_span_detect_total_ms=3.5)
+        code, out = self.run_gate(current, "--determinism")
+        self.assertEqual(code, 0, out)
+        self.assertIn("2 skipped (mc_/obs_ prefixes), 0 differ", out)
+
+    def test_differing_cache_key_fails(self):
+        # cache_ is not a skipped prefix: a difference there is a
+        # determinism failure like any other key's.
+        baseline = report(1000.0, cache_bank_hits=40, sessions_per_sec=1.0)
+        current = report(1000.0, cache_bank_hits=39, sessions_per_sec=1.0)
+        code, out = self.run_gate(current, "--determinism",
+                                  baseline=baseline)
+        self.assertEqual(code, 1, out)
+        self.assertIn("DIFF   cache_bank_hits: 40 != 39", out)
 
 
 class CeilingGateTest(GateTestCase):
