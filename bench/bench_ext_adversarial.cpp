@@ -55,14 +55,12 @@ struct Cell {
 
 fault::AttackPlan one_spec(fault::AttackSpec spec) {
   fault::AttackPlan plan;
-  plan.enabled = true;
   plan.specs.push_back(spec);
   return plan;
 }
 
 // bench_ext_fault_sweep's loss mix at level `loss` (0.3 = the 30 % plan).
 void apply_loss(fault::FaultPlan& fault, double loss) {
-  fault.enabled = true;
   fault.preamble_miss_prob = loss;
   fault.preamble_snr_exponent = 1.0;
   fault.crc_error_prob = loss / 4.0;

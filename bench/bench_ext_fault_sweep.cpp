@@ -37,7 +37,6 @@ using namespace uwb;
 /// jitter.
 fault::FaultPlan plan_for_loss(double loss) {
   fault::FaultPlan plan;
-  plan.enabled = loss > 0.0;
   plan.preamble_miss_prob = loss;
   plan.preamble_snr_exponent = 1.0;
   plan.crc_error_prob = loss / 4.0;

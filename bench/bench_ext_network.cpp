@@ -80,8 +80,7 @@ int main(int argc, char** argv) {
     // Analytic SS-TWR energy for the same task (every node ranges to all
     // others with scheduled exchanges).
     const ranging::NetworkConfig cfg = network_config(n, 0);
-    const auto twr = ranging::twr_round_cost(n - 1, cfg.phy, 290e-6,
-                                             dw::EnergyModelParams{});
+    const auto twr = ranging::twr_round_cost(n - 1, cfg.phy, 290e-6);
     std::printf("%-6d %-12lld %5.1f %%       %-14.3f %-16.3f %-16.3f %.2f\n",
                 n, static_cast<long long>(pairs), filled_pct, mean_err,
                 energy_mj, twr.network_j * n * 1e3, time_ms);

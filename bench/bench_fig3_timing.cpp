@@ -56,12 +56,11 @@ int main(int argc, char** argv) {
   }
 
   bench::subheading("initiator radio operations for one round (N-1 neighbours)");
-  dw::EnergyModelParams energy;
   std::printf("%-6s %-14s %-14s %-18s %s\n", "N-1", "TWR ops", "conc. ops",
               "TWR init [mJ]", "conc. init [mJ]");
   for (int n : {1, 2, 4, 9, 19, 49}) {
-    const auto twr = ranging::twr_round_cost(n, phy, 290e-6, energy);
-    const auto conc = ranging::concurrent_round_cost(n, phy, 290e-6, energy);
+    const auto twr = ranging::twr_round_cost(n, phy, 290e-6);
+    const auto conc = ranging::concurrent_round_cost(n, phy, 290e-6);
     std::printf("%-6d %-14d %-14d %-18.3f %.3f\n", n, twr.initiator_messages,
                 conc.initiator_messages, twr.initiator_j * 1e3,
                 conc.initiator_j * 1e3);

@@ -47,13 +47,12 @@ int main(int argc, char** argv) {
   }
 
   bench::subheading("one initiator round: energy vs number of neighbours");
-  const dw::EnergyModelParams energy;
   std::printf("%-8s %-18s %-18s %-12s %-18s %s\n", "N-1", "TWR init [mJ]",
               "conc. init [mJ]", "saving", "TWR network [mJ]",
               "conc. network [mJ]");
   for (const int n : {1, 3, 9, 19, 49, 99}) {
-    const auto twr = ranging::twr_round_cost(n, phy, 290e-6, energy);
-    const auto conc = ranging::concurrent_round_cost(n, phy, 290e-6, energy);
+    const auto twr = ranging::twr_round_cost(n, phy, 290e-6);
+    const auto conc = ranging::concurrent_round_cost(n, phy, 290e-6);
     std::printf("%-8d %-18.3f %-18.3f %-12.1f %-18.3f %.3f\n", n,
                 twr.initiator_j * 1e3, conc.initiator_j * 1e3,
                 twr.initiator_j / conc.initiator_j, twr.network_j * 1e3,

@@ -78,7 +78,6 @@ int main(int argc, char** argv) {
          {cfg.initiator_position.x + radius * std::cos(ang) + 1.5,
           cfg.initiator_position.y + 0.6 * radius * std::sin(ang)}});
   }
-  cfg.fault.enabled = loss > 0.0;
   cfg.fault.preamble_miss_prob = loss;
   cfg.fault.preamble_snr_exponent = 1.0;
   cfg.fault.crc_error_prob = loss / 4.0;

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "dw1000/energy.hpp"
 #include "example_util.hpp"
 #include "loc/anchor_system.hpp"
 #include "loc/tracker.hpp"
@@ -75,9 +74,8 @@ int main(int argc, char** argv) {
 
   // What the tag saves per fix compared to scheduled SS-TWR.
   const dw::PhyConfig phy;
-  const dw::EnergyModelParams energy;
-  const auto twr = ranging::twr_round_cost(4, phy, 290e-6, energy);
-  const auto conc = ranging::concurrent_round_cost(4, phy, 290e-6, energy);
+  const auto twr = ranging::twr_round_cost(4, phy, 290e-6);
+  const auto conc = ranging::concurrent_round_cost(4, phy, 290e-6);
   std::printf("tag energy per fix: %.3f mJ concurrent vs %.3f mJ SS-TWR (%.1fx)\n",
               conc.initiator_j * 1e3, twr.initiator_j * 1e3,
               twr.initiator_j / conc.initiator_j);

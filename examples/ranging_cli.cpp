@@ -97,7 +97,6 @@ int main(int argc, char** argv) {
   cfg.ranging.shape_registers.assign(all_shapes.begin(),
                                      all_shapes.begin() + opt.shapes);
   if (opt.loss > 0.0) {
-    cfg.fault.enabled = true;
     cfg.fault.preamble_miss_prob = opt.loss;
     cfg.fault.crc_error_prob = opt.loss / 4.0;
     cfg.fault.late_tx_abort_prob = opt.loss / 4.0;

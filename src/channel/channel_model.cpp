@@ -11,6 +11,12 @@
 
 namespace uwb::channel {
 
+namespace {
+/// Path loss at the 1 m reference distance [dB]. With unit TX amplitude
+/// the LOS amplitude at 1 m is 10^(-ref/20).
+constexpr double kReferenceLossDb = 0.0;
+}  // namespace
+
 ChannelModel::ChannelModel(geom::Room room, ChannelModelParams params)
     : room_(std::move(room)),
       obstacle_grid_(room_.obstacle_grid()),
@@ -41,7 +47,7 @@ SpecularStage ChannelModel::realize_specular(geom::Vec2 tx, geom::Vec2 rx,
   for (const geom::SpecularPath& p : specular) {
     const double loss_db =
         log_distance_loss_db(p.length_m, params_.path_loss_exponent,
-                             params_.reference_loss_db) +
+                             kReferenceLossDb) +
         p.reflection_loss_db + p.obstruction_loss_db +
         rng.normal(0.0, params_.specular_fading_db);
     Tap tap;
@@ -59,7 +65,7 @@ SpecularStage ChannelModel::realize_specular(geom::Vec2 tx, geom::Vec2 rx,
           ? los_amp
           : loss_db_to_amplitude(log_distance_loss_db(
                 specular.front().length_m, params_.path_loss_exponent,
-                params_.reference_loss_db));
+                kReferenceLossDb));
   return out;
 }
 
@@ -109,7 +115,7 @@ Meters ChannelModel::max_detectable_range(double threshold_amp,
   // headroom): 10^((margin - ref)/20) * d^(-n/2). Solve amp == threshold
   // for d.
   const double numer =
-      std::pow(10.0, (margin_db - params_.reference_loss_db) / 20.0);
+      std::pow(10.0, (margin_db - kReferenceLossDb) / 20.0);
   const double d =
       std::pow(numer / threshold_amp, 2.0 / params_.path_loss_exponent);
   if (!std::isfinite(d)) {

@@ -53,9 +53,6 @@ struct SpecularStage {
 struct ChannelModelParams {
   /// Log-distance path-loss exponent (indoor LOS).
   double path_loss_exponent = 1.8;
-  /// Path loss at the 1 m reference distance [dB]. With unit TX amplitude
-  /// the LOS amplitude at 1 m is 10^(-ref/20).
-  double reference_loss_db = 0.0;
   /// Per-path complex amplitude jitter (std-dev of a multiplicative
   /// lognormal-ish fluctuation in dB) modelling small-scale variation of
   /// specular components between rounds.

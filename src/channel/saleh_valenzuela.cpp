@@ -63,8 +63,7 @@ std::vector<DiffuseRay> draw_diffuse_tail(const SalehValenzuelaParams& params,
 
 std::vector<DiffuseRay> draw_diffuse_tail(const SalehValenzuelaParams& params,
                                           Rng& rng, double t0_s) {
-  UWB_EXPECTS(params.cluster_rate_hz > 0.0 && params.ray_rate_hz > 0.0);
-  UWB_EXPECTS(params.cluster_decay_s > 0.0 && params.ray_decay_s > 0.0);
+  UWB_EXPECTS(params.cluster_rate_hz > 0.0);
   UWB_EXPECTS(params.window_s > 0.0);
 
   // The delay walk, in draw order. Until the blocks below replace it, a
@@ -75,7 +74,7 @@ std::vector<DiffuseRay> draw_diffuse_tail(const SalehValenzuelaParams& params,
   // clusters arriving at cluster_rate, each with rays over the rest of the
   // window on average half of it. Twice that is a capacity hint that about
   // 1 default tail in 100 outgrows; the draw itself is unbounded.
-  const double window_rays = params.window_s * params.ray_rate_hz;
+  const double window_rays = params.window_s * kRayRateHz;
   const double expected_rays =
       window_rays + 1.0 + params.window_s * params.cluster_rate_hz *
                               (0.5 * window_rays + 1.0);
@@ -96,19 +95,19 @@ std::vector<DiffuseRay> draw_diffuse_tail(const SalehValenzuelaParams& params,
     ++used;
     return Rng::exponential_at(Rng::unit(words[next_word++]), mean);
   };
-  const double ray_mean_s = 1.0 / params.ray_rate_hz;
+  const double ray_mean_s = 1.0 / kRayRateHz;
   const double cluster_mean_s = 1.0 / params.cluster_rate_hz;
 
   // Cluster arrivals (first cluster pinned at the LOS arrival).
   double cluster_t = 0.0;
   while (cluster_t < params.window_s) {
-    const double cluster_power = simd::exp(-cluster_t / params.cluster_decay_s);
+    const double cluster_power = simd::exp(-cluster_t / kClusterDecayS);
     // Ray arrivals within the cluster (first ray at the cluster start).
     double ray_t = 0.0;
     while (cluster_t + ray_t < params.window_s) {
       if (cluster_t + ray_t > 0.0)  // exclude the LOS instant itself
         walk.push_back(
-            {cluster_t + ray_t, {cluster_power, -ray_t / params.ray_decay_s}});
+            {cluster_t + ray_t, {cluster_power, -ray_t / kRayDecayS}});
       ray_t += exponential(ray_mean_s);
     }
     cluster_t += exponential(cluster_mean_s);

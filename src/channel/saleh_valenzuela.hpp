@@ -20,17 +20,19 @@ struct DiffuseRay {
   Complex amplitude;
 };
 
-/// Saleh-Valenzuela parameters. Defaults approximate an indoor office
-/// (IEEE 802.15.4a CM1-like orders of magnitude).
+/// Ray arrival rate within a cluster [1/s] (lambda).
+inline constexpr double kRayRateHz = 1.54e9;
+/// Cluster power decay constant [s] (Gamma).
+inline constexpr double kClusterDecayS = 22.61e-9;
+/// Ray power decay constant [s] (gamma).
+inline constexpr double kRayDecayS = 12.53e-9;
+
+/// Saleh-Valenzuela parameters. Defaults, with the constants above,
+/// approximate an indoor office (IEEE 802.15.4a CM1-like orders of
+/// magnitude).
 struct SalehValenzuelaParams {
   /// Cluster arrival rate [1/s] (Lambda).
   double cluster_rate_hz = 0.047e9;
-  /// Ray arrival rate within a cluster [1/s] (lambda).
-  double ray_rate_hz = 1.54e9;
-  /// Cluster power decay constant [s] (Gamma).
-  double cluster_decay_s = 22.61e-9;
-  /// Ray power decay constant [s] (gamma).
-  double ray_decay_s = 12.53e-9;
   /// Total diffuse power relative to the LOS ray power [dB] (negative).
   /// -9 dB corresponds to a moderate indoor LOS Rician K-factor; NLOS
   /// studies override this upward.

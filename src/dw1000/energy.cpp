@@ -4,6 +4,11 @@
 
 namespace uwb::dw {
 
+namespace {
+/// Idle current [A]: deep-sleep order of magnitude.
+constexpr double kIdleCurrentA = 0.000018;
+}  // namespace
+
 void EnergyMeter::add_tx(double duration_s) {
   UWB_EXPECTS(duration_s >= 0.0);
   tx_s_ += duration_s;
@@ -22,8 +27,8 @@ void EnergyMeter::add_idle(double duration_s) {
 }
 
 double EnergyMeter::charge_c() const {
-  return tx_s_ * params_.tx_current_a + rx_s_ * params_.rx_current_a +
-         idle_s_ * params_.idle_current_a;
+  return tx_s_ * k::tx_current_a + rx_s_ * k::rx_current_a +
+         idle_s_ * kIdleCurrentA;
 }
 
 void EnergyMeter::reset() {

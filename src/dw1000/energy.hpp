@@ -1,27 +1,18 @@
 // Radio energy accounting.
 //
 // The motivation for concurrent ranging (paper Sect. I/III) is the DW1000's
-// current draw: up to 155 mA receiving and 90 mA transmitting. EnergyMeter
+// current draw: up to 155 mA receiving and 90 mA transmitting
+// (k::rx_current_a, k::tx_current_a at k::supply_v). EnergyMeter
 // accumulates radio-on time per state and converts it to charge and energy,
 // so benches can compare SS-TWR scheduling against concurrent ranging.
 #pragma once
 
-#include <cstdint>
+#include "common/constants.hpp"
 
 namespace uwb::dw {
 
-struct EnergyModelParams {
-  double rx_current_a = 0.155;
-  double tx_current_a = 0.090;
-  double idle_current_a = 0.000018;  // deep-sleep order of magnitude
-  double supply_v = 3.3;
-};
-
 class EnergyMeter {
  public:
-  EnergyMeter() = default;
-  explicit EnergyMeter(EnergyModelParams params) : params_(params) {}
-
   void add_tx(double duration_s);
   void add_rx(double duration_s);
   void add_idle(double duration_s);
@@ -35,14 +26,11 @@ class EnergyMeter {
   /// Total charge drawn [C].
   double charge_c() const;
   /// Total energy [J].
-  double energy_j() const { return charge_c() * params_.supply_v; }
+  double energy_j() const { return charge_c() * k::supply_v; }
 
   void reset();
 
-  const EnergyModelParams& params() const { return params_; }
-
  private:
-  EnergyModelParams params_;
   double tx_s_ = 0.0;
   double rx_s_ = 0.0;
   double idle_s_ = 0.0;

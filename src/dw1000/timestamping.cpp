@@ -10,17 +10,20 @@
 
 namespace uwb::dw {
 
-double rx_timestamp_sigma_s(const TimestampModelParams& params,
-                            std::uint8_t tc_pgdelay) {
-  UWB_EXPECTS(params.base_jitter_s > 0.0);
+namespace {
+/// Relative jitter growth per unit of pulse width factor above 1
+/// (reproduces sigma_3/sigma_1 ~= 1.24 between shapes 0xE6 and 0x93).
+constexpr double kWidthJitterSlope = 0.15;
+}  // namespace
+
+double rx_timestamp_sigma_s(std::uint8_t tc_pgdelay) {
   const double w = pulse_width_factor(tc_pgdelay);
-  return params.base_jitter_s * (1.0 + params.width_jitter_slope * (w - 1.0));
+  return kBaseJitterS * (1.0 + kWidthJitterSlope * (w - 1.0));
 }
 
-DwTimestamp noisy_rx_timestamp(const TimestampModelParams& params,
-                               std::uint8_t tc_pgdelay, DwTimestamp true_arrival,
-                               Rng& rng) {
-  const double sigma = rx_timestamp_sigma_s(params, tc_pgdelay);
+DwTimestamp noisy_rx_timestamp(std::uint8_t tc_pgdelay,
+                               DwTimestamp true_arrival, Rng& rng) {
+  const double sigma = rx_timestamp_sigma_s(tc_pgdelay);
   return true_arrival.plus_seconds(Seconds(rng.normal(0.0, sigma)));
 }
 

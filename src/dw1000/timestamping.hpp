@@ -18,23 +18,16 @@
 
 namespace uwb::dw {
 
-struct TimestampModelParams {
-  /// LDE jitter (1 sigma) with the default pulse shape [s]. Calibrated so
-  /// SS-TWR at 3 m gives sigma ~2.3 cm as measured in the paper (Sect. V).
-  double base_jitter_s = 105e-12;
-  /// Relative jitter growth per unit of pulse width factor above 1
-  /// (reproduces sigma_3/sigma_1 ~= 1.24 between shapes 0xE6 and 0x93).
-  double width_jitter_slope = 0.15;
-};
+/// LDE jitter (1 sigma) with the default pulse shape [s]. Calibrated so
+/// SS-TWR at 3 m gives sigma ~2.3 cm as measured in the paper (Sect. V).
+inline constexpr double kBaseJitterS = 105e-12;
 
 /// RX timestamp jitter sigma for a given pulse shape.
-double rx_timestamp_sigma_s(const TimestampModelParams& params,
-                            std::uint8_t tc_pgdelay);
+double rx_timestamp_sigma_s(std::uint8_t tc_pgdelay);
 
 /// Draw a noisy RX timestamp around the true RMARKER arrival device time.
-DwTimestamp noisy_rx_timestamp(const TimestampModelParams& params,
-                               std::uint8_t tc_pgdelay, DwTimestamp true_arrival,
-                               Rng& rng);
+DwTimestamp noisy_rx_timestamp(std::uint8_t tc_pgdelay,
+                               DwTimestamp true_arrival, Rng& rng);
 
 /// First-path detection on a CIR magnitude profile: the earliest sample that
 /// exceeds max(noise_floor_factor * noise_sigma, relative_factor * peak).

@@ -11,6 +11,10 @@
 namespace uwb::fault {
 
 namespace {
+/// Spacing of a ghost pulse train [s]: each further tap lands this much
+/// later, walking back from ghost_advance_s.
+constexpr double kGhostSpacingS = 1e-9;
+
 bool is_prob(double p) { return p >= 0.0 && p <= 1.0; }
 
 /// Stream lane of one receiver inside a frame's ghost seed space.
@@ -48,12 +52,10 @@ void AttackSpec::validate() const {
   UWB_EXPECTS(ghost_advance_s >= 0.0);
   UWB_EXPECTS(ghost_rel_amplitude >= 0.0);
   UWB_EXPECTS(ghost_count >= 0);
-  UWB_EXPECTS(ghost_spacing_s >= 0.0);
   UWB_EXPECTS(forged_shape_register >= -1 && forged_shape_register <= 255);
 }
 
 bool AttackPlan::active() const {
-  if (!enabled) return false;
   return std::any_of(specs.begin(), specs.end(),
                      [](const AttackSpec& s) { return s.active(); });
 }
@@ -66,17 +68,10 @@ void AttackPlan::validate() const {
   }
 }
 
-const AttackSpec* AttackPlan::spec_for(int attacker_id) const {
-  for (const AttackSpec& s : specs)
-    if (s.attacker_id == attacker_id) return &s;
-  return nullptr;
-}
-
-AttackInjector::AttackInjector(AttackPlan plan, std::uint64_t fallback_seed)
-    : plan_(std::move(plan)) {
+AttackInjector::AttackInjector(AttackPlan plan, std::uint64_t stream_seed)
+    : plan_(std::move(plan)), stream_base_(stream_seed) {
   plan_.validate();
   active_ = plan_.active();
-  stream_base_ = plan_.seed != 0 ? plan_.seed : fallback_seed;
   for (std::size_t i = 0; i < plan_.specs.size(); ++i)
     if (plan_.specs[i].active())
       spec_index_.emplace(plan_.specs[i].attacker_id, i);
@@ -173,7 +168,7 @@ void AttackInjector::ghost_taps(int tx_node_id, int rx_node_id,
     GhostTap tap;
     tap.delay_s = std::max(
         0.0, first_path_delay_s - s->ghost_advance_s +
-                 static_cast<double>(i) * s->ghost_spacing_s);
+                 static_cast<double>(i) * kGhostSpacingS);
     tap.amplitude = amp * rng.random_phase();
     out.push_back(tap);
     ++counters_.ghost_taps;

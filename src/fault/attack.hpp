@@ -84,9 +84,8 @@ struct AttackSpec {
   /// Ghost tap amplitude relative to the legitimate first-path amplitude.
   double ghost_rel_amplitude = 1.0;
   /// Number of ghost taps per manipulated frame (a pulse train), spaced
-  /// one ghost_spacing_s apart walking back from ghost_advance_s.
+  /// 1 ns apart walking back from ghost_advance_s (attack.cpp).
   int ghost_count = 1;
-  double ghost_spacing_s = 1e-9;
 
   // --- kShapeReplay ---------------------------------------------------------
   /// TC_PGDELAY register transmitted instead of the assigned one
@@ -101,22 +100,15 @@ struct AttackSpec {
 };
 
 /// Declarative adversary description. Default-constructed (and any plan
-/// whose specs are all inert) injects nothing and perturbs nothing.
+/// whose specs are all inert) injects nothing and perturbs nothing: the
+/// session then builds no injector, and every hook is a null pointer check.
 struct AttackPlan {
-  /// Master switch; false compiles the whole subsystem down to a null
-  /// pointer check per hook.
-  bool enabled = false;
   std::vector<AttackSpec> specs;
-  /// Base seed of the injector's RNG streams. 0 = the owning session
-  /// derives one from its scenario seed.
-  std::uint64_t seed = 0;
 
-  /// True when enabled and at least one spec is active.
+  /// True when at least one spec is active.
   bool active() const;
   /// Throws PreconditionError on invalid specs or duplicate attacker ids.
   void validate() const;
-  /// The spec for one attacker (nullptr when the node is honest).
-  const AttackSpec* spec_for(int attacker_id) const;
 };
 
 /// Tally of injected manipulations, by attack kind. Deterministic under the
@@ -144,9 +136,9 @@ struct GhostTap {
 /// one scenario; all methods are single-threaded like the simulation.
 class AttackInjector {
  public:
-  /// `fallback_seed` seeds the RNG streams when plan.seed == 0 (sessions
-  /// pass derive_seed(scenario_seed, kAttackSeedStream)).
-  AttackInjector(AttackPlan plan, std::uint64_t fallback_seed);
+  /// `stream_seed` seeds the RNG streams (sessions pass
+  /// derive_seed(scenario_seed, kAttackSeedStream)).
+  AttackInjector(AttackPlan plan, std::uint64_t stream_seed);
 
   /// False when the plan can never manipulate anything; every hook is a
   /// no-op (and draws no randomness) in that case.

@@ -14,11 +14,10 @@ bool is_prob(double p) { return p >= 0.0 && p <= 1.0; }
 }  // namespace
 
 bool FaultPlan::active() const {
-  return enabled &&
-         (preamble_miss_prob > 0.0 || crc_error_prob > 0.0 ||
-          late_tx_abort_prob > 0.0 || dropout_prob > 0.0 ||
-          reply_jitter_sigma_s > 0.0 || drift_step_prob > 0.0 ||
-          epoch_jump_prob > 0.0);
+  return preamble_miss_prob > 0.0 || crc_error_prob > 0.0 ||
+         late_tx_abort_prob > 0.0 || dropout_prob > 0.0 ||
+         reply_jitter_sigma_s > 0.0 || drift_step_prob > 0.0 ||
+         epoch_jump_prob > 0.0;
 }
 
 void FaultPlan::validate() const {
@@ -37,11 +36,10 @@ void FaultPlan::validate() const {
   UWB_EXPECTS(epoch_jump_max_s >= 0.0);
 }
 
-FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t fallback_seed)
-    : plan_(plan) {
+FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t stream_seed)
+    : plan_(plan), stream_base_(stream_seed) {
   plan_.validate();
   active_ = plan_.active();
-  stream_base_ = plan_.seed != 0 ? plan_.seed : fallback_seed;
 }
 
 FaultInjector::NodeState& FaultInjector::state(int node_id) {

@@ -7,7 +7,8 @@
 // arming, responder round start.
 //
 // Determinism contract: every decision is drawn from a per-node RNG stream
-// seeded as derive_seed(plan_seed, node_id) — the same splitmix64 scheme the
+// seeded as derive_seed(stream_seed, node_id), where the session derives
+// stream_seed from the scenario seed — the same splitmix64 scheme the
 // Monte-Carlo runner uses for trials — and the simulator dispatches events
 // in a bit-reproducible order, so an identical (plan, scenario seed) pair
 // injects the identical fault sequence on every run, at any worker-thread
@@ -42,12 +43,9 @@
 namespace uwb::fault {
 
 /// Declarative description of the faults to inject. The default-constructed
-/// plan (and any plan with every probability at zero) is inert.
+/// plan (and any plan with every probability at zero) is inert: the session
+/// then builds no injector, and every hook is a null pointer check.
 struct FaultPlan {
-  /// Master switch; false compiles the whole subsystem down to a null
-  /// pointer check per hook.
-  bool enabled = false;
-
   // --- (a) reception faults (sim::Medium / sim::Node) ----------------------
   /// Base probability that a receiver's preamble detector fails to lock on
   /// an otherwise detectable frame.
@@ -89,12 +87,7 @@ struct FaultPlan {
   double epoch_jump_prob = 0.0;
   double epoch_jump_max_s = 0.0;
 
-  /// Base seed of the injector's RNG streams. 0 = the owning session
-  /// derives one from its scenario seed (the Monte-Carlo-friendly default:
-  /// per-trial scenarios get per-trial fault streams for free).
-  std::uint64_t seed = 0;
-
-  /// True when enabled and at least one probability is positive.
+  /// True when at least one probability is positive.
   bool active() const;
   /// Throws PreconditionError on out-of-range values.
   void validate() const;
@@ -122,9 +115,10 @@ struct FaultCounters {
 /// simulation itself.
 class FaultInjector {
  public:
-  /// `fallback_seed` seeds the RNG streams when plan.seed == 0 (sessions
-  /// pass derive_seed(scenario_seed, kFaultSeedStream)).
-  FaultInjector(FaultPlan plan, std::uint64_t fallback_seed);
+  /// `stream_seed` seeds the RNG streams (sessions pass
+  /// derive_seed(scenario_seed, kFaultSeedStream), so per-trial scenarios
+  /// get per-trial fault streams).
+  FaultInjector(FaultPlan plan, std::uint64_t stream_seed);
 
   /// False when the plan can never inject anything; every hook is a no-op
   /// (and draws no randomness) in that case.

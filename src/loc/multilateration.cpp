@@ -6,6 +6,11 @@
 
 namespace uwb::loc {
 
+namespace {
+/// Stop when the position update is below this step [m].
+constexpr double kToleranceM = 1e-6;
+}  // namespace
+
 PositionFix multilaterate(const std::vector<RangeObservation>& observations,
                           const SolverOptions& options) {
   UWB_EXPECTS(observations.size() >= 3);
@@ -20,7 +25,6 @@ PositionFix multilaterate_from(const std::vector<RangeObservation>& observations
                                const SolverOptions& options) {
   UWB_EXPECTS(observations.size() >= 3);
   UWB_EXPECTS(options.max_iterations >= 1);
-  UWB_EXPECTS(options.tolerance_m > 0.0);
 
   PositionFix fix;
   fix.position = initial;
@@ -47,7 +51,7 @@ PositionFix multilaterate_from(const std::vector<RangeObservation>& observations
     const double dx = (jtj11 * jtr0 - jtj01 * jtr1) / det;
     const double dy = (jtj00 * jtr1 - jtj01 * jtr0) / det;
     fix.position = fix.position - geom::Vec2{dx, dy};
-    if (std::hypot(dx, dy) < options.tolerance_m) {
+    if (std::hypot(dx, dy) < kToleranceM) {
       fix.converged = true;
       break;
     }

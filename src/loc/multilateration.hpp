@@ -19,8 +19,6 @@ struct RangeObservation {
 
 struct SolverOptions {
   int max_iterations = 50;
-  /// Stop when the position update is below this step [m].
-  double tolerance_m = 1e-6;
 };
 
 struct PositionFix {

@@ -4,9 +4,13 @@
 
 namespace uwb::loc {
 
+namespace {
+/// Velocity correction gain [0..1).
+constexpr double kBeta = 0.15;
+}  // namespace
+
 PositionTracker::PositionTracker(TrackerParams params) : params_(params) {
   UWB_EXPECTS(params.alpha > 0.0 && params.alpha <= 1.0);
-  UWB_EXPECTS(params.beta >= 0.0 && params.beta < 1.0);
   UWB_EXPECTS(params.gate_m > 0.0);
   UWB_EXPECTS(params.max_rejections >= 1);
 }
@@ -37,7 +41,7 @@ geom::Vec2 PositionTracker::update(geom::Vec2 measurement, double dt_s) {
 
   rejected_streak_ = 0;
   position_ = predicted + residual * params_.alpha;
-  velocity_ = velocity_ + residual * (params_.beta / dt_s);
+  velocity_ = velocity_ + residual * (kBeta / dt_s);
   return position_;
 }
 

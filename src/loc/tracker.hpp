@@ -12,10 +12,9 @@
 namespace uwb::loc {
 
 struct TrackerParams {
-  /// Position correction gain (0..1].
+  /// Position correction gain (0..1]. The velocity correction gain beta is
+  /// a constant of tracker.cpp.
   double alpha = 0.5;
-  /// Velocity correction gain [0..1).
-  double beta = 0.15;
   /// Fixes farther than this from the prediction are rejected as outliers
   /// (after initialisation).
   double gate_m = 3.0;

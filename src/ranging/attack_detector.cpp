@@ -9,6 +9,28 @@
 
 namespace uwb::ranging {
 
+namespace {
+/// Max |measured - programmed| reply interval [s]. Honest replies are off
+/// only by delayed-TX quantisation (< 8.013 ns) plus timestamp noise.
+constexpr double kReplyToleranceS = 25e-9;
+/// Ghost-tail check: energy window (tau + gap .. tau + window] behind each
+/// strong peak, compared against the peak's own energy. A genuine first
+/// path is followed by its multipath tail; an isolated ghost tap is not.
+/// The window must stay below the attacker's one-way propagation delay:
+/// injected ghosts can lead the legitimate path by at most that much (a
+/// CIR tap cannot precede the frame's transmission), and the legitimate
+/// path landing inside the window would masquerade as the ghost's tail.
+constexpr double kTailGapS = 3e-9;
+constexpr double kTailWindowS = 20e-9;
+constexpr double kMinTailRatio = 0.02;
+/// Only peaks at least this fraction of the round's strongest response
+/// are tail-checked (weak peaks ride on noise either way).
+constexpr double kStrongPeakFraction = 0.35;
+/// Unknown-ID check fires only for responses at least this fraction of
+/// the strongest response (benign weak-peak misclassifications pass).
+constexpr double kUnknownMinRelAmplitude = 0.5;
+}  // namespace
+
 const char* to_string(AttackCheck check) {
   switch (check) {
     case AttackCheck::kCfoImplausible: return "cfo_implausible";
@@ -19,16 +41,7 @@ const char* to_string(AttackCheck check) {
   return "unknown";
 }
 
-void AttackDetectorConfig::validate() const {
-  UWB_EXPECTS(cfo_max_ppm > 0.0);
-  UWB_EXPECTS(reply_tolerance_s > 0.0);
-  UWB_EXPECTS(tail_gap_s >= 0.0);
-  UWB_EXPECTS(tail_window_s > tail_gap_s);
-  UWB_EXPECTS(min_tail_ratio >= 0.0);
-  UWB_EXPECTS(strong_peak_fraction >= 0.0 && strong_peak_fraction <= 1.0);
-  UWB_EXPECTS(unknown_min_rel_amplitude >= 0.0 &&
-              unknown_min_rel_amplitude <= 1.0);
-}
+void AttackDetectorConfig::validate() const { UWB_EXPECTS(cfo_max_ppm > 0.0); }
 
 AttackDetector::AttackDetector(AttackDetectorConfig config)
     : config_(config) {
@@ -83,9 +96,9 @@ std::vector<AttackVerdict> AttackDetector::detect(
     indict(round.sync_responder_id, AttackCheck::kCfoImplausible,
            round.cfo_ppm, config_.cfo_max_ppm, 0.0);
   const double reply_residual = round.reply_s - round.programmed_reply_s;
-  if (std::abs(reply_residual) > config_.reply_tolerance_s)
+  if (std::abs(reply_residual) > kReplyToleranceS)
     indict(round.sync_responder_id, AttackCheck::kReplySchedule,
-           reply_residual, config_.reply_tolerance_s, 0.0);
+           reply_residual, kReplyToleranceS, 0.0);
 
   // Per-response checks over the round's CIR. Amplitude reference: the
   // round's strongest detected response.
@@ -101,18 +114,17 @@ std::vector<AttackVerdict> AttackDetector::detect(
     const ResponderEstimate& est = (*round.estimates)[i];
     const double rel_amp = std::abs(det.amplitude) / strongest;
 
-    if (rel_amp >= config_.strong_peak_fraction) {
-      const double tail = tail_energy_ratio(taps, ts_s, det.tau_s,
-                                            config_.tail_gap_s,
-                                            config_.tail_window_s);
-      if (tail < config_.min_tail_ratio)
-        indict(est.responder_id, AttackCheck::kGhostTail, tail,
-               config_.min_tail_ratio, det.tau_s);
+    if (rel_amp >= kStrongPeakFraction) {
+      const double tail =
+          tail_energy_ratio(taps, ts_s, det.tau_s, kTailGapS, kTailWindowS);
+      if (tail < kMinTailRatio)
+        indict(est.responder_id, AttackCheck::kGhostTail, tail, kMinTailRatio,
+               det.tau_s);
     }
 
     if (est.responder_id >= 0 &&
         round.configured_ids->count(est.responder_id) == 0 &&
-        rel_amp >= config_.unknown_min_rel_amplitude)
+        rel_amp >= kUnknownMinRelAmplitude)
       indict(est.responder_id, AttackCheck::kUnknownId,
              static_cast<double>(est.responder_id), rel_amp, det.tau_s);
   }

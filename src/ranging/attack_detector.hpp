@@ -72,30 +72,13 @@ struct AttackVerdict {
   double tau_s = 0.0;
 };
 
+/// The thresholds of the reply-schedule, ghost-tail and unknown-ID checks
+/// are constants of attack_detector.cpp.
 struct AttackDetectorConfig {
   bool enabled = false;
   /// Max plausible |CFO| [ppm]. Crystal spec is +-10 ppm; two honest 1 ppm
   /// sigma crystals differ by ~1.4 ppm sigma, so 8 ppm is > 5 sigma benign.
   double cfo_max_ppm = 8.0;
-  /// Max |measured - programmed| reply interval [s]. Honest replies are off
-  /// only by delayed-TX quantisation (< 8.013 ns) plus timestamp noise.
-  double reply_tolerance_s = 25e-9;
-  /// Ghost-tail check: energy window (tau + gap .. tau + window] behind each
-  /// strong peak, compared against the peak's own energy. A genuine first
-  /// path is followed by its multipath tail; an isolated ghost tap is not.
-  /// The window must stay below the attacker's one-way propagation delay:
-  /// injected ghosts can lead the legitimate path by at most that much (a
-  /// CIR tap cannot precede the frame's transmission), and the legitimate
-  /// path landing inside the window would masquerade as the ghost's tail.
-  double tail_gap_s = 3e-9;
-  double tail_window_s = 20e-9;
-  double min_tail_ratio = 0.02;
-  /// Only peaks at least this fraction of the round's strongest response
-  /// are tail-checked (weak peaks ride on noise either way).
-  double strong_peak_fraction = 0.35;
-  /// Unknown-ID check fires only for responses at least this fraction of
-  /// the strongest response (benign weak-peak misclassifications pass).
-  double unknown_min_rel_amplitude = 0.5;
 
   void validate() const;
 };

@@ -56,8 +56,7 @@ std::int64_t concurrent_message_count(int num_nodes) {
 }
 
 RoundCost twr_round_cost(int num_neighbors, const dw::PhyConfig& phy,
-                         double response_delay_s,
-                         const dw::EnergyModelParams& energy) {
+                         double response_delay_s) {
   UWB_EXPECTS(num_neighbors >= 1);
   UWB_EXPECTS(response_delay_s > 0.0);
   const double init_s = init_airtime_s(phy);
@@ -69,20 +68,18 @@ RoundCost twr_round_cost(int num_neighbors, const dw::PhyConfig& phy,
   UWB_EXPECTS(rx_window_s > 0.0);
 
   RoundCost cost;
-  const double init_tx_j = init_s * energy.tx_current_a * energy.supply_v;
-  const double init_rx_j = rx_window_s * energy.rx_current_a * energy.supply_v;
+  const double init_tx_j = init_s * k::tx_current_a * k::supply_v;
+  const double init_rx_j = rx_window_s * k::rx_current_a * k::supply_v;
   cost.initiator_j = num_neighbors * (init_tx_j + init_rx_j);
-  cost.per_responder_j = (init_s * energy.rx_current_a +
-                          resp_s * energy.tx_current_a) *
-                         energy.supply_v;
+  cost.per_responder_j =
+      (init_s * k::rx_current_a + resp_s * k::tx_current_a) * k::supply_v;
   cost.network_j = cost.initiator_j + num_neighbors * cost.per_responder_j;
   cost.initiator_messages = 2 * num_neighbors;
   return cost;
 }
 
 RoundCost concurrent_round_cost(int num_neighbors, const dw::PhyConfig& phy,
-                                double response_delay_s,
-                                const dw::EnergyModelParams& energy) {
+                                double response_delay_s) {
   UWB_EXPECTS(num_neighbors >= 1);
   UWB_EXPECTS(response_delay_s > 0.0);
   const double init_s = init_airtime_s(phy);
@@ -94,12 +91,11 @@ RoundCost concurrent_round_cost(int num_neighbors, const dw::PhyConfig& phy,
   UWB_EXPECTS(rx_window_s > 0.0);
 
   RoundCost cost;
-  cost.initiator_j = (init_s * energy.tx_current_a +
-                      rx_window_s * energy.rx_current_a) *
-                     energy.supply_v;
-  cost.per_responder_j = (init_s * energy.rx_current_a +
-                          resp_s * energy.tx_current_a) *
-                         energy.supply_v;
+  cost.initiator_j =
+      (init_s * k::tx_current_a + rx_window_s * k::rx_current_a) *
+      k::supply_v;
+  cost.per_responder_j =
+      (init_s * k::rx_current_a + resp_s * k::tx_current_a) * k::supply_v;
   cost.network_j = cost.initiator_j + num_neighbors * cost.per_responder_j;
   cost.initiator_messages = 2;
   return cost;

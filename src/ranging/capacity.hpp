@@ -5,7 +5,6 @@
 
 #include <cstdint>
 
-#include "dw1000/energy.hpp"
 #include "dw1000/phy_config.hpp"
 
 namespace uwb::ranging {
@@ -35,7 +34,8 @@ std::int64_t twr_message_count(int num_nodes);
 std::int64_t concurrent_message_count(int num_nodes);
 
 /// Radio-on energy of one ranging *round* (one initiator measuring all
-/// N-1 neighbours).
+/// N-1 neighbours), at the DW1000 currents and supply voltage of
+/// common/constants.hpp.
 struct RoundCost {
   double initiator_j = 0.0;
   double per_responder_j = 0.0;
@@ -45,12 +45,10 @@ struct RoundCost {
 
 /// SS-TWR: the initiator runs N-1 sequential exchanges.
 RoundCost twr_round_cost(int num_neighbors, const dw::PhyConfig& phy,
-                         double response_delay_s,
-                         const dw::EnergyModelParams& energy);
+                         double response_delay_s);
 
 /// Concurrent ranging: one broadcast, one aggregated reception.
 RoundCost concurrent_round_cost(int num_neighbors, const dw::PhyConfig& phy,
-                                double response_delay_s,
-                                const dw::EnergyModelParams& energy);
+                                double response_delay_s);
 
 }  // namespace uwb::ranging

@@ -39,12 +39,15 @@ struct DetectorConfig {
   /// amplitude-independence requirement (open challenge IV) means this must
   /// stay small; it only rejects pure noise, never weak responders.
   double relative_stop_fraction = 0.02;
-  /// Threshold-baseline only: the scan threshold as a fraction of the
-  /// strongest CIR tap (combined with the noise floor). This is precisely
-  /// the amplitude dependence that makes the baseline fragile (challenge
-  /// IV); search-and-subtract ignores it.
-  double baseline_relative_threshold = 0.3;
 };
+
+namespace detail {
+/// Throws PreconditionError on an out-of-range config (detector.cpp).
+void validate_detector_config(const DetectorConfig& cfg);
+/// `cir_taps` zero-padded to a power of two and FFT-upsampled by `factor`
+/// (search_subtract.cpp).
+CVec upsample_padded(const CVec& cir_taps, int factor);
+}  // namespace detail
 
 /// Common interface so benches can swap search-and-subtract against the
 /// threshold baseline on identical CIRs.

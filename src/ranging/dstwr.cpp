@@ -4,6 +4,11 @@
 
 namespace uwb::ranging {
 
+namespace {
+/// Reply delay of both the RESP and the FINAL after the frame they answer.
+constexpr Seconds kResponseDelay{290e-6};
+}  // namespace
+
 Seconds ds_twr_tof(const DsTwrTimestamps& ts) {
   const double ra = ts.t_rx_resp.diff_seconds(ts.t_tx_poll).value();
   const double da = ts.t_tx_final.diff_seconds(ts.t_rx_resp).value();
@@ -29,7 +34,6 @@ Seconds ds_twr_asymmetry_residual_s(const DsTwrTimestamps& ts) {
 
 DsTwrSession::DsTwrSession(DsTwrSessionConfig config)
     : config_(std::move(config)), rng_(config_.seed) {
-  UWB_EXPECTS(config_.response_delay > Seconds(0.0));
   medium_ = std::make_unique<sim::Medium>(
       sim_, channel::ChannelModel(config_.room, config_.channel),
       config_.medium, Rng(sim::medium_seed(config_.seed)));
@@ -42,7 +46,6 @@ DsTwrSession::DsTwrSession(DsTwrSessionConfig config)
     nc.drift_ppm = rng_.normal(0.0, config_.clock_drift_sigma_ppm);
     nc.phy = config_.phy;
     nc.cir = config_.cir;
-    nc.timestamping = config_.timestamping;
     nc.delayed_tx_truncation = config_.delayed_tx_truncation;
     return std::make_unique<sim::Node>(sim_, *medium_, nc,
                                        Rng(sim::node_seed(config_.seed, id)));
@@ -57,7 +60,7 @@ DsTwrSession::DsTwrSession(DsTwrSessionConfig config)
     if (r.frame->type == dw::FrameType::Init) {
       ts_.t_rx_poll = r.rx_timestamp;
       const dw::DwTimestamp target =
-          r.rx_timestamp.plus_seconds(config_.response_delay);
+          r.rx_timestamp.plus_seconds(kResponseDelay);
       const dw::DwTimestamp actual = responder_->delayed_tx_time(target);
       ts_.t_tx_resp = actual;
       dw::MacFrame resp;
@@ -92,8 +95,7 @@ DsTwrSession::DsTwrSession(DsTwrSessionConfig config)
   initiator_->set_rx_handler([this](const sim::RxResult& r) {
     if (!r.frame || r.frame->type != dw::FrameType::Resp) return;
     const dw::DwTimestamp t_rx_resp = r.rx_timestamp;
-    const dw::DwTimestamp target =
-        t_rx_resp.plus_seconds(config_.response_delay);
+    const dw::DwTimestamp target = t_rx_resp.plus_seconds(kResponseDelay);
     const dw::DwTimestamp actual = initiator_->delayed_tx_time(target);
     dw::MacFrame fin;
     fin.type = dw::FrameType::Final;
@@ -134,8 +136,7 @@ DsTwrResult DsTwrSession::run_round() {
 
   // POLL + RESP + FINAL: two response delays plus three frame airtimes.
   const SimTime deadline =
-      t0 + to_sim_time(config_.response_delay * 2.0) +
-      SimTime::from_micros(2000.0);
+      t0 + to_sim_time(kResponseDelay * 2.0) + SimTime::from_micros(2000.0);
   sim_.run_until(deadline);
 
   DsTwrResult result;

@@ -66,8 +66,6 @@ struct DsTwrSessionConfig {
   geom::Vec2 responder_position{8.0, 5.0};
   dw::PhyConfig phy;
   dw::CirParams cir;
-  dw::TimestampModelParams timestamping;
-  Seconds response_delay{290e-6};
   double clock_drift_sigma_ppm = 1.0;
   bool delayed_tx_truncation = true;
   std::uint64_t seed = 1;

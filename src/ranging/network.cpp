@@ -9,17 +9,9 @@
 
 namespace uwb::ranging {
 
-namespace {
-DetectorConfig network_detector_config(const ConcurrentRangingConfig& ranging) {
-  DetectorConfig det = ranging.detector;
-  det.shape_registers = ranging.shape_registers;
-  return det;
-}
-}  // namespace
-
 NetworkRangingSession::NetworkRangingSession(NetworkConfig config)
     : config_(std::move(config)), rng_(config_.seed),
-      detector_(network_detector_config(config_.ranging)) {
+      detector_(config_.ranging.detector_config()) {
   config_.ranging.validate();
   UWB_EXPECTS(config_.node_positions.size() >= 2);
   UWB_EXPECTS(static_cast<int>(config_.node_positions.size()) - 1 <=
@@ -37,7 +29,6 @@ NetworkRangingSession::NetworkRangingSession(NetworkConfig config)
     nc.drift_ppm = rng_.normal(0.0, config_.clock_drift_sigma_ppm);
     nc.phy = config_.phy;
     nc.cir = config_.cir;
-    nc.timestamping = config_.timestamping;
     nc.delayed_tx_truncation = config_.delayed_tx_truncation;
     nodes_.push_back(std::make_unique<sim::Node>(
         sim_, *medium_, nc, Rng(sim::node_seed(config_.seed, nc.id))));

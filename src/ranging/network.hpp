@@ -34,7 +34,6 @@ struct NetworkConfig {
   ConcurrentRangingConfig ranging;
   dw::PhyConfig phy;
   dw::CirParams cir;
-  dw::TimestampModelParams timestamping;
   double clock_drift_sigma_ppm = 1.0;
   bool delayed_tx_truncation = true;
   bool slot_aware_selection = true;

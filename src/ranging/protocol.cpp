@@ -7,6 +7,12 @@
 
 namespace uwb::ranging {
 
+DetectorConfig ConcurrentRangingConfig::detector_config() const {
+  DetectorConfig det = detector;
+  det.shape_registers = shape_registers;
+  return det;
+}
+
 void ConcurrentRangingConfig::validate() const {
   UWB_EXPECTS(response_delay_s > 0.0);
   UWB_EXPECTS(num_slots >= 1);

@@ -28,11 +28,14 @@ struct ConcurrentRangingConfig {
   /// Pulse-shape bank s_i (N_PS = size). One entry = anonymous ranging.
   std::vector<std::uint8_t> shape_registers{k::tc_pgdelay_default};
   /// Detector settings (shape_registers is mirrored into the detector by
-  /// the session).
+  /// detector_config()).
   DetectorConfig detector;
 
   int num_pulse_shapes() const { return static_cast<int>(shape_registers.size()); }
   int max_responders() const { return num_slots * num_pulse_shapes(); }
+  /// `detector` with this bank's shape_registers: what the sessions detect
+  /// with.
+  DetectorConfig detector_config() const;
   void validate() const;
 };
 

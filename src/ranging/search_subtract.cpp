@@ -24,8 +24,6 @@
 namespace uwb::ranging {
 
 namespace detail {
-void validate_detector_config(const DetectorConfig& cfg);
-
 CVec upsample_padded(const CVec& cir_taps, int factor) {
   // Zero-pad to a power of two before FFT interpolation: the 1016-tap CIR
   // then takes the radix-2 path throughout instead of Bluestein, which is

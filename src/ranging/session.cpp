@@ -21,12 +21,9 @@ constexpr std::uint64_t kFaultSeedStream = 0xFA170001u;
 /// Stream tag of the attack injector: disjoint from the fault and
 /// simulation streams so an attack plan perturbs neither.
 constexpr std::uint64_t kAttackSeedStream = 0xA77AC001u;
-
-DetectorConfig make_detector_config(const ConcurrentRangingConfig& ranging) {
-  DetectorConfig det = ranging.detector;
-  det.shape_registers = ranging.shape_registers;
-  return det;
-}
+/// Extra listen time after the last RPM slot before the initiator's RX
+/// window times out.
+constexpr Seconds kRxExtraListen{5000e-6};
 }  // namespace
 
 const char* to_string(RangingStatus status) {
@@ -45,7 +42,6 @@ void ResilienceConfig::validate() const {
   UWB_EXPECTS(max_retries >= 0);
   UWB_EXPECTS(retry_backoff > Seconds(0.0));
   UWB_EXPECTS(backoff_factor >= 1.0);
-  UWB_EXPECTS(rx_extra_listen > Seconds(0.0));
 }
 
 Status ConcurrentRangingScenario::validate_config(
@@ -97,7 +93,7 @@ ConcurrentRangingScenario::create(ScenarioConfig config) {
 
 ConcurrentRangingScenario::ConcurrentRangingScenario(ScenarioConfig config)
     : config_(std::move(config)), rng_(config_.seed),
-      detector_(make_detector_config(config_.ranging)) {
+      detector_(config_.ranging.detector_config()) {
   config_.ranging.validate();
   config_.resilience.validate();
   UWB_EXPECTS(!config_.responders.empty());
@@ -138,7 +134,6 @@ ConcurrentRangingScenario::ConcurrentRangingScenario(ScenarioConfig config)
     nc.drift_ppm = rng_.normal(0.0, config_.clock_drift_sigma_ppm);
     nc.phy = config_.phy;
     nc.cir = config_.cir;
-    nc.timestamping = config_.timestamping;
     nc.delayed_tx_truncation = config_.delayed_tx_truncation;
     nc.antenna_delay = config_.antenna_delay;
     return nc;
@@ -364,12 +359,12 @@ RoundOutcome ConcurrentRangingScenario::run_attempt() {
           ? (config_.ranging.num_slots - 1) * config_.ranging.slot_spacing_s
           : 0.0;
   // Kept as a separate SimTime conversion (not folded into the double sum):
-  // with the default rx_extra_listen this reproduces the historical
-  // deadline bit for bit, so zero-fault runs stay byte-identical.
+  // this reproduces the historical deadline bit for bit, so zero-fault runs
+  // stay byte-identical.
   const SimTime deadline =
       t_tx + SimTime::from_seconds(config_.ranging.response_delay_s +
                                    max_extra) +
-      to_sim_time(config_.resilience.rx_extra_listen);
+      to_sim_time(kRxExtraListen);
   sim_.run_until(deadline);
 
   RoundOutcome out;

@@ -16,7 +16,6 @@
 #include "common/result.hpp"
 #include "dw1000/cir.hpp"
 #include "dw1000/phy_config.hpp"
-#include "dw1000/timestamping.hpp"
 #include "fault/attack.hpp"
 #include "fault/fault.hpp"
 #include "geom/room.hpp"
@@ -71,9 +70,6 @@ struct ResilienceConfig {
   /// retry_backoff * backoff_factor^(k-1). Deterministic — no randomness.
   Seconds retry_backoff{500e-6};
   double backoff_factor = 2.0;
-  /// Extra listen time after the last RPM slot before the initiator's RX
-  /// window times out.
-  Seconds rx_extra_listen{5000e-6};
 
   void validate() const;
 };
@@ -108,7 +104,6 @@ struct ScenarioConfig {
   ConcurrentRangingConfig ranging;
   dw::PhyConfig phy;
   dw::CirParams cir;
-  dw::TimestampModelParams timestamping;
   /// Per-node crystal drift is drawn from N(0, sigma) [ppm].
   double clock_drift_sigma_ppm = 1.0;
   /// Responses the detector extracts per round; 0 = number of responders

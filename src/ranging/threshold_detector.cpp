@@ -10,10 +10,13 @@
 
 namespace uwb::ranging {
 
-namespace detail {
-void validate_detector_config(const DetectorConfig& cfg);
-CVec upsample_padded(const CVec& cir_taps, int factor);  // search_subtract.cpp
-}
+namespace {
+/// The scan threshold as a fraction of the strongest CIR tap (combined
+/// with the noise floor). This is precisely the amplitude dependence that
+/// makes the baseline fragile (challenge IV); search-and-subtract has no
+/// such threshold.
+constexpr double kBaselineRelativeThreshold = 0.3;
+}  // namespace
 
 ThresholdDetector::ThresholdDetector(DetectorConfig config)
     : config_(std::move(config)) {
@@ -31,9 +34,8 @@ std::vector<DetectedResponse> ThresholdDetector::detect(const CVec& cir_taps,
   RVec scratch;
   const double noise = dsp::noise_sigma_estimate(up, scratch);
   const double peak = *std::max_element(mag.begin(), mag.end());
-  const double threshold =
-      std::max(config_.noise_threshold_factor * noise,
-               config_.baseline_relative_threshold * peak);
+  const double threshold = std::max(config_.noise_threshold_factor * noise,
+                                    kBaselineRelativeThreshold * peak);
 
   // Np: the visible pulse duration in upsampled samples. Falsi et al. scan
   // the max over one pulse duration after a crossing; using the main lobe

@@ -14,6 +14,14 @@ namespace {
 /// scenario seed.
 constexpr std::uint64_t kPlacementSeedStream = 0xF100A901;
 
+/// Doorway gap in every interior partition segment, centered per room
+/// edge [m]. Smaller than both room sides.
+constexpr double kDoorwayM = 1.0;
+/// Reflection loss of the four outer walls [dB].
+constexpr double kOuterReflectionLossDb = 8.0;
+/// Transmission loss through an interior partition [dB].
+constexpr double kPartitionLossDb = 6.0;
+
 /// Add one partition line as Obstacle segments, leaving a centered doorway
 /// gap in each per-room span. `fixed` is the coordinate along the partition
 /// normal; spans run along the other axis in steps of `span_m`.
@@ -38,38 +46,22 @@ void add_partition(geom::Room& room, bool vertical, double fixed, int spans,
 
 }  // namespace
 
-geom::Vec2 FloorPlan::room_center(int index) const {
-  UWB_EXPECTS(index >= 0 && index < room_count());
-  const int ix = index % config.rooms_x;
-  const int iy = index / config.rooms_x;
-  return {(ix + 0.5) * config.room_w_m, (iy + 0.5) * config.room_h_m};
-}
-
 FloorPlan make_floor_plan(const FloorPlanConfig& config) {
   UWB_EXPECTS(config.rooms_x >= 1 && config.rooms_y >= 1);
-  UWB_EXPECTS(config.room_w_m > 0.0 && config.room_h_m > 0.0);
-  UWB_EXPECTS(config.doorway_m > 0.0 &&
-              config.doorway_m < config.room_w_m &&
-              config.doorway_m < config.room_h_m);
-  UWB_EXPECTS(config.placement_margin_m >= 0.0 &&
-              2.0 * config.placement_margin_m < config.room_w_m &&
-              2.0 * config.placement_margin_m < config.room_h_m);
 
   FloorPlan plan;
   plan.config = config;
-  plan.room = geom::Room::rectangular(config.room_w_m * config.rooms_x,
-                                      config.room_h_m * config.rooms_y,
-                                      config.outer_reflection_loss_db);
+  plan.room = geom::Room::rectangular(kRoomWM * config.rooms_x,
+                                      kRoomHM * config.rooms_y,
+                                      kOuterReflectionLossDb);
   for (int ix = 1; ix < config.rooms_x; ++ix) {
-    add_partition(plan.room, /*vertical=*/true, config.room_w_m * ix,
-                  config.rooms_y, config.room_h_m, config.doorway_m,
-                  config.partition_loss_db,
+    add_partition(plan.room, /*vertical=*/true, kRoomWM * ix, config.rooms_y,
+                  kRoomHM, kDoorwayM, kPartitionLossDb,
                   "partition_x" + std::to_string(ix));
   }
   for (int iy = 1; iy < config.rooms_y; ++iy) {
-    add_partition(plan.room, /*vertical=*/false, config.room_h_m * iy,
-                  config.rooms_x, config.room_w_m, config.doorway_m,
-                  config.partition_loss_db,
+    add_partition(plan.room, /*vertical=*/false, kRoomHM * iy, config.rooms_x,
+                  kRoomWM, kDoorwayM, kPartitionLossDb,
                   "partition_y" + std::to_string(iy));
   }
   return plan;
@@ -98,10 +90,10 @@ std::vector<geom::Vec2> place_nodes(const FloorPlan& plan, int count,
     const int room_index = i % plan.room_count();
     const int ix = room_index % c.rooms_x;
     const int iy = room_index / c.rooms_x;
-    const double x = rng.uniform(c.room_w_m * ix + c.placement_margin_m,
-                                 c.room_w_m * (ix + 1) - c.placement_margin_m);
-    const double y = rng.uniform(c.room_h_m * iy + c.placement_margin_m,
-                                 c.room_h_m * (iy + 1) - c.placement_margin_m);
+    const double x = rng.uniform(kRoomWM * ix + kPlacementMarginM,
+                                 kRoomWM * (ix + 1) - kPlacementMarginM);
+    const double y = rng.uniform(kRoomHM * iy + kPlacementMarginM,
+                                 kRoomHM * (iy + 1) - kPlacementMarginM);
     out.push_back({x, y});
   }
   return out;

@@ -33,7 +33,7 @@ Medium::Medium(Simulator& simulator, channel::ChannelModel model,
   interference_radius_m_ =
       model_
           .max_detectable_range(params_.detection_threshold_amp,
-                                params_.range_margin_db)
+                                kRangeMarginDb)
           .value();
 }
 

@@ -100,6 +100,11 @@ struct AirFrame {
   bool preamble_missed = false;
 };
 
+/// Fading headroom used when deriving the interference radius from
+/// ChannelModel::max_detectable_range [dB]: covers the specular fading
+/// draw (16 dB = 16 sigma at the default 1 dB fading).
+inline constexpr double kRangeMarginDb = 16.0;
+
 struct MediumParams {
   /// Minimum specular tap amplitude for the receiver's preamble detector to
   /// lock.
@@ -111,10 +116,6 @@ struct MediumParams {
   /// specular tap). Off: every receiver's channel is realized, which keeps
   /// an honest reference for the identity tests.
   bool culling_enabled = true;
-  /// Fading headroom used when deriving the interference radius from
-  /// ChannelModel::max_detectable_range [dB]: covers the specular fading
-  /// draw (16 dB = 16 sigma at the default 1 dB fading).
-  double range_margin_db = 16.0;
 };
 
 /// Cumulative frame-traffic totals since construction. Per frame, every

@@ -6,6 +6,7 @@
 
 #include "common/expects.hpp"
 #include "common/units.hpp"
+#include "dw1000/timestamping.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/obs.hpp"
 
@@ -15,6 +16,20 @@ namespace {
 /// Processing margin after the last sample of a frame before the receiver
 /// reports the result.
 const SimTime kFinalizeMargin = SimTime::from_micros(2.0);
+
+/// Noise (1 sigma, ppm) of the carrier-frequency-offset estimate the
+/// receiver reports for drift compensation.
+constexpr double kCfoNoisePpm = 0.05;
+/// Minimum SIR [dB] of the sync frame against the strongest other
+/// concurrent frame for its payload to decode. Preamble-locked
+/// demodulation is robust well below 0 dB — the feasibility study decoded
+/// payloads from equal-power concurrent responders.
+constexpr double kDecodeMinSirDb = -10.0;
+/// A concurrent frame this much stronger than the earliest one captures
+/// synchronisation (amplitude ratio). High on purpose: the receiver locks
+/// to the earliest detectable preamble of the aggregate (the CIR window
+/// and RMARKER anchor there); only gross power imbalance steals the lock.
+constexpr double kCaptureAmplitudeRatio = 10.0;
 
 /// Append every tap of a completed frame as a pulse arrival, timed into the
 /// CIR window that starts at `window_start_s` (global time).
@@ -60,8 +75,7 @@ Node::Node(Simulator& simulator, Medium& medium, NodeConfig config, Rng rng)
     : sim_(simulator), medium_(medium), config_(config),
       clock_(config.clock_epoch_offset, config.drift_ppm), rng_(std::move(rng)) {
   config_.phy.validate();
-  UWB_EXPECTS(config_.cir_anchor_taps >= 0 &&
-              config_.cir_anchor_taps < config_.cir.length);
+  UWB_EXPECTS(kCirAnchorTaps < config_.cir.length);
   medium_.register_node(*this);
 }
 
@@ -203,15 +217,15 @@ void Node::finalize_batch() {
   for (const AirFrame& af : pending_) {
     if (af.preamble_missed) continue;
     if (af.first_path_amplitude >
-        sync->first_path_amplitude * config_.capture_amplitude_ratio)
+        sync->first_path_amplitude * kCaptureAmplitudeRatio)
       sync = &af;
   }
 
   // Every tap of every batch frame arrives in the CIR window anchored
-  // `cir_anchor_taps` before the sync frame's first path.
+  // kCirAnchorTaps before the sync frame's first path.
   const double window_start_s =
       sync->preamble_start_arrival.seconds() -
-      static_cast<double>(config_.cir_anchor_taps) * config_.cir.ts_s;
+      static_cast<double>(kCirAnchorTaps) * config_.cir.ts_s;
 
   // Eq. 1's diffuse tail is drawn, on each frame's own link stream, where
   // it is first read (DESIGN.md Sect. 13.2): here when the batch holds
@@ -239,14 +253,14 @@ void Node::finalize_batch() {
     UWB_OBS_SPAN("cir_synthesis");
     accumulator = dw::capture_cir(std::move(arrivals), config_.cir, rng_);
   }
-  accumulator.first_path_index = static_cast<double>(config_.cir_anchor_taps);
+  accumulator.first_path_index = static_cast<double>(kCirAnchorTaps);
   RxResult result;
   result.rx_timestamp =
-      dw::noisy_rx_timestamp(config_.timestamping, sync->tc_pgdelay,
+      dw::noisy_rx_timestamp(sync->tc_pgdelay,
                              clock_.device_time(sync->rmarker_arrival), rng_)
           .plus_seconds(config_.antenna_delay / 2.0);
   result.carrier_offset_ppm = sync->tx_drift_ppm - config_.drift_ppm +
-                              rng_.normal(0.0, config_.cfo_noise_ppm);
+                              rng_.normal(0.0, kCfoNoisePpm);
   result.frames_in_batch = static_cast<int>(pending_.size());
   result.sync_tx_node_id = sync->tx_node_id;
   result.sync_chain = sync->chain;
@@ -276,13 +290,13 @@ void Node::finalize_batch() {
     }
     if (interference != 0.0) {
       const double sir_db = linear_to_db(frame_power(*sync) / interference);
-      decodable = sir_db >= config_.decode_min_sir_db;
+      decodable = sir_db >= kDecodeMinSirDb;
       if (!decodable) {
         UWB_FR_EVENT(.kind = obs::FrKind::kRx, .name = "rx_decode_failed",
                      .chain = sync->chain, .node = config_.id,
                      .peer = sync->tx_node_id, .detail = "low_sir",
                      .v0 = {"sir_db", sir_db},
-                     .v1 = {"min_sir_db", config_.decode_min_sir_db});
+                     .v1 = {"min_sir_db", kDecodeMinSirDb});
       }
     }
   }

@@ -16,12 +16,15 @@
 #include "dw1000/energy.hpp"
 #include "dw1000/frame.hpp"
 #include "dw1000/phy_config.hpp"
-#include "dw1000/timestamping.hpp"
 #include "geom/vec2.hpp"
 #include "sim/medium.hpp"
 #include "sim/simulator.hpp"
 
 namespace uwb::sim {
+
+/// Tap index where the receiver anchors the sync frame's first path in the
+/// CIR window.
+inline constexpr int kCirAnchorTaps = 64;
 
 struct NodeConfig {
   int id = 0;
@@ -32,23 +35,6 @@ struct NodeConfig {
   double drift_ppm = 0.0;
   dw::PhyConfig phy;
   dw::CirParams cir;
-  dw::TimestampModelParams timestamping;
-  /// Noise (1 sigma, ppm) of the carrier-frequency-offset estimate the
-  /// receiver reports for drift compensation.
-  double cfo_noise_ppm = 0.05;
-  /// Tap index where the receiver anchors the sync frame's first path in
-  /// the CIR window.
-  int cir_anchor_taps = 64;
-  /// Minimum SIR [dB] of the sync frame against the strongest other
-  /// concurrent frame for its payload to decode. Preamble-locked
-  /// demodulation is robust well below 0 dB — the feasibility study decoded
-  /// payloads from equal-power concurrent responders.
-  double decode_min_sir_db = -10.0;
-  /// A concurrent frame this much stronger than the earliest one captures
-  /// synchronisation (amplitude ratio). High by default: the receiver locks
-  /// to the earliest detectable preamble of the aggregate (the CIR window
-  /// and RMARKER anchor there); only gross power imbalance steals the lock.
-  double capture_amplitude_ratio = 10.0;
   /// Model the hardware delayed-TX truncation (low 9 bits ignored). Turning
   /// this off is an ablation: ideal sub-tick transmit timing.
   bool delayed_tx_truncation = true;

@@ -39,7 +39,6 @@ ScenarioConfig office(std::uint64_t seed, int responders = 4) {
 fault::AttackPlan clock_skew_plan(int attacker, double spoof_ppm,
                                   double bias_s, double ramp_ppm = 0.0) {
   fault::AttackPlan plan;
-  plan.enabled = true;
   fault::AttackSpec spec;
   spec.attacker_id = attacker;
   spec.kind = fault::AttackKind::kClockSkew;
@@ -53,7 +52,6 @@ fault::AttackPlan clock_skew_plan(int attacker, double spoof_ppm,
 fault::AttackPlan ghost_plan(int attacker, double advance_s, double rel_amp,
                              double probability = 1.0) {
   fault::AttackPlan plan;
-  plan.enabled = true;
   fault::AttackSpec spec;
   spec.attacker_id = attacker;
   spec.kind = fault::AttackKind::kGhostPeak;
@@ -67,7 +65,6 @@ fault::AttackPlan ghost_plan(int attacker, double advance_s, double rel_amp,
 fault::AttackPlan replay_plan(int attacker, int forged_register,
                               double probability = 1.0) {
   fault::AttackPlan plan;
-  plan.enabled = true;
   fault::AttackSpec spec;
   spec.attacker_id = attacker;
   spec.kind = fault::AttackKind::kShapeReplay;
@@ -79,7 +76,6 @@ fault::AttackPlan replay_plan(int attacker, int forged_register,
 
 fault::FaultPlan lossy_plan(double loss) {
   fault::FaultPlan plan;
-  plan.enabled = true;
   plan.preamble_miss_prob = loss;
   plan.crc_error_prob = loss / 4.0;
   plan.late_tx_abort_prob = loss / 4.0;
@@ -143,10 +139,23 @@ TEST(AttackConfigTest, PlanValidation) {
   dup.specs.push_back(plan.specs[0]);  // duplicate attacker id
   EXPECT_THROW(dup.validate(), PreconditionError);
 
-  fault::AttackPlan inert;
-  inert.enabled = true;  // no specs
+  fault::AttackPlan inert;  // no specs
   EXPECT_NO_THROW(inert.validate());
   EXPECT_FALSE(inert.active());
+}
+
+TEST(AttackConfigTest, OneActiveSpecBuildsTheInjector) {
+  // active() alone decides: one active spec and nothing else set is an
+  // adversary that manipulates frames.
+  ScenarioConfig cfg = office(5);
+  fault::AttackSpec spec;
+  spec.attacker_id = 1;
+  spec.cfo_spoof_ppm = -3.0;
+  cfg.attack.specs.push_back(spec);
+  ConcurrentRangingScenario scenario(cfg);
+  ASSERT_NE(scenario.attack_injector(), nullptr);
+  for (int round = 0; round < 5; ++round) scenario.run_round();
+  EXPECT_GT(scenario.attack_injector()->counters().cfo_spoofed_frames, 0u);
 }
 
 TEST(AttackConfigTest, ValidateConfigRejectsUnknownAttacker) {
@@ -211,12 +220,11 @@ TEST(AttackDeterminismTest, GoldenSeedIdenticalAcrossThreadCounts) {
 }
 
 TEST(AttackDeterminismTest, InertPlanByteIdenticalToDefault) {
-  // An enabled plan whose specs are all inert constructs no injector and
-  // must reproduce the default configuration bit for bit — including every
-  // CIR tap, since the ghost hook appends to the delivered tap lists.
+  // A plan whose specs are all inert constructs no injector and must
+  // reproduce the default configuration bit for bit — including every CIR
+  // tap, since the ghost hook appends to the delivered tap lists.
   ScenarioConfig plain = office(1234);
   ScenarioConfig zeroed = office(1234);
-  zeroed.attack.enabled = true;
   fault::AttackSpec inert;  // all strengths zero
   inert.attacker_id = 1;
   inert.kind = fault::AttackKind::kClockSkew;

@@ -60,35 +60,31 @@ TEST(CapacityTest, MessageCounts) {
 
 TEST(CapacityTest, InitiatorMessageOps) {
   dw::PhyConfig phy;
-  dw::EnergyModelParams energy;
-  const auto twr = twr_round_cost(9, phy, 290e-6, energy);
-  const auto conc = concurrent_round_cost(9, phy, 290e-6, energy);
+  const auto twr = twr_round_cost(9, phy, 290e-6);
+  const auto conc = concurrent_round_cost(9, phy, 290e-6);
   EXPECT_EQ(twr.initiator_messages, 18);  // 2 * (N-1)
   EXPECT_EQ(conc.initiator_messages, 2);  // 1 TX + 1 RX
 }
 
 TEST(CapacityTest, ConcurrentInitiatorEnergyFlatInN) {
   dw::PhyConfig phy;
-  dw::EnergyModelParams energy;
-  const auto c3 = concurrent_round_cost(3, phy, 290e-6, energy);
-  const auto c30 = concurrent_round_cost(30, phy, 290e-6, energy);
+  const auto c3 = concurrent_round_cost(3, phy, 290e-6);
+  const auto c30 = concurrent_round_cost(30, phy, 290e-6);
   EXPECT_DOUBLE_EQ(c3.initiator_j, c30.initiator_j);
 }
 
 TEST(CapacityTest, TwrInitiatorEnergyLinearInN) {
   dw::PhyConfig phy;
-  dw::EnergyModelParams energy;
-  const auto t1 = twr_round_cost(1, phy, 290e-6, energy);
-  const auto t10 = twr_round_cost(10, phy, 290e-6, energy);
+  const auto t1 = twr_round_cost(1, phy, 290e-6);
+  const auto t10 = twr_round_cost(10, phy, 290e-6);
   EXPECT_NEAR(t10.initiator_j, 10.0 * t1.initiator_j, 1e-12);
 }
 
 TEST(CapacityTest, ConcurrentBeatsTwrForMultipleNeighbors) {
   dw::PhyConfig phy;
-  dw::EnergyModelParams energy;
   for (int n : {2, 5, 10, 50}) {
-    const auto twr = twr_round_cost(n, phy, 290e-6, energy);
-    const auto conc = concurrent_round_cost(n, phy, 290e-6, energy);
+    const auto twr = twr_round_cost(n, phy, 290e-6);
+    const auto conc = concurrent_round_cost(n, phy, 290e-6);
     EXPECT_LT(conc.initiator_j, twr.initiator_j) << "n=" << n;
     EXPECT_LT(conc.network_j, twr.network_j) << "n=" << n;
   }
@@ -97,19 +93,16 @@ TEST(CapacityTest, ConcurrentBeatsTwrForMultipleNeighbors) {
 TEST(CapacityTest, PerResponderCostIdenticalAcrossSchemes) {
   // A responder does one RX + one TX in both schemes.
   dw::PhyConfig phy;
-  dw::EnergyModelParams energy;
-  EXPECT_DOUBLE_EQ(
-      twr_round_cost(5, phy, 290e-6, energy).per_responder_j,
-      concurrent_round_cost(5, phy, 290e-6, energy).per_responder_j);
+  EXPECT_DOUBLE_EQ(twr_round_cost(5, phy, 290e-6).per_responder_j,
+                   concurrent_round_cost(5, phy, 290e-6).per_responder_j);
 }
 
 TEST(CapacityTest, InvalidInputsThrow) {
   dw::PhyConfig phy;
-  dw::EnergyModelParams energy;
   EXPECT_THROW(rpm_slots_paper(phy, 0.0), PreconditionError);
   EXPECT_THROW(max_concurrent_responders(0, 3), PreconditionError);
-  EXPECT_THROW(twr_round_cost(0, phy, 290e-6, energy), PreconditionError);
-  EXPECT_THROW(concurrent_round_cost(3, phy, 0.0, energy), PreconditionError);
+  EXPECT_THROW(twr_round_cost(0, phy, 290e-6), PreconditionError);
+  EXPECT_THROW(concurrent_round_cost(3, phy, 0.0), PreconditionError);
 }
 
 }  // namespace

@@ -122,11 +122,11 @@ std::vector<DiffuseRay> one_ray_at_a_time(const SalehValenzuelaParams& params,
   while (cluster_t < params.window_s) {
     double ray_t = 0.0;
     while (cluster_t + ray_t < params.window_s) {
-      const double mean_power = simd::exp(-cluster_t / params.cluster_decay_s) *
-                                simd::exp(-ray_t / params.ray_decay_s);
+      const double mean_power = simd::exp(-cluster_t / kClusterDecayS) *
+                                simd::exp(-ray_t / kRayDecayS);
       if (cluster_t + ray_t > 0.0)
         raw.push_back({cluster_t + ray_t, mean_power});
-      ray_t += rng.exponential(1.0 / params.ray_rate_hz);
+      ray_t += rng.exponential(1.0 / kRayRateHz);
     }
     cluster_t += rng.exponential(1.0 / params.cluster_rate_hz);
   }

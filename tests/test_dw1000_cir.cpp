@@ -342,36 +342,33 @@ TEST(CirCaptureTest, RenderIsRepeatableAndCarriesTheAnchor) {
 }
 
 TEST(TimestampingTest, SigmaGrowsWithPulseWidth) {
-  TimestampModelParams params;
-  const double s1 = rx_timestamp_sigma_s(params, 0x93);
-  const double s3 = rx_timestamp_sigma_s(params, 0xE6);
+  const double s1 = rx_timestamp_sigma_s(0x93);
+  const double s3 = rx_timestamp_sigma_s(0xE6);
   EXPECT_GT(s3, s1);
-  EXPECT_NEAR(s1, params.base_jitter_s, 1e-15);
+  EXPECT_NEAR(s1, kBaseJitterS, 1e-15);
 }
 
 TEST(TimestampingTest, NoisyTimestampUnbiased) {
-  TimestampModelParams params;
   Rng rng(9);
   const DwTimestamp truth(1'000'000'000);
   double sum = 0.0;
   const int n = 5000;
   for (int i = 0; i < n; ++i)
-    sum += noisy_rx_timestamp(params, 0x93, truth, rng).diff_seconds(truth).value();
+    sum += noisy_rx_timestamp(0x93, truth, rng).diff_seconds(truth).value();
   EXPECT_NEAR(sum / n, 0.0, 5e-12);
 }
 
 TEST(TimestampingTest, NoisySpreadMatchesSigma) {
-  TimestampModelParams params;
   Rng rng(10);
   const DwTimestamp truth(5'000'000);
   RVec errs;
   for (int i = 0; i < 5000; ++i)
     errs.push_back(
-        noisy_rx_timestamp(params, 0x93, truth, rng).diff_seconds(truth).value());
+        noisy_rx_timestamp(0x93, truth, rng).diff_seconds(truth).value());
   double sq = 0.0;
   for (double e : errs) sq += e * e;
   const double sigma = std::sqrt(sq / errs.size());
-  EXPECT_NEAR(sigma, params.base_jitter_s, 0.15 * params.base_jitter_s);
+  EXPECT_NEAR(sigma, kBaseJitterS, 0.15 * kBaseJitterS);
 }
 
 TEST(TimestampingTest, FirstPathOnCleanPulse) {
@@ -445,12 +442,13 @@ TEST(EnergyTest, NegativeDurationThrows) {
 }
 
 TEST(EnergyTest, CustomParams) {
-  EnergyModelParams params;
-  params.tx_current_a = 0.1;
-  params.supply_v = 3.0;
-  EnergyMeter meter(params);
+  // The meter's arithmetic on the datasheet constants it charges at.
+  EnergyMeter meter;
   meter.add_tx(2.0);
-  EXPECT_NEAR(meter.energy_j(), 0.6, 1e-12);
+  meter.add_rx(0.5);
+  EXPECT_DOUBLE_EQ(meter.charge_c(),
+                   2.0 * k::tx_current_a + 0.5 * k::rx_current_a);
+  EXPECT_DOUBLE_EQ(meter.energy_j(), meter.charge_c() * k::supply_v);
 }
 
 }  // namespace

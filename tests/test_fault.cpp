@@ -31,7 +31,6 @@ ScenarioConfig office(std::uint64_t seed, int responders = 3) {
 
 fault::FaultPlan lossy_plan(double loss) {
   fault::FaultPlan plan;
-  plan.enabled = true;
   plan.preamble_miss_prob = loss;
   plan.crc_error_prob = loss / 4.0;
   plan.late_tx_abort_prob = loss / 4.0;
@@ -101,12 +100,13 @@ TEST(FaultDeterminismTest, GoldenSeedIdenticalAcrossThreadCounts) {
 }
 
 TEST(FaultDeterminismTest, ZeroFaultPlanByteIdenticalToDefault) {
-  // An enabled plan whose probabilities are all zero constructs no injector
-  // and must reproduce the default configuration bit for bit, round by
-  // round — the byte-identity half of the determinism contract.
+  // A plan whose probabilities are all zero constructs no injector and must
+  // reproduce the default configuration bit for bit, round by round — the
+  // byte-identity half of the determinism contract.
   ScenarioConfig plain = office(1234, 3);
   ScenarioConfig zeroed = office(1234, 3);
-  zeroed.fault.enabled = true;  // every probability left at 0.0
+  zeroed.fault.preamble_snr_exponent = 1.0;  // every probability left at 0.0
+  zeroed.fault.drift_step_sigma_ppm = 0.5;
   ConcurrentRangingScenario a(plain);
   ConcurrentRangingScenario b(zeroed);
   EXPECT_EQ(b.fault_injector(), nullptr);
@@ -137,7 +137,6 @@ TEST(FaultSessionTest, AllRespondersLostRoundIsEmptyButValid) {
   // Mute every responder: the round must come back failed-but-well-formed
   // (no abort, no estimates, every responder reported timed out).
   ScenarioConfig cfg = office(555, 3);
-  cfg.fault.enabled = true;
   cfg.fault.dropout_prob = 1.0;
   cfg.fault.dropout_rounds_min = 10;
   cfg.fault.dropout_rounds_max = 10;
@@ -179,7 +178,6 @@ TEST(FaultSessionTest, RetryBackoffScheduleIsDeterministic) {
   // attempts' round time — i.e. the backoff schedule is the documented
   // closed form, not incidental.
   ScenarioConfig cfg = office(31, 2);
-  cfg.fault.enabled = true;
   cfg.fault.dropout_prob = 1.0;
   cfg.fault.dropout_rounds_min = 50;
   cfg.fault.dropout_rounds_max = 50;
@@ -224,25 +222,21 @@ TEST(FaultSessionTest, EveryRangingStatusReachable) {
   tally(office(61, 3));  // healthy: kOk
   {
     ScenarioConfig cfg = office(62, 3);  // preamble misses: kNoPreamble
-    cfg.fault.enabled = true;
     cfg.fault.preamble_miss_prob = 0.8;
     tally(cfg);
   }
   {
     ScenarioConfig cfg = office(63, 2);  // CRC faults: kCrcError
-    cfg.fault.enabled = true;
     cfg.fault.crc_error_prob = 0.9;
     tally(cfg);
   }
   {
     ScenarioConfig cfg = office(64, 2);  // late TX aborts: kLateTxAbort
-    cfg.fault.enabled = true;
     cfg.fault.late_tx_abort_prob = 0.9;
     tally(cfg);
   }
   {
     ScenarioConfig cfg = office(65, 2);  // mute windows: kTimedOut
-    cfg.fault.enabled = true;
     cfg.fault.dropout_prob = 0.9;
     tally(cfg);
   }
@@ -258,7 +252,6 @@ TEST(FaultInjectorTest, SnrDependentMissRatesPreferWeakFirstPaths) {
   // a first path well below the reference must be missed far more often
   // than one well above it.
   fault::FaultPlan plan;
-  plan.enabled = true;
   plan.preamble_miss_prob = 0.2;
   plan.preamble_snr_exponent = 1.5;
   plan.preamble_snr_ref_amp = 0.05;
@@ -280,7 +273,6 @@ TEST(FaultSessionTest, ClockGlitchesPerturbButDoNotAbort) {
   // keep completing and distances stay plausible (CFO correction absorbs
   // drift; the wrap-aware arithmetic absorbs epoch jumps).
   ScenarioConfig cfg = office(67, 2);
-  cfg.fault.enabled = true;
   cfg.fault.drift_step_prob = 0.5;
   cfg.fault.drift_step_sigma_ppm = 2.0;
   cfg.fault.epoch_jump_prob = 0.3;
@@ -317,7 +309,6 @@ TEST(FaultSessionTest, ReplyJitterSpreadsResponseSpacing) {
     cfg.ranging.slot_spacing_s = 150e-9;
     cfg.delayed_tx_truncation = false;
     if (jitter_sigma_s > 0.0) {
-      cfg.fault.enabled = true;
       cfg.fault.reply_jitter_sigma_s = jitter_sigma_s;
     }
     ConcurrentRangingScenario scenario(cfg);
@@ -349,7 +340,6 @@ TEST(FaultSessionTest, ReplyJitterSpreadsResponseSpacing) {
 
 TEST(FaultConfigTest, PlanValidation) {
   fault::FaultPlan plan;
-  plan.enabled = true;
   plan.preamble_miss_prob = 0.5;
   EXPECT_NO_THROW(plan.validate());
   EXPECT_TRUE(plan.active());
@@ -360,6 +350,17 @@ TEST(FaultConfigTest, PlanValidation) {
   plan.dropout_rounds_min = 3;
   plan.dropout_rounds_max = 1;
   EXPECT_THROW(plan.validate(), PreconditionError);
+}
+
+TEST(FaultConfigTest, OneProbabilityBuildsTheInjector) {
+  // active() alone decides: a plan that sets one positive probability and
+  // nothing else injects, with no separate switch to forget.
+  ScenarioConfig cfg = office(5, 3);
+  cfg.fault.crc_error_prob = 0.5;
+  ConcurrentRangingScenario scenario(cfg);
+  ASSERT_NE(scenario.fault_injector(), nullptr);
+  for (int round = 0; round < 10; ++round) scenario.run_round();
+  EXPECT_GT(scenario.fault_injector()->counters().total(), 0u);
 }
 
 TEST(FaultConfigTest, ValidateConfigStatusPath) {
@@ -388,7 +389,6 @@ TEST(FaultConfigTest, ValidateConfigStatusPath) {
   EXPECT_FALSE(ConcurrentRangingScenario::validate_config(too_many).ok());
 
   ScenarioConfig bad_fault = cfg;
-  bad_fault.fault.enabled = true;
   bad_fault.fault.crc_error_prob = 2.0;
   EXPECT_FALSE(ConcurrentRangingScenario::validate_config(bad_fault).ok());
 

@@ -48,7 +48,6 @@ ranging::ScenarioConfig faulty_office(std::uint64_t seed) {
   cfg.seed = seed;
   const geom::Vec2 spots[] = {{5.0, 4.0}, {8.0, 5.5}, {9.5, 2.5}, {6.0, 6.5}};
   for (int i = 0; i < 4; ++i) cfg.responders.push_back({i, spots[i]});
-  cfg.fault.enabled = true;
   cfg.fault.preamble_miss_prob = 0.35;
   cfg.fault.crc_error_prob = 0.35 / 4.0;
   cfg.fault.late_tx_abort_prob = 0.35 / 4.0;

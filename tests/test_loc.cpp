@@ -123,8 +123,9 @@ TEST(AnchorSystemTest, SequentialFixesTrackMovingTag) {
   int good = 0;
   for (double x = 3.0; x <= 9.0; x += 1.5) {
     const Fix fix = localizer.locate({x, 4.0});
-    // The +-8 ns TX truncation bounds per-range errors at ~0.6 m; a 4-anchor
-    // LS fix stays within ~1.2 m.
+    // The 8 ns TX truncation leaves a non-sync range off by up to ~1.2 m
+    // (the difference of two truncations, c * 8 ns / 2, triangular); a
+    // 4-anchor LS fix stays within ~1.2 m.
     if (fix.ok && fix.error_m < 1.2) ++good;
   }
   EXPECT_GE(good, 4);

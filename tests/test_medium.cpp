@@ -224,7 +224,6 @@ TEST(ChannelCompletionTest, GhostTapsFollowTheCompletedChannel) {
   spec.ghost_rel_amplitude = 0.8;
   spec.ghost_count = 2;
   fault::AttackPlan plan;
-  plan.enabled = true;
   plan.specs = {spec};
   fault::AttackInjector attack(plan, 99);
   EXPECT_GT(expect_listener_superposes_probe_taps(&attack, 2, 2), 3u);
@@ -279,10 +278,10 @@ TEST(ChannelCompletionTest, LoneFrameRenderIsTheProbesTapsOverTheNoise) {
   ASSERT_GT(params.noise_sigma, 0.0);
   EXPECT_EQ(got->cir.noise_sigma, params.noise_sigma);
 
-  // The probe's taps, timed into the window anchored `cir_anchor_taps`
+  // The probe's taps, timed into the window anchored kCirAnchorTaps
   // before the frame's first path, over the captured noise.
   const AirFrame& seen = *link.seen;
-  const double anchor = static_cast<double>(link.rx_config.cir_anchor_taps);
+  const double anchor = static_cast<double>(kCirAnchorTaps);
   dw::CirCapture want;
   want.length = params.length;
   want.ts_s = params.ts_s;

@@ -48,9 +48,12 @@ TEST(RpmSessionTest, TwoSlotsSeparateEqualDistances) {
 TEST(RpmSessionTest, SlotDelayNotHalved) {
   // The slot delay enters the CIR once (RESP leg only); Eq. 4 must remove
   // it whole, otherwise every slot-1 responder would be ~22 m off
-  // (c * 150 ns / 2). The ±8 ns delayed-TX truncation still moves the
-  // slot-1 estimate by up to ±0.6 m, so a seed passes when it lands within
-  // 0.8 m: 1 770 of seeds 1-2 000 do (88.5 %).
+  // (c * 150 ns / 2). The delayed-TX truncation still moves the slot-1
+  // estimate: each RESP leaves up to 8.013 ns early, and the slot-1
+  // distance carries the difference of two such truncations, an error
+  // triangular on ±1.20 m (c * 8.013 ns / 2). It exceeds 0.8 m with
+  // probability (1 - 5.34/8.013)^2 = 11.1 %, so a seed passes when it
+  // lands within 0.8 m: 1 770 of seeds 1-2 000 do (88.5 %).
   acceptance::expect_pass_rate(1, 200, 1770.0 / 2000.0, [](std::uint64_t seed) {
     ScenarioConfig cfg = combined_scenario(seed);
     cfg.ranging.num_slots = 2;

@@ -150,10 +150,10 @@ TEST(FloorPlanTest, PlacementIsDeterministicAndInBounds) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].x, b[i].x);
     EXPECT_EQ(a[i].y, b[i].y);
-    EXPECT_GE(a[i].x, cfg.placement_margin_m);
-    EXPECT_LE(a[i].x, plan.width_m() - cfg.placement_margin_m);
-    EXPECT_GE(a[i].y, cfg.placement_margin_m);
-    EXPECT_LE(a[i].y, plan.height_m() - cfg.placement_margin_m);
+    EXPECT_GE(a[i].x, kPlacementMarginM);
+    EXPECT_LE(a[i].x, plan.width_m() - kPlacementMarginM);
+    EXPECT_GE(a[i].y, kPlacementMarginM);
+    EXPECT_LE(a[i].y, plan.height_m() - kPlacementMarginM);
   }
   EXPECT_NE(place_nodes(plan, 30, 43)[0].x, a[0].x);
 }
@@ -294,8 +294,7 @@ TEST(CullingIdentityTest, OutOfRangeReceiverNeverDelivered) {
   const channel::ChannelModel model(room, ch);
   MediumParams mp;
   const double radius =
-      model.max_detectable_range(mp.detection_threshold_amp,
-                                 mp.range_margin_db)
+      model.max_detectable_range(mp.detection_threshold_amp, kRangeMarginDb)
           .value();
   ASSERT_TRUE(std::isfinite(radius));
   ASSERT_LT(radius + 30.0, 400.0);
