@@ -8,8 +8,8 @@
 //
 // 1. Session sweep (headline): N concurrent responders run full
 //    concurrent-ranging rounds on the Monte-Carlo engine. The culled
-//    (sharded) runs are timed — nN_sessions_per_sec and the headline
-//    sessions_per_sec — and every trial is re-run on the unculled O(N^2)
+//    (sharded) runs are timed — mc_nN_sessions_per_sec and the headline
+//    mc_sessions_per_sec — and every trial is re-run on the unculled O(N^2)
 //    reference medium at the same seed: the round-outcome digests must
 //    match bit for bit (nN_identity_ok; a mismatch fails the run).
 //
@@ -31,9 +31,11 @@
 // Every flag is validated: an unknown flag, a missing value or one out of
 // range prints the usage and exits 2.
 //
-// Wall-clock metrics (sessions_per_sec, *_frames_per_sec, *_ms, scaling
-// exponents) vary run to run; the identity flags, delivery/cull counters,
-// and digests are deterministic at any --threads value.
+// Wall-clock metrics (mc_sessions_per_sec, mc_*_frames_per_sec,
+// mc_*_round_ms, the mc_ scaling exponents) vary run to run and carry the
+// mc_ prefix that check_bench_regression.py --determinism skips; every
+// other metric — identity flags, delivery/cull counters, digests — is
+// deterministic at any --threads value.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -295,8 +297,8 @@ int main(int argc, char** argv) {
                 static_cast<long long>(culled.counter(cell + "_culled")),
                 ok ? "ok" : "MISMATCH");
 
-    report.metric(cell + "_sessions_per_sec", per_sec);
-    report.metric(cell + "_round_ms", round_ms);
+    report.metric("mc_" + cell + "_sessions_per_sec", per_sec);
+    report.metric("mc_" + cell + "_round_ms", round_ms);
     report.metric(cell + "_identity_ok", ok ? 1.0 : 0.0);
     report.metric(cell + "_status_ok",
                   static_cast<double>(culled.counter(cell + "_status_ok")));
@@ -310,11 +312,11 @@ int main(int argc, char** argv) {
         cell + "_channels_realized_reference",
         static_cast<double>(reference.counter(cell + "_realized")));
   }
-  report.metric("sessions_per_sec", headline_sessions_per_sec);
+  report.metric("mc_sessions_per_sec", headline_sessions_per_sec);
   if (session_counts.size() >= 2) {
     // The culled medium keeps per-round work at O(k).
     const double expo = scaling_exponent(session_counts, session_round_ms);
-    report.metric("session_scaling_exponent", expo);
+    report.metric("mc_session_scaling_exponent", expo);
     std::printf("session scaling exponent (round time vs N): %.2f "
                 "(1 = linear, 2 = quadratic)\n", expo);
   }
@@ -373,7 +375,7 @@ int main(int argc, char** argv) {
     medium_wall_ms.push_back(culled.wall_ms);
     const double fps =
         culled.wall_ms > 0.0 ? 1000.0 * n / culled.wall_ms : 0.0;
-    report.metric(cell + "_frames_per_sec", fps);
+    report.metric("mc_" + cell + "_frames_per_sec", fps);
     report.metric(cell + "_channels_realized",
                   static_cast<double>(culled.stats.channels_realized));
     report.metric(cell + "_receivers_culled",
@@ -392,7 +394,7 @@ int main(int argc, char** argv) {
       identity = ok ? "ok" : "MISMATCH";
       identity_ok = identity_ok && ok;
       report.metric(cell + "_identity_ok", ok ? 1.0 : 0.0);
-      report.metric(cell + "_ref_frames_per_sec", ref_fps);
+      report.metric("mc_" + cell + "_ref_frames_per_sec", ref_fps);
     }
     std::printf("%-8d %-14.1f %-14.1f %-12llu %-10llu %s\n", n, fps, ref_fps,
                 static_cast<unsigned long long>(culled.stats.channels_realized),
@@ -401,7 +403,7 @@ int main(int argc, char** argv) {
   }
   if (medium_counts.size() >= 2) {
     const double expo = scaling_exponent(medium_counts, medium_wall_ms);
-    report.metric("medium_scaling_exponent", expo);
+    report.metric("mc_medium_scaling_exponent", expo);
     std::printf("medium scaling exponent (wall vs N): %.2f "
                 "(1 = linear, 2 = quadratic)\n", expo);
   }

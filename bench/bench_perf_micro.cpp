@@ -14,6 +14,7 @@
 #include "dsp/fft.hpp"
 #include "dsp/matched_filter.hpp"
 #include "dsp/resample.hpp"
+#include "dsp/signal.hpp"
 #include "dw1000/cir.hpp"
 #include "dw1000/pulse.hpp"
 #include "ranging/search_subtract.hpp"
@@ -364,6 +365,59 @@ void BM_Simd_SubtractUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Simd_SubtractUpdate)->Arg(0)->Arg(2);
+
+void BM_Simd_CorrRealLags(benchmark::State& state) {
+  // The peak pick's evaluation around one candidate: the upsampled
+  // correlation of the residual with the 185-sample 0xE0 template at 16
+  // consecutive positions (a candidate's 2F - 1 = 15, rounded up to a
+  // block of 4), one accumulator per lag.
+  BenchLevelGuard guard;
+  if (!set_bench_level(state)) return;
+  constexpr std::size_t kLags = 16;
+  const CVec s = dsp::normalize_energy(
+      dw::sample_pulse_template(0xE0, k::cir_ts_s / 8.0));
+  const CVec r = random_signal(s.size() + kLags - 1, 29);
+  CVec y(kLags);
+  for (auto _ : state) {
+    simd::corr_real_lags(reinterpret_cast<const double*>(r.data()),
+                         reinterpret_cast<const double*>(s.data()), s.size(),
+                         kLags, reinterpret_cast<double*>(y.data()));
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Simd_CorrRealLags)->Arg(0)->Arg(2);
+
+void BM_Simd_CandidateScan(benchmark::State& state) {
+  // The peak pick's candidate scan over a four-shape bank: |u_i|^2 and its
+  // maximum per template, then the native samples of each template at or
+  // above a share of the bank maximum.
+  BenchLevelGuard guard;
+  if (!set_bench_level(state)) return;
+  constexpr std::size_t kN = 1024;
+  constexpr std::size_t kShapes = 4;
+  std::vector<CVec> u;
+  for (std::size_t i = 0; i < kShapes; ++i)
+    u.push_back(random_signal(kN, 30 + i));
+  std::vector<RVec> power(kShapes, RVec(kN));
+  std::vector<std::size_t> hits(kN);
+  std::size_t total = 0;
+  for (auto _ : state) {
+    double native_max = 0.0;
+    for (std::size_t i = 0; i < kShapes; ++i)
+      native_max = std::max(
+          native_max,
+          simd::norms_max(reinterpret_cast<const double*>(u[i].data()), kN,
+                          power[i].data()));
+    for (std::size_t i = 0; i < kShapes; ++i)
+      total += simd::indices_at_least(power[i].data(), kN, 0.5 * native_max,
+                                      hits.data());
+    benchmark::DoNotOptimize(hits.data());
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(total);
+}
+BENCHMARK(BM_Simd_CandidateScan)->Arg(0)->Arg(2);
 
 // The math kernels of ν(t) over 1024 elements (items = elements): the
 // tail's ray block and the render's arrival block run them on blocks of

@@ -61,15 +61,19 @@ struct DetectorPlan {
 };
 
 // Per-CIR working set of the fast detection path: the CIR spectrum, the
-// upsampled residual, the per-template correlation at the native positions,
-// the subtracted waveform and the noise estimate's buffer. One per thread,
-// so a warm thread allocates nothing.
+// upsampled residual, the per-template correlation at the native positions
+// and its power, the peak pick's candidate list and lag block, the
+// subtracted waveform and the noise estimate's buffer. One per thread, so
+// a warm thread allocates nothing.
 struct SearchSubtractDetector::FastState {
-  CVec spectrum;        // n-point spectrum of the padded CIR, times F
-  CVec residual;        // upsampled residual r, M = n * F samples
-  CVec delta;           // subtracted waveform inside the update window
-  std::vector<CVec> u;  // u[i][q] = y_i[F q], one per template
-  RVec noise_scratch;   // dsp::noise_sigma_estimate's buffer
+  CVec spectrum;            // n-point spectrum of the padded CIR, times F
+  CVec residual;            // upsampled residual r, M = n * F samples
+  CVec delta;               // subtracted waveform inside the update window
+  std::vector<CVec> u;      // u[i][q] = y_i[F q], one per template
+  std::vector<RVec> power;  // power[i][q] = |u[i][q]|^2
+  std::vector<std::size_t> hits;  // one template's candidates q, ascending
+  CVec lags;  // y_i at one candidate's ×F positions, in blocks of 4 lags
+  RVec noise_scratch;       // dsp::noise_sigma_estimate's buffer
 };
 
 SearchSubtractDetector::SearchSubtractDetector(DetectorConfig config)
@@ -136,6 +140,11 @@ std::unique_ptr<const DetectorPlan> build_plan(const DetectorConfig& cfg,
     entry.raw_norm = std::sqrt(dsp::energy(entry.sampled));
     UWB_ENSURES(entry.raw_norm > 0.0);
     entry.unit_template = dsp::normalize_energy(entry.sampled);
+    // The peak pick's simd::corr_real_lags reads only the real parts; with
+    // every imaginary part 0 it equals simd::cdot_conj bit for bit.
+    UWB_ENSURES(std::all_of(entry.unit_template.begin(),
+                            entry.unit_template.end(),
+                            [](Complex v) { return v.imag() == 0.0; }));
     entry.native_spectrum = native_template_spectrum(entry.unit_template, n,
                                                      factor, *plan->fft_m);
     entry.kappa = native_coverage(entry.unit_template, factor);
@@ -469,6 +478,12 @@ std::vector<DetectedResponse> SearchSubtractDetector::search_loop(
   const std::size_t n_shapes = plan.entries.size();
   CVec& residual = st.residual;
   const auto m = static_cast<std::ptrdiff_t>(residual.size());
+  const auto* r = reinterpret_cast<const double*>(residual.data());
+  if (st.power.size() < n_shapes) st.power.resize(n_shapes);
+  for (std::size_t i = 0; i < n_shapes; ++i) st.power[i].resize(n);
+  st.hits.resize(n);
+  // A candidate's window holds at most 2F - 1 positions.
+  st.lags.resize(static_cast<std::size_t>((2 * factor - 1 + 3) / 4 * 4));
 
   std::vector<DetectedResponse> found;
   found.reserve(static_cast<std::size_t>(max_responses));
@@ -481,42 +496,61 @@ std::vector<DetectedResponse> SearchSubtractDetector::search_loop(
     // next to it: a native sample of template i within F - 1 of a ×F peak
     // keeps at least kappa_i of its power (for a lone pulse), so every
     // native sample of at least kCandidateMargin * kappa_i times the native
-    // maximum is a candidate, and y_i is evaluated directly within F - 1 of
-    // each. |y|^2 compares: same argmax, no hypot per sample. Ties go to
-    // the lowest template, then the lowest position, as in a full scan.
+    // maximum is a candidate (simd::norms_max, then simd::indices_at_least
+    // per template), and y_i is evaluated directly within F - 1 of each.
+    // |y|^2 compares: same argmax, no hypot per sample. Ties go to the
+    // lowest template, then the lowest position, as in a full scan.
     PeakSelection best;
     double best_norm = -1.0;
     Complex best_y;
     {
     UWB_OBS_SPAN("peak_pick");
     double native_max = 0.0;
-    for (std::size_t i = 0; i < n_shapes; ++i) {
-      const CVec& u = st.u[i];
-      const std::size_t q = simd::argmax_norm(
-          reinterpret_cast<const double*>(u.data()), n);
-      native_max = std::max(native_max, std::norm(u[q]));
-    }
+    for (std::size_t i = 0; i < n_shapes; ++i)
+      native_max = std::max(
+          native_max,
+          simd::norms_max(reinterpret_cast<const double*>(st.u[i].data()), n,
+                          st.power[i].data()));
+    const auto consider = [&](std::size_t i, std::ptrdiff_t j, Complex y) {
+      ++refined;
+      if (const double power = std::norm(y); power > best_norm) {
+        best_norm = power;
+        best = {static_cast<int>(i), static_cast<std::size_t>(j), 0.0};
+        best_y = y;
+      }
+    };
     for (std::size_t i = 0; i < n_shapes; ++i) {
       const DetectorPlan::Entry& entry = plan.entries[i];
-      const CVec& u = st.u[i];
+      const auto len = static_cast<std::ptrdiff_t>(entry.length);
+      const auto* s =
+          reinterpret_cast<const double*>(entry.unit_template.data());
       const double cut = kCandidateMargin * entry.kappa * native_max;
+      const std::size_t hits = simd::indices_at_least(
+          st.power[i].data(), n, cut, st.hits.data());
+      candidates += hits;
       std::ptrdiff_t next = 0;  // first ×F position not yet evaluated
-      for (std::size_t q = 0; q < n; ++q) {
-        if (std::norm(u[q]) < cut) continue;
-        ++candidates;
-        const auto centre = factor * static_cast<std::ptrdiff_t>(q);
+      for (std::size_t h = 0; h < hits; ++h) {
+        const auto centre = factor * static_cast<std::ptrdiff_t>(st.hits[h]);
+        const std::ptrdiff_t j_lo = std::max(next, centre - factor + 1);
         const std::ptrdiff_t j_hi = std::min(m, centre + factor);
-        for (std::ptrdiff_t j = std::max(next, centre - factor + 1); j < j_hi;
-             ++j) {
-          const Complex y = correlate_at(residual, entry.unit_template,
-                                         static_cast<std::size_t>(j));
-          ++refined;
-          if (const double power = std::norm(y); power > best_norm) {
-            best_norm = power;
-            best = {static_cast<int>(i), static_cast<std::size_t>(j), 0.0};
-            best_y = y;
-          }
+        // Positions whose whole window lies inside r run as lag blocks,
+        // rounded up to 4 lags while the extra windows stay inside r (their
+        // sums are not used); the rest are shorter dot products.
+        const std::ptrdiff_t j_full =
+            std::min(j_hi, std::max(j_lo, m - len + 1));
+        if (j_lo < j_full) {
+          const std::ptrdiff_t lags =
+              std::min((j_full - j_lo + 3) / 4 * 4, m - len + 1 - j_lo);
+          simd::corr_real_lags(r + 2 * j_lo, s, entry.length,
+                               static_cast<std::size_t>(lags),
+                               reinterpret_cast<double*>(st.lags.data()));
+          for (std::ptrdiff_t j = j_lo; j < j_full; ++j)
+            consider(i, j, st.lags[static_cast<std::size_t>(j - j_lo)]);
         }
+        for (std::ptrdiff_t j = j_full; j < j_hi; ++j)
+          consider(i, j,
+                   correlate_at(residual, entry.unit_template,
+                                static_cast<std::size_t>(j)));
         next = std::max(next, j_hi);
       }
     }

@@ -20,9 +20,13 @@ struct KernelTable {
   void (*copy_scaled)(const double*, double, double*, std::size_t);
   void (*butterfly_pairs)(double*, std::size_t);
   void (*fft_stage)(double*, const double*, std::size_t, std::size_t, bool);
-  std::size_t (*argmax_norm)(const double*, std::size_t);
+  double (*norms_max)(const double*, std::size_t, double*);
+  std::size_t (*indices_at_least)(const double*, std::size_t, double,
+                                  std::size_t*);
   void (*cdot_conj)(const double*, const double*, std::size_t, double*,
                     double*);
+  void (*corr_real_lags)(const double*, const double*, std::size_t,
+                         std::size_t, double*);
   void (*corr_direct)(const double*, const double*, double*, std::size_t,
                       std::size_t);
   void (*corr_window_update)(double*, const double*, const double*,

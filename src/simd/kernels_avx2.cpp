@@ -11,7 +11,8 @@
 // bit-identical across levels (including the odd-element tails, which run
 // one 128-bit element with the identical operation sequence). The
 // reduction kernels accumulate two interleaved partial sums and combine
-// them once at the end, so they agree with scalar to roundoff only. The
+// them once at the end, so they agree with scalar to roundoff only;
+// corr_real_lags keeps avx2_cdot_conj's order per lag. The
 // real-valued math kernels (exp, log, sincos, philox4x32_10) run the
 // operation sequence of their scalar function in simd/math.hpp on four
 // lanes; a partial last vector is loaded and stored under a lane mask.
@@ -156,49 +157,53 @@ void avx2_fft_stage(double* d, const double* w, std::size_t n,
   }
 }
 
-std::size_t avx2_argmax_norm(const double* y, std::size_t n) {
-  // Four |y|^2 per iteration. hadd interleaves the two source vectors per
-  // 128-bit lane, so lane l of the norm vector tracks complex indices
-  // j + {0, 2, 1, 3}[l]. Strict > per lane keeps the first maximum within
-  // a lane; the final reduction prefers the lowest index among lanes with
-  // equal norms — together exactly the scalar first-maximum scan.
-  std::size_t j = 0;
-  __m256d best = _mm256_set1_pd(-1.0);
-  __m256d best_idx = _mm256_setzero_pd();
-  const __m256d lane_off = _mm256_set_pd(3.0, 1.0, 2.0, 0.0);
-  const __m256d four = _mm256_set1_pd(4.0);
-  __m256d idx = lane_off;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d v0 = _mm256_loadu_pd(y + 2 * j);
-    const __m256d v1 = _mm256_loadu_pd(y + 2 * j + 4);
+double avx2_norms_max(const double* y, std::size_t n, double* p) {
+  // Four |y|^2 per iteration. hadd forms im^2 + re^2, which equals the
+  // scalar re^2 + im^2 (addition commutes exactly), but interleaves the two
+  // source vectors per 128-bit lane: complexes k + {0, 2, 1, 3}, which the
+  // permute puts back in order. The maximum is exact in any order.
+  std::size_t k = 0;
+  __m256d best = _mm256_setzero_pd();
+  for (; k + 4 <= n; k += 4) {
+    const __m256d v0 = _mm256_loadu_pd(y + 2 * k);
+    const __m256d v1 = _mm256_loadu_pd(y + 2 * k + 4);
     const __m256d nrm = _mm256_hadd_pd(_mm256_mul_pd(v0, v0),
                                        _mm256_mul_pd(v1, v1));
-    const __m256d gt = _mm256_cmp_pd(nrm, best, _CMP_GT_OQ);
-    best = _mm256_blendv_pd(best, nrm, gt);
-    best_idx = _mm256_blendv_pd(best_idx, idx, gt);
-    idx = _mm256_add_pd(idx, four);
+    _mm256_storeu_pd(p + k, _mm256_permute4x64_pd(nrm, 0xD8));
+    best = _mm256_max_pd(best, nrm);
   }
-  double norms[4], idxs[4];
-  _mm256_storeu_pd(norms, best);
-  _mm256_storeu_pd(idxs, best_idx);
-  double max_norm = -1.0;
-  std::size_t max_idx = 0;
-  for (int l = 0; l < 4; ++l) {
-    const auto cand = static_cast<std::size_t>(idxs[l]);
-    if (norms[l] > max_norm ||
-        (norms[l] == max_norm && cand < max_idx)) {
-      max_norm = norms[l];
-      max_idx = cand;
-    }
+  const __m128d half = _mm_max_pd(_mm256_castpd256_pd128(best),
+                                  _mm256_extractf128_pd(best, 1));
+  double max_norm =
+      _mm_cvtsd_f64(_mm_max_pd(half, _mm_unpackhi_pd(half, half)));
+  for (; k < n; ++k) {
+    p[k] = y[2 * k] * y[2 * k] + y[2 * k + 1] * y[2 * k + 1];
+    if (p[k] > max_norm) max_norm = p[k];
   }
-  for (; j < n; ++j) {
-    const double nrm = y[2 * j] * y[2 * j] + y[2 * j + 1] * y[2 * j + 1];
-    if (nrm > max_norm) {
-      max_norm = nrm;
-      max_idx = j;
-    }
+  return max_norm;
+}
+
+std::size_t avx2_indices_at_least(const double* p, std::size_t n,
+                                  double cut, std::size_t* idx) {
+  // Eight comparisons per iteration into one bit mask (NLT_UQ is exactly
+  // !(p < cut)); the set bits, lowest first, are the passing indices.
+  const __m256d c = _mm256_set1_pd(cut);
+  std::size_t count = 0;
+  std::size_t k = 0;
+  for (; k + 8 <= n; k += 8) {
+    unsigned mask = static_cast<unsigned>(_mm256_movemask_pd(
+        _mm256_cmp_pd(_mm256_loadu_pd(p + k), c, _CMP_NLT_UQ)));
+    mask |= static_cast<unsigned>(_mm256_movemask_pd(_mm256_cmp_pd(
+                _mm256_loadu_pd(p + k + 4), c, _CMP_NLT_UQ)))
+            << 4;
+    for (; mask != 0; mask &= mask - 1)
+      idx[count++] = k + static_cast<std::size_t>(__builtin_ctz(mask));
   }
-  return max_idx;
+  for (; k < n; ++k) {
+    idx[count] = k;
+    count += static_cast<std::size_t>(!(p[k] < cut));
+  }
+  return count;
 }
 
 void avx2_cdot_conj(const double* a, const double* b, std::size_t n,
@@ -222,6 +227,56 @@ void avx2_cdot_conj(const double* a, const double* b, std::size_t n,
   }
   *re = _mm_cvtsd_f64(sum);
   *im = _mm_cvtsd_f64(_mm_unpackhi_pd(sum, sum));
+}
+
+// One lag's end of avx2_cdot_conj: lo + hi of the accumulator, then the
+// odd last sample when there is one.
+inline void finish_lag(__m256d acc, const double* r_last,
+                       const double* s_last, bool odd, double* y) {
+  __m128d sum = _mm_add_pd(_mm256_castpd256_pd128(acc),
+                           _mm256_extractf128_pd(acc, 1));
+  if (odd)
+    sum = _mm_add_pd(sum, _mm_mul_pd(_mm_loadu_pd(r_last),
+                                     _mm_loaddup_pd(s_last)));
+  _mm_storeu_pd(y, sum);
+}
+
+void avx2_corr_real_lags(const double* r, const double* s, std::size_t n,
+                         std::size_t lags, double* y) {
+  // Each lag accumulates in avx2_cdot_conj's lane layout: even and odd
+  // samples in the two halves of one vector. Four lags per pass over s
+  // keep four independent addition chains in flight where cdot_conj's one
+  // chain waits on each addition. (Named accumulators, not an array: at
+  // -O2 an array is not promoted to registers.)
+  std::size_t k = 0;
+  for (; k + 4 <= lags; k += 4) {
+    const double* rk = r + 2 * k;
+    __m256d a0 = _mm256_setzero_pd(), a1 = a0, a2 = a0, a3 = a0;
+    std::size_t m = 0;
+    for (; m + 2 <= n; m += 2) {
+      const __m256d br = dup_re(_mm256_loadu_pd(s + 2 * m));
+      const double* rm = rk + 2 * m;
+      a0 = _mm256_add_pd(a0, _mm256_mul_pd(_mm256_loadu_pd(rm), br));
+      a1 = _mm256_add_pd(a1, _mm256_mul_pd(_mm256_loadu_pd(rm + 2), br));
+      a2 = _mm256_add_pd(a2, _mm256_mul_pd(_mm256_loadu_pd(rm + 4), br));
+      a3 = _mm256_add_pd(a3, _mm256_mul_pd(_mm256_loadu_pd(rm + 6), br));
+    }
+    const bool odd = m < n;
+    finish_lag(a0, rk + 2 * m, s + 2 * m, odd, y + 2 * k);
+    finish_lag(a1, rk + 2 * m + 2, s + 2 * m, odd, y + 2 * k + 2);
+    finish_lag(a2, rk + 2 * m + 4, s + 2 * m, odd, y + 2 * k + 4);
+    finish_lag(a3, rk + 2 * m + 6, s + 2 * m, odd, y + 2 * k + 6);
+  }
+  for (; k < lags; ++k) {
+    const double* rk = r + 2 * k;
+    __m256d acc = _mm256_setzero_pd();
+    std::size_t m = 0;
+    for (; m + 2 <= n; m += 2) {
+      const __m256d br = dup_re(_mm256_loadu_pd(s + 2 * m));
+      acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_loadu_pd(rk + 2 * m), br));
+    }
+    finish_lag(acc, rk + 2 * m, s + 2 * m, m < n, y + 2 * k);
+  }
 }
 
 void avx2_corr_direct(const double* r, const double* s, double* y,
@@ -549,7 +604,8 @@ const KernelTable* avx2_table_or_null() {
       avx2_cmul_scaled,  avx2_cmul_conj_scaled,
       avx2_scale,        avx2_copy_scaled,
       avx2_butterfly_pairs, avx2_fft_stage,
-      avx2_argmax_norm,  avx2_cdot_conj,
+      avx2_norms_max,    avx2_indices_at_least,
+      avx2_cdot_conj,    avx2_corr_real_lags,
       avx2_corr_direct,  avx2_corr_window_update,
       avx2_exp,          avx2_log,
       avx2_sincos,       avx2_philox4x32_10,

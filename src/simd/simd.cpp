@@ -98,17 +98,24 @@ void scalar_fft_stage(double* d, const double* w, std::size_t n,
   }
 }
 
-std::size_t scalar_argmax_norm(const double* y, std::size_t n) {
-  std::size_t idx = 0;
-  double max_norm = -1.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const double nrm = y[2 * j] * y[2 * j] + y[2 * j + 1] * y[2 * j + 1];
-    if (nrm > max_norm) {
-      max_norm = nrm;
-      idx = j;
-    }
+double scalar_norms_max(const double* y, std::size_t n, double* p) {
+  double max_norm = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    p[k] = y[2 * k] * y[2 * k] + y[2 * k + 1] * y[2 * k + 1];
+    if (p[k] > max_norm) max_norm = p[k];
   }
-  return idx;
+  return max_norm;
+}
+
+std::size_t scalar_indices_at_least(const double* p, std::size_t n,
+                                    double cut, std::size_t* idx) {
+  // Every index is written; only those that pass advance the count.
+  std::size_t count = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    idx[count] = k;
+    count += static_cast<std::size_t>(!(p[k] < cut));
+  }
+  return count;
 }
 
 void scalar_cdot_conj(const double* a, const double* b, std::size_t n,
@@ -122,6 +129,19 @@ void scalar_cdot_conj(const double* a, const double* b, std::size_t n,
   }
   *re = acc_r;
   *im = acc_i;
+}
+
+void scalar_corr_real_lags(const double* r, const double* s, std::size_t n,
+                           std::size_t lags, double* y) {
+  for (std::size_t k = 0; k < lags; ++k) {
+    double acc_r = 0.0, acc_i = 0.0;
+    for (std::size_t m = 0; m < n; ++m) {
+      acc_r += r[2 * (k + m)] * s[2 * m];
+      acc_i += r[2 * (k + m) + 1] * s[2 * m];
+    }
+    y[2 * k] = acc_r;
+    y[2 * k + 1] = acc_i;
+  }
 }
 
 void scalar_corr_direct(const double* r, const double* s, double* y,
@@ -210,7 +230,8 @@ const KernelTable& scalar_table() {
       scalar_cmul_scaled,  scalar_cmul_conj_scaled,
       scalar_scale,        scalar_copy_scaled,
       scalar_butterfly_pairs, scalar_fft_stage,
-      scalar_argmax_norm,  scalar_cdot_conj,
+      scalar_norms_max,    scalar_indices_at_least,
+      scalar_cdot_conj,    scalar_corr_real_lags,
       scalar_corr_direct,  scalar_corr_window_update,
       scalar_exp,          scalar_log,
       scalar_sincos,       scalar_philox4x32_10,
@@ -359,13 +380,23 @@ void fft_stage(double* d, const double* w, std::size_t n, std::size_t len,
   active().fft_stage(d, w, n, len, inverse);
 }
 
-std::size_t argmax_norm(const double* y, std::size_t n) {
-  return active().argmax_norm(y, n);
+double norms_max(const double* y, std::size_t n, double* p) {
+  return active().norms_max(y, n, p);
+}
+
+std::size_t indices_at_least(const double* p, std::size_t n, double cut,
+                             std::size_t* idx) {
+  return active().indices_at_least(p, n, cut, idx);
 }
 
 void cdot_conj(const double* a, const double* b, std::size_t n, double* re,
                double* im) {
   active().cdot_conj(a, b, n, re, im);
+}
+
+void corr_real_lags(const double* r, const double* s, std::size_t n,
+                    std::size_t lags, double* y) {
+  active().corr_real_lags(r, s, n, lags, y);
 }
 
 void corr_direct(const double* r, const double* s, double* y, std::size_t n,

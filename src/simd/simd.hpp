@@ -2,11 +2,12 @@
 //
 // One header exposes the vectorized kernels the detection pipeline is built
 // on: pointwise complex multiplies (FFT chirp/kernel products, bank
-// correlation spectra), FFT butterfly stages, squared-magnitude argmax
-// (peak pick), and windowed complex correlations (matched filter,
-// incremental subtract-update). Every kernel operates on the interleaved
-// re/im double pairs of a `Complex` array — the array-oriented access
-// already used by the scalar fast path — so callers pass
+// correlation spectra), FFT butterfly stages, the squared magnitudes and
+// threshold scan of the peak pick's candidate search, and windowed complex
+// correlations (matched filter, the candidates' lag blocks over a real
+// template, incremental subtract-update). Every kernel operates on the
+// interleaved re/im double pairs of a `Complex` array — the array-oriented
+// access already used by the scalar fast path — so callers pass
 // `reinterpret_cast<double*>(CVec::data())` and a *complex* element count.
 // Five real-valued kernels serve the diffuse tail and the CIR render
 // instead: e^x, ln x, sin/cos and bulk Philox4x32-10 words, each the array
@@ -27,14 +28,14 @@
 //                ∩ compile-time availability    (#ifdef __AVX2__ guard)
 //
 // Equivalence contract: elementwise kernels (cmul*, scale, copy_scaled,
-// butterfly stages, and the real-valued kernels) perform the exact scalar
-// operation sequence per element and are bit-identical across levels.
-// Reduction kernels (cdot_conj, corr_*) may reassociate the accumulation
-// at AVX2 width and agree with scalar only to floating-point roundoff;
-// argmax_norm resolves ties to the lowest index at every level, matching
-// the scalar first-maximum scan exactly. Given a fixed level, every kernel
-// is deterministic, so the derive_seed bit-identity contract (same results
-// at any thread count) holds under SIMD.
+// butterfly stages, norms_max, indices_at_least and the real-valued
+// kernels) perform the exact scalar operation sequence per element and are
+// bit-identical across levels. Reduction kernels (cdot_conj, corr_*) may
+// reassociate the accumulation at AVX2 width and agree with scalar only to
+// floating-point roundoff; corr_real_lags reproduces cdot_conj of the same
+// level bit for bit. Given a fixed level, every kernel is deterministic,
+// so the derive_seed bit-identity contract (same results at any thread
+// count) holds under SIMD.
 #pragma once
 
 #include <cstddef>
@@ -108,13 +109,29 @@ void butterfly_pairs(double* d, std::size_t n);
 void fft_stage(double* d, const double* w, std::size_t n, std::size_t len,
                bool inverse);
 
-/// Index of the first maximum of |y[k]|^2 over n complexes (ties resolve
-/// to the lowest index, matching a scalar first-maximum scan). n >= 1.
-std::size_t argmax_norm(const double* y, std::size_t n);
+/// p[k] = re(y[k])^2 + im(y[k])^2 for n complexes, std::norm's operation
+/// sequence; returns the largest p[k] (0 when n is 0). `p` holds n doubles.
+double norms_max(const double* y, std::size_t n, double* p);
+
+/// Writes the indices k < n with !(p[k] < cut), ascending, to `idx` and
+/// returns how many there are. `idx` holds n entries.
+std::size_t indices_at_least(const double* p, std::size_t n, double cut,
+                             std::size_t* idx);
 
 /// *re + i*im = sum_{m<n} a[m] * conj(b[m]).
 void cdot_conj(const double* a, const double* b, std::size_t n, double* re,
                double* im);
+
+/// Correlation with a real template at `lags` consecutive positions:
+/// y[k] = sum_{m<n} r[k + m] * re(s[m]) for k < lags, one accumulator per
+/// lag in cdot_conj's order at the same level, reading r[0 .. n + lags - 1)
+/// and only the real parts of s. When every imaginary part of s is ±0 and
+/// r is finite, the products cdot_conj adds on top are ±0 and its
+/// accumulators are never -0, so y[k] equals cdot_conj(r + k, s, n) bit
+/// for bit. n, lags >= 1; `y` holds `lags` complexes and must not alias r
+/// or s.
+void corr_real_lags(const double* r, const double* s, std::size_t n,
+                    std::size_t lags, double* y);
 
 /// Full correlation y[i] = sum_{m < min(np, n-i)} r[i+m] * conj(s[m]) for
 /// i < n (template samples beyond the end of r are treated as zero).

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -170,54 +171,105 @@ TEST(SimdKernels, FftStageBitIdenticalAcrossLevels) {
   }
 }
 
-TEST(SimdKernels, ArgmaxNormMatchesScalarAndBreaksTiesLow) {
+TEST(SimdKernels, NormsMaxAndIndicesAtLeastMatchTheScalarScan) {
+  // The peak pick's candidate scan: p bit-equal to std::norm, the maximum
+  // of p, and the ascending indices with !(p < cut) — with entries tied
+  // exactly at the cut, at every length up to 1 031 (every tail of the
+  // 4- and 8-wide vector loops) and on all-zero input.
   LevelGuard guard;
-  for (const std::size_t n : kSizes) {
-    auto y = random_doubles(31 * n, 2 * n);
-    ASSERT_TRUE(simd::set_active_level(simd::Level::kScalar));
-    const std::size_t ref = simd::argmax_norm(y.data(), n);
+  const Complex tie{0.6, 0.8};
+  const double tie_norm = std::norm(tie);
+  for (std::size_t n = 1; n <= 1031; ++n) {
+    auto y = random_doubles(61 + n, 2 * n);
+    for (std::size_t k = n % 3; k < n; k += 5) {
+      y[2 * k] = tie.real();
+      y[2 * k + 1] = tie.imag();
+    }
+    std::vector<double> want_p(n);
+    double want_max = 0.0;
+    std::vector<std::size_t> want_idx, want_all;
+    for (std::size_t k = 0; k < n; ++k) {
+      want_p[k] = std::norm(Complex(y[2 * k], y[2 * k + 1]));
+      want_max = std::max(want_max, want_p[k]);
+      if (!(want_p[k] < tie_norm)) want_idx.push_back(k);
+      want_all.push_back(k);
+    }
+    const std::vector<double> zeros(2 * n, 0.0);
     for (const simd::Level level : supported_levels()) {
       ASSERT_TRUE(simd::set_active_level(level));
-      EXPECT_EQ(simd::argmax_norm(y.data(), n), ref)
+      std::vector<double> p(n);
+      std::vector<std::size_t> idx(n);
+      EXPECT_EQ(double_bits(simd::norms_max(y.data(), n, p.data())),
+                double_bits(want_max))
+          << "level=" << simd::level_name(level) << " n=" << n;
+      EXPECT_EQ(std::memcmp(p.data(), want_p.data(), n * sizeof(double)), 0)
+          << "level=" << simd::level_name(level) << " n=" << n;
+      idx.resize(simd::indices_at_least(p.data(), n, tie_norm, idx.data()));
+      EXPECT_EQ(idx, want_idx)
+          << "level=" << simd::level_name(level) << " n=" << n;
+      idx.assign(n, 0);
+      EXPECT_EQ(simd::indices_at_least(p.data(), n, want_max * 2.0 + 1.0,
+                                       idx.data()),
+                0u)
+          << "level=" << simd::level_name(level) << " n=" << n;
+
+      EXPECT_EQ(double_bits(simd::norms_max(zeros.data(), n, p.data())),
+                double_bits(0.0))
+          << "level=" << simd::level_name(level) << " n=" << n;
+      idx.resize(simd::indices_at_least(p.data(), n, 0.0, idx.data()));
+      EXPECT_EQ(idx, want_all)
           << "level=" << simd::level_name(level) << " n=" << n;
     }
   }
 }
 
-TEST(SimdKernels, ArgmaxNormTiesResolveToLowestIndexEverywhere) {
+TEST(SimdKernels, CorrRealLagsEqualCdotConjBitForBit) {
+  // Each lag of corr_real_lags must equal cdot_conj of the same level bit
+  // for bit when the template is real: over template lengths around the
+  // detector's (73-193 samples at x8), every lag count of a block and its
+  // remainders, and residuals holding exact +0, -0 and mixed signs, where
+  // the ±0 products cdot_conj adds on top could show.
   LevelGuard guard;
-  // Duplicate maxima placed across different vector lanes and in the scalar
-  // tail; every level must report the first occurrence.
-  struct Case {
-    std::size_t n;
-    std::vector<std::size_t> max_at;
-  };
-  const Case cases[] = {
-      {9, {1, 8}},   {12, {0, 3}},   {16, {2, 6, 14}},
-      {17, {5, 16}}, {21, {19, 20}}, {4, {0, 1, 2, 3}},
-  };
-  for (const auto& c : cases) {
-    std::vector<double> y(2 * c.n, 0.0);
-    for (std::size_t j = 0; j < c.n; ++j) {
-      y[2 * j] = 0.01 * static_cast<double>(j % 3);
-      y[2 * j + 1] = 0.0;
+  constexpr std::size_t kMaxLags = 16;
+  for (const std::size_t n : {1, 2, 3, 7, 73, 127, 151, 185, 193}) {
+    for (const double imag_zero : {0.0, -0.0}) {
+      auto s = random_doubles(71 + n, 2 * n);
+      for (std::size_t m = 0; m < n; ++m) {
+        if (m % 9 == 4) s[2 * m] = m % 2 == 0 ? 0.0 : -0.0;
+        s[2 * m + 1] = imag_zero;
+      }
+      const std::size_t len = n + kMaxLags - 1;
+      auto mixed = random_doubles(73 + n, 2 * len);
+      for (std::size_t p = 0; p < 2 * len; ++p) {
+        if (p % 7 == 0) mixed[p] = 0.0;
+        if (p % 11 == 3) mixed[p] = -0.0;
+      }
+      std::vector<double> neg_zero(2 * len, -0.0);
+      std::vector<double> signed_zeros(2 * len);
+      for (std::size_t p = 0; p < 2 * len; ++p)
+        signed_zeros[p] = p % 3 == 0 ? 0.0 : -0.0;
+      const std::vector<double>* residuals[] = {&mixed, &neg_zero,
+                                                &signed_zeros};
+      for (std::size_t v = 0; v < 3; ++v) {
+        const std::vector<double>* r = residuals[v];
+        for (const simd::Level level : supported_levels()) {
+          ASSERT_TRUE(simd::set_active_level(level));
+          for (std::size_t lags = 1; lags <= kMaxLags; ++lags) {
+            std::vector<double> y(2 * lags), want(2 * lags);
+            simd::corr_real_lags(r->data(), s.data(), n, lags, y.data());
+            for (std::size_t k = 0; k < lags; ++k)
+              simd::cdot_conj(r->data() + 2 * k, s.data(), n, &want[2 * k],
+                              &want[2 * k + 1]);
+            EXPECT_EQ(std::memcmp(y.data(), want.data(),
+                                  y.size() * sizeof(double)),
+                      0)
+                << "level=" << simd::level_name(level) << " n=" << n
+                << " lags=" << lags << " imag=" << imag_zero
+                << " residual=" << v;
+          }
+        }
+      }
     }
-    for (const std::size_t j : c.max_at) {
-      y[2 * j] = 3.0;
-      y[2 * j + 1] = 4.0;  // |y|^2 = 25, the shared maximum
-    }
-    for (const simd::Level level : supported_levels()) {
-      ASSERT_TRUE(simd::set_active_level(level));
-      EXPECT_EQ(simd::argmax_norm(y.data(), c.n), c.max_at.front())
-          << "level=" << simd::level_name(level) << " n=" << c.n;
-    }
-  }
-  // Degenerate all-equal input: index 0 at every level.
-  std::vector<double> flat(2 * 11, 0.5);
-  for (const simd::Level level : supported_levels()) {
-    ASSERT_TRUE(simd::set_active_level(level));
-    EXPECT_EQ(simd::argmax_norm(flat.data(), 11), 0u)
-        << "level=" << simd::level_name(level);
   }
 }
 
