@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
   const auto opts = bench::parse_options(argc, argv, 300);
   bench::JsonReport report("ablation_amplitude", opts.trials);
   bench::heading(
-      "Ablation — rank-based detection vs Friis power boundaries (challenge IV)");
+      "Ablation — rank-based detection vs Friis power boundaries "
+      "(challenge IV)");
   std::printf("(%d rounds)\n", opts.trials);
 
   // Responder 1 at 3 m, clear. Responder 2 at 8 m behind an obstacle that
@@ -45,7 +46,7 @@ int main(int argc, char** argv) {
       [](std::uint64_t seed) {
         ranging::ScenarioConfig cfg = bench::office_scenario(seed);
         cfg.room = geom::Room::rectangular(14.0, 8.0, 12.0);
-        cfg.room.add_obstacle({{{7.0, 3.2}, {7.0, 4.8}}, 9.0, "blocked LOS"});
+        cfg.room.add_obstacle({{{7.0, 3.2}, {7.0, 4.8}}, 9.0});
         cfg.initiator_position = {2.0, 4.0};
         cfg.responders = {{0, {5.0, 4.0}}, {1, {10.0, 4.0}}};
         // Extract a couple of extra peaks: the attenuated response may rank
@@ -76,8 +77,10 @@ int main(int argc, char** argv) {
 
   const auto rounds = result.counter("rounds");
   const double denom = rounds ? static_cast<double>(rounds) : 1.0;
-  const double rank_pct = 100.0 * static_cast<double>(result.counter("rank_ok")) / denom;
-  const double friis_pct = 100.0 * static_cast<double>(result.counter("friis_ok")) / denom;
+  const double rank_pct =
+      100.0 * static_cast<double>(result.counter("rank_ok")) / denom;
+  const double friis_pct =
+      100.0 * static_cast<double>(result.counter("friis_ok")) / denom;
   const double false_per_round =
       static_cast<double>(result.counter("friis_false_accept")) / denom;
 

@@ -19,7 +19,7 @@ uwb::ranging::ScenarioConfig nlos_config(std::uint64_t seed, double atten) {
   ranging::ScenarioConfig cfg = bench::office_scenario(seed);
   cfg.room = geom::Room::rectangular(14.0, 8.0, 12.0);
   if (atten > 0.0)
-    cfg.room.add_obstacle({{{7.0, 3.0}, {7.0, 5.0}}, atten, "wall"});
+    cfg.room.add_obstacle({{{7.0, 3.0}, {7.0, 5.0}}, atten});
   cfg.initiator_position = {2.0, 4.0};
   cfg.responders = {{0, {5.0, 4.0}}, {1, {10.0, 4.0}}};
   // Extract a few extra peaks so the weak NLOS response is surfaced even
@@ -57,7 +57,8 @@ int main(int argc, char** argv) {
         [](const ranging::ConcurrentRangingScenario&,
            const ranging::RoundOutcome& out, runner::TrialRecorder& rec) {
           if (out.completed)
-            rec.sample("fp_ratio", dw::analyze_cir(out.cir.taps).fp_to_total_db);
+            rec.sample("fp_ratio",
+                       dw::analyze_cir(out.cir.taps).fp_to_total_db);
         });
     const auto& fp_ratios = link_result.samples("fp_ratio");
 

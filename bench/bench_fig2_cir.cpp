@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   // A furnished office: rectangular room with a couple of scatterers; second
   // order reflections enabled so the tail is realistic.
   geom::Room room = geom::Room::rectangular(9.0, 6.5, 4.0);
-  room.add_obstacle({{{5.5, 1.0}, {5.5, 2.2}}, 8.0, "cabinet"});
+  room.add_obstacle({{{5.5, 1.0}, {5.5, 2.2}}, 8.0});
   channel::ChannelModelParams params;
   params.max_reflection_order = 2;
   channel::ChannelModel model(room, params);

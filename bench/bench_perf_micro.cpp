@@ -17,9 +17,12 @@
 #include "dsp/signal.hpp"
 #include "dw1000/cir.hpp"
 #include "dw1000/pulse.hpp"
+#include "geom/grid.hpp"
+#include "geom/room.hpp"
 #include "ranging/search_subtract.hpp"
 #include "ranging/threshold_detector.hpp"
 #include "runner/thread_pool.hpp"
+#include "sim/floorplan.hpp"
 #include "simd/simd.hpp"
 #include "bench_util.hpp"
 
@@ -511,6 +514,46 @@ void BM_FullConcurrentRound(benchmark::State& state) {
       1.0, benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_FullConcurrentRound);
+
+// --- obstacle grid (building_n200's floor) ------------------------------
+
+/// The building benchmarks' 210-room plan: 782 partition segments.
+sim::FloorPlan building_plan() {
+  return sim::make_floor_plan(sim::plan_for_nodes(201, /*nodes_per_room=*/1.0));
+}
+
+void BM_ObstacleGridBuild(benchmark::State& state) {
+  // The grid every ChannelModel of a building scenario builds.
+  const sim::FloorPlan plan = building_plan();
+  for (auto _ : state) {
+    geom::UniformGrid grid = plan.room.obstacle_grid();
+    benchmark::DoNotOptimize(&grid);
+  }
+}
+BENCHMARK(BM_ObstacleGridBuild);
+
+void BM_ObstructionQuery(benchmark::State& state) {
+  // The indexed obstruction loss of the leg from the plan's centre (the
+  // initiator) to every room's centre; items = legs.
+  const sim::FloorPlan plan = building_plan();
+  const geom::UniformGrid grid = plan.room.obstacle_grid();
+  std::vector<geom::Vec2> rooms;
+  for (int ix = 0; ix < plan.config.rooms_x; ++ix)
+    for (int iy = 0; iy < plan.config.rooms_y; ++iy)
+      rooms.push_back({sim::kRoomWM * (ix + 0.5), sim::kRoomHM * (iy + 0.5)});
+  std::vector<std::int32_t> candidates;
+  candidates.reserve(grid.entry_count());
+  double loss = 0.0;
+  for (auto _ : state) {
+    for (const geom::Vec2 room : rooms)
+      loss += plan.room.obstruction_loss_db(plan.center(), room, grid,
+                                            candidates);
+  }
+  benchmark::DoNotOptimize(loss);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rooms.size()));
+}
+BENCHMARK(BM_ObstructionQuery);
 
 // --- runner / parallel harness micro-benchmarks -------------------------
 

@@ -15,14 +15,15 @@ int main(int argc, char** argv) {
   examples::FlagParser p(argc, argv, "nlos_demo [--seed X] [--rounds R]");
   while (p.next()) {
     if (p.is("--seed")) seed = p.seed_value();
-    else if (p.is("--rounds")) rounds = static_cast<int>(p.int_value(1, 100000));
+    else if (p.is("--rounds"))
+      rounds = static_cast<int>(p.int_value(1, 100000));
     else p.unknown();
   }
 
   ranging::ScenarioConfig cfg;
   cfg.room = geom::Room::rectangular(14.0, 8.0, 12.0);
   // A cabinet blocks the line of sight to responder 1 only.
-  cfg.room.add_obstacle({{{7.0, 3.2}, {7.0, 4.8}}, 9.0, "cabinet"});
+  cfg.room.add_obstacle({{{7.0, 3.2}, {7.0, 4.8}}, 9.0});
   cfg.initiator_position = {2.0, 4.0};
   cfg.responders = {
       {0, {5.0, 4.0}},   // 3 m, clear

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/expects.hpp"
 
@@ -35,6 +36,29 @@ double segment_cell_size(const std::vector<Segment>& segments) {
   return side > 0.0 ? side : 1.0;
 }
 
+/// A slot table is built when the occupied range holds at most this many
+/// slots per entry, plus kSlotSlack: memory stays linear in the entries.
+constexpr std::uint64_t kSlotsPerEntry = 8;
+constexpr std::uint64_t kSlotSlack = 64;
+
+/// Call fn(i, ix, iy) for every cell (ix, iy) of every box i, in
+/// ascending i.
+template <class Box, class Fn>
+void for_each_entry(const std::vector<Box>& boxes, Fn&& fn) {
+  for (std::size_t i = 0; i < boxes.size(); ++i) {
+    const Box& b = boxes[i];
+    for (std::int64_t ix = b.ix0; ix <= b.ix1; ++ix)
+      for (std::int64_t iy = b.iy0; iy <= b.iy1; ++iy)
+        fn(static_cast<std::int32_t>(i), static_cast<std::int32_t>(ix),
+           static_cast<std::int32_t>(iy));
+  }
+}
+
+/// Number of integers in [lo, hi] (hi >= lo).
+std::uint64_t span(std::int32_t lo, std::int32_t hi) {
+  return static_cast<std::uint64_t>(std::int64_t{hi} - lo) + 1;
+}
+
 }  // namespace
 
 CellKey UniformGrid::pack(std::int32_t ix, std::int32_t iy) {
@@ -49,8 +73,8 @@ std::int32_t UniformGrid::cell_ix(CellKey key) {
 }
 
 std::int32_t UniformGrid::cell_iy(CellKey key) {
-  return static_cast<std::int32_t>(
-      static_cast<std::uint32_t>(static_cast<std::uint64_t>(key) & 0xFFFFFFFFull));
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(
+      static_cast<std::uint64_t>(key) & 0xFFFFFFFFull));
 }
 
 std::int32_t UniformGrid::coord(double v) const {
@@ -60,12 +84,13 @@ std::int32_t UniformGrid::coord(double v) const {
 UniformGrid::UniformGrid(const std::vector<Vec2>& points, double cell_size_m)
     : cell_size_m_(cell_size_m), point_count_(points.size()) {
   UWB_EXPECTS(cell_size_m > 0.0);
-  std::vector<std::pair<CellKey, std::int32_t>> entries;
-  entries.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    entries.emplace_back(key_of(points[i]), static_cast<std::int32_t>(i));
+  std::vector<Box> boxes;
+  boxes.reserve(points.size());
+  for (const Vec2& p : points) {
+    const std::int32_t ix = coord(p.x), iy = coord(p.y);
+    boxes.push_back({ix, ix, iy, iy});
   }
-  bucket(std::move(entries));
+  bucket(boxes);
 }
 
 UniformGrid::UniformGrid(const std::vector<Segment>& segments)
@@ -73,10 +98,9 @@ UniformGrid::UniformGrid(const std::vector<Segment>& segments)
       point_count_(segments.size()) {
   // Cell coordinates of every padded box must fit the 32-bit lanes.
   constexpr double kMaxCoord = 1e9;
-  std::vector<std::pair<CellKey, std::int32_t>> entries;
-  entries.reserve(segments.size());
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    const Segment& s = segments[i];
+  std::vector<Box> boxes;
+  boxes.reserve(segments.size());
+  for (const Segment& s : segments) {
     const double x0 = std::min(s.a.x, s.b.x) - kSegmentPadM;
     const double x1 = std::max(s.a.x, s.b.x) + kSegmentPadM;
     const double y0 = std::min(s.a.y, s.b.y) - kSegmentPadM;
@@ -85,34 +109,96 @@ UniformGrid::UniformGrid(const std::vector<Segment>& segments)
                 std::abs(x1 / cell_size_m_) < kMaxCoord &&
                 std::abs(y0 / cell_size_m_) < kMaxCoord &&
                 std::abs(y1 / cell_size_m_) < kMaxCoord);
-    const std::int32_t ix1 = coord(x1);
-    const std::int32_t iy1 = coord(y1);
-    for (std::int32_t ix = coord(x0); ix <= ix1; ++ix)
-      for (std::int32_t iy = coord(y0); iy <= iy1; ++iy)
-        entries.emplace_back(pack(ix, iy), static_cast<std::int32_t>(i));
+    boxes.push_back({coord(x0), coord(x1), coord(y0), coord(y1)});
   }
-  bucket(std::move(entries));
+  bucket(boxes);
+  // The cell side puts at most n cells along either side of the set's
+  // bounding box and about n in its area, so the padded range holds about
+  // 5n + 4 cells (DESIGN.md Sect. 13.5): always within the slot table's
+  // limit.
+  UWB_ENSURES(cells_.empty() || !slots_.empty());
 }
 
-void UniformGrid::bucket(
-    std::vector<std::pair<CellKey, std::int32_t>> entries) {
+void UniformGrid::bucket(const std::vector<Box>& boxes) {
+  if (boxes.empty()) return;
+  std::uint64_t entries = 0;
+  min_ix_ = min_iy_ = std::numeric_limits<std::int32_t>::max();
+  max_ix_ = max_iy_ = std::numeric_limits<std::int32_t>::min();
+  for (const Box& b : boxes) {
+    entries += span(b.ix0, b.ix1) * span(b.iy0, b.iy1);
+    min_ix_ = std::min(min_ix_, b.ix0);
+    max_ix_ = std::max(max_ix_, b.ix1);
+    min_iy_ = std::min(min_iy_, b.iy0);
+    max_iy_ = std::max(max_iy_, b.iy1);
+  }
+  // Cell runs are addressed by 32-bit offsets and indices are int32.
+  UWB_EXPECTS(entries <= static_cast<std::uint64_t>(
+                             std::numeric_limits<std::int32_t>::max()));
+  indices_.resize(static_cast<std::size_t>(entries));
+  const std::uint64_t columns = span(min_ix_, max_ix_);
+  const std::uint64_t rows = span(min_iy_, max_iy_);
+  const std::uint64_t limit = kSlotsPerEntry * entries + kSlotSlack;
+  if (columns <= limit && rows <= limit / columns) {
+    slots_.assign(static_cast<std::size_t>(columns * rows), 0);
+    bucket_by_slot(boxes);
+  } else {
+    bucket_by_sort(boxes);
+  }
+}
+
+std::size_t UniformGrid::slot_of(std::int32_t ix, std::int32_t iy) const {
+  return static_cast<std::size_t>(std::int64_t{ix} - min_ix_) *
+             static_cast<std::size_t>(span(min_iy_, max_iy_)) +
+         static_cast<std::size_t>(std::int64_t{iy} - min_iy_);
+}
+
+void UniformGrid::bucket_by_slot(const std::vector<Box>& boxes) {
+  std::size_t occupied = 0;
+  for_each_entry(boxes, [&](std::int32_t, std::int32_t ix, std::int32_t iy) {
+    if (slots_[slot_of(ix, iy)]++ == 0) ++occupied;
+  });
+  // Lay the cells out in key order, each count becoming its run's offset
+  // and each slot the cell's ordinal. pack() orders iy as an unsigned lane,
+  // so a column's cells run 0 .. max_iy first, then min_iy .. -1.
+  cells_.reserve(occupied);
+  std::uint32_t first = 0;
+  const auto lay_out = [&](std::int32_t ix, std::int64_t iy0,
+                           std::int64_t iy1) {
+    for (std::int64_t y = iy0; y <= iy1; ++y) {
+      const auto iy = static_cast<std::int32_t>(y);
+      std::uint32_t& s = slots_[slot_of(ix, iy)];
+      if (s == 0) continue;
+      cells_.push_back({pack(ix, iy), first, 0});
+      first += s;
+      s = static_cast<std::uint32_t>(cells_.size());
+    }
+  };
+  for (std::int64_t ix = min_ix_; ix <= max_ix_; ++ix) {
+    lay_out(static_cast<std::int32_t>(ix), std::max(min_iy_, 0), max_iy_);
+    lay_out(static_cast<std::int32_t>(ix), min_iy_, std::min(max_iy_, -1));
+  }
+  // Fill in ascending entry index, so each run comes out ascending.
+  for_each_entry(boxes, [&](std::int32_t i, std::int32_t ix, std::int32_t iy) {
+    Cell& cell = cells_[slots_[slot_of(ix, iy)] - 1];
+    indices_[cell.first + cell.count++] = i;
+  });
+}
+
+void UniformGrid::bucket_by_sort(const std::vector<Box>& boxes) {
+  std::vector<std::pair<CellKey, std::int32_t>> entries;
+  entries.reserve(indices_.size());
+  for_each_entry(boxes, [&](std::int32_t i, std::int32_t ix, std::int32_t iy) {
+    entries.emplace_back(pack(ix, iy), i);
+  });
   // Sorting (key, index) pairs leaves each cell's indices ascending.
   std::sort(entries.begin(), entries.end());
-  entry_count_ = entries.size();
+  std::uint32_t k = 0;
   for (const auto& [key, index] : entries) {
     if (cells_.empty() || cells_.back().key != key) {
-      cells_.push_back(Cell{key, {}});
+      cells_.push_back({key, k, 0});
     }
-    cells_.back().indices.push_back(index);
-  }
-  if (cells_.empty()) return;
-  min_ix_ = max_ix_ = cell_ix(cells_.front().key);
-  min_iy_ = max_iy_ = cell_iy(cells_.front().key);
-  for (const Cell& cell : cells_) {
-    min_ix_ = std::min(min_ix_, cell_ix(cell.key));
-    max_ix_ = std::max(max_ix_, cell_ix(cell.key));
-    min_iy_ = std::min(min_iy_, cell_iy(cell.key));
-    max_iy_ = std::max(max_iy_, cell_iy(cell.key));
+    indices_[k++] = index;
+    ++cells_.back().count;
   }
 }
 
@@ -122,11 +208,23 @@ CellKey UniformGrid::key_of(Vec2 p) const {
 }
 
 const UniformGrid::Cell* UniformGrid::find(CellKey key) const {
-  auto it = std::lower_bound(
-      cells_.begin(), cells_.end(), key,
-      [](const Cell& c, CellKey k) { return c.key < k; });
-  if (it == cells_.end() || it->key != key) return nullptr;
-  return &*it;
+  return cell_at(cell_ix(key), cell_iy(key));
+}
+
+const UniformGrid::Cell* UniformGrid::cell_at(std::int32_t ix,
+                                              std::int32_t iy) const {
+  if (slots_.empty()) {
+    const CellKey key = pack(ix, iy);
+    auto it = std::lower_bound(
+        cells_.begin(), cells_.end(), key,
+        [](const Cell& c, CellKey k) { return c.key < k; });
+    if (it == cells_.end() || it->key != key) return nullptr;
+    return &*it;
+  }
+  if (ix < min_ix_ || ix > max_ix_ || iy < min_iy_ || iy > max_iy_)
+    return nullptr;
+  const std::uint32_t s = slots_[slot_of(ix, iy)];
+  return s == 0 ? nullptr : &cells_[s - 1];
 }
 
 void UniformGrid::neighborhood(Vec2 p, std::vector<std::int32_t>& out) const {
@@ -136,8 +234,9 @@ void UniformGrid::neighborhood(Vec2 p, std::vector<std::int32_t>& out) const {
   const std::size_t first = out.size();
   for (std::int32_t dx = -1; dx <= 1; ++dx) {
     for (std::int32_t dy = -1; dy <= 1; ++dy) {
-      if (const Cell* cell = find(pack(cx + dx, cy + dy))) {
-        out.insert(out.end(), cell->indices.begin(), cell->indices.end());
+      if (const Cell* cell = cell_at(cx + dx, cy + dy)) {
+        const auto run = indices(*cell);
+        out.insert(out.end(), run.begin(), run.end());
       }
     }
   }
@@ -197,8 +296,9 @@ void UniformGrid::along_segment(const Segment& s,
                     iy1))
       continue;
     for (std::int32_t iy = iy0; iy <= iy1; ++iy) {
-      if (const Cell* cell = find(pack(ix, iy))) {
-        out.insert(out.end(), cell->indices.begin(), cell->indices.end());
+      if (const Cell* cell = cell_at(ix, iy)) {
+        const auto run = indices(*cell);
+        out.insert(out.end(), run.begin(), run.end());
       }
     }
   }

@@ -8,13 +8,15 @@
 // by kSegmentPadM, touches; a segment query lists the segments bucketed in
 // the cells the padded query segment passes through (DESIGN.md Sect. 13.5).
 //
-// Both share one cell-key scheme. Cells are stored in a flat vector sorted
-// by packed cell key — deterministic iteration order, binary-search lookup,
-// no hashing and no pointer-chasing.
+// Both share one cell-key scheme and one flat layout: the occupied cells,
+// ascending by packed key, each naming its run of one index array. A slot
+// table over the occupied cell range finds a cell in O(1); a point set too
+// sparse for the table falls back to binary search over the keys. No
+// hashing, no pointer-chasing, no allocation per cell.
 #pragma once
 
 #include <cstdint>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "geom/vec2.hpp"
@@ -34,11 +36,13 @@ class UniformGrid {
   /// cell side.
   static constexpr double kSegmentPadM = 1e-6;
 
-  /// One occupied cell: packed coordinate plus the indices (into the point
-  /// or segment set the grid was built from) it contains, ascending.
+  /// One occupied cell: packed coordinate plus the run of the grid's index
+  /// array that holds its indices (into the point or segment set the grid
+  /// was built from); read them with indices(cell).
   struct Cell {
     CellKey key = 0;
-    std::vector<std::int32_t> indices;
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
   };
 
   /// An empty grid: no cells, every query returns nothing.
@@ -58,13 +62,18 @@ class UniformGrid {
   /// Number of points or segments the grid was built from.
   std::size_t point_count() const { return point_count_; }
   /// Total indices over all cells: the most one segment query appends.
-  std::size_t entry_count() const { return entry_count_; }
+  std::size_t entry_count() const { return indices_.size(); }
 
   /// Packed cell coordinate containing `p`.
   CellKey key_of(Vec2 p) const;
 
   /// Occupied cells, ascending by key.
   const std::vector<Cell>& cells() const { return cells_; }
+
+  /// The indices bucketed in `cell` (one of cells()), ascending.
+  std::span<const std::int32_t> indices(const Cell& cell) const {
+    return {indices_.data() + cell.first, cell.count};
+  }
 
   /// Cell with exactly `key`, or nullptr when unoccupied.
   const Cell* find(CellKey key) const;
@@ -92,14 +101,31 @@ class UniformGrid {
   static std::int32_t cell_iy(CellKey key);
 
  private:
+  /// The cells one point or padded segment covers, inclusive.
+  struct Box {
+    std::int32_t ix0, ix1, iy0, iy1;
+  };
+
   std::int32_t coord(double v) const;
-  /// Sort (key, index) entries into cells_ and record the occupied range.
-  void bucket(std::vector<std::pair<CellKey, std::int32_t>> entries);
+  /// Bucket entry i into every cell of boxes[i] and record the occupied
+  /// range: by counting sort through the slot table when the range is
+  /// small enough, else by sorting (key, index) pairs.
+  void bucket(const std::vector<Box>& boxes);
+  void bucket_by_slot(const std::vector<Box>& boxes);
+  void bucket_by_sort(const std::vector<Box>& boxes);
+  /// Slot of cell (ix, iy) inside the occupied range.
+  std::size_t slot_of(std::int32_t ix, std::int32_t iy) const;
+  /// Occupied cell at (ix, iy), or nullptr.
+  const Cell* cell_at(std::int32_t ix, std::int32_t iy) const;
 
   double cell_size_m_ = 0.0;
   std::size_t point_count_ = 0;
-  std::size_t entry_count_ = 0;
-  std::vector<Cell> cells_;
+  std::vector<Cell> cells_;            // ascending by key
+  std::vector<std::int32_t> indices_;  // cell by cell, each run ascending
+  // Dense grids: slot (ix - min_ix) * rows + (iy - min_iy) of the occupied
+  // range holds 1 + the cell's position in cells_, 0 when it is empty.
+  // Empty for a sparse grid, which binary-searches cells_ instead.
+  std::vector<std::uint32_t> slots_;
   // Occupied cell-coordinate range; segment queries clamp to it.
   std::int32_t min_ix_ = 0, max_ix_ = -1, min_iy_ = 0, max_iy_ = -1;
 };

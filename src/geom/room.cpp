@@ -4,23 +4,25 @@
 
 namespace uwb::geom {
 
-Room Room::rectangular(double width_m, double height_m, double reflection_loss_db) {
+Room Room::rectangular(double width_m, double height_m,
+                       double reflection_loss_db) {
   UWB_EXPECTS(width_m > 0.0 && height_m > 0.0);
   UWB_EXPECTS(reflection_loss_db >= 0.0);
   Room room;
-  const Vec2 bl{0.0, 0.0}, br{width_m, 0.0}, tr{width_m, height_m}, tl{0.0, height_m};
-  room.add_wall({{bl, br}, reflection_loss_db, "south"});
-  room.add_wall({{br, tr}, reflection_loss_db, "east"});
-  room.add_wall({{tr, tl}, reflection_loss_db, "north"});
-  room.add_wall({{tl, bl}, reflection_loss_db, "west"});
+  const Vec2 bl{0.0, 0.0}, br{width_m, 0.0};
+  const Vec2 tr{width_m, height_m}, tl{0.0, height_m};
+  room.add_wall({{bl, br}, reflection_loss_db});
+  room.add_wall({{br, tr}, reflection_loss_db});
+  room.add_wall({{tr, tl}, reflection_loss_db});
+  room.add_wall({{tl, bl}, reflection_loss_db});
   return room;
 }
 
 Room Room::hallway(double length_m, double width_m, double reflection_loss_db) {
   UWB_EXPECTS(length_m > 0.0 && width_m > 0.0);
   Room room;
-  room.add_wall({{{0.0, 0.0}, {length_m, 0.0}}, reflection_loss_db, "side-a"});
-  room.add_wall({{{0.0, width_m}, {length_m, width_m}}, reflection_loss_db, "side-b"});
+  room.add_wall({{{0.0, 0.0}, {length_m, 0.0}}, reflection_loss_db});
+  room.add_wall({{{0.0, width_m}, {length_m, width_m}}, reflection_loss_db});
   return room;
 }
 

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "geom/grid.hpp"
@@ -18,7 +17,6 @@ struct Wall {
   Segment segment;
   /// Power reflection loss in dB (>= 0); typical plasterboard ~ 4-8 dB.
   double reflection_loss_db = 6.0;
-  std::string name;
 };
 
 /// An obstacle that attenuates rays crossing it (e.g., a person, cabinet).
@@ -26,7 +24,6 @@ struct Obstacle {
   Segment segment;
   /// Power loss in dB added to any ray crossing the obstacle.
   double transmission_loss_db = 10.0;
-  std::string name;
 };
 
 /// A 2-D environment: a set of walls and obstacles.
@@ -44,8 +41,10 @@ class Room {
   static Room hallway(double length_m, double width_m,
                       double reflection_loss_db = 5.0);
 
-  void add_wall(Wall w) { walls_.push_back(std::move(w)); }
-  void add_obstacle(Obstacle o) { obstacles_.push_back(std::move(o)); }
+  void add_wall(const Wall& w) { walls_.push_back(w); }
+  void add_obstacle(const Obstacle& o) { obstacles_.push_back(o); }
+  /// Capacity for `n` obstacles in all, so adding them does not regrow.
+  void reserve_obstacles(std::size_t n) { obstacles_.reserve(n); }
 
   const std::vector<Wall>& walls() const { return walls_; }
   const std::vector<Obstacle>& obstacles() const { return obstacles_; }

@@ -1,7 +1,7 @@
 #include "sim/floorplan.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "common/expects.hpp"
 #include "common/random.hpp"
@@ -26,8 +26,7 @@ constexpr double kPartitionLossDb = 6.0;
 /// gap in each per-room span. `fixed` is the coordinate along the partition
 /// normal; spans run along the other axis in steps of `span_m`.
 void add_partition(geom::Room& room, bool vertical, double fixed, int spans,
-                   double span_m, double doorway_m, double loss_db,
-                   const std::string& name) {
+                   double span_m, double doorway_m, double loss_db) {
   const double solid = (span_m - doorway_m) / 2.0;
   for (int i = 0; i < spans; ++i) {
     const double lo = span_m * i;
@@ -36,7 +35,6 @@ void add_partition(geom::Room& room, bool vertical, double fixed, int spans,
       o.segment = vertical ? geom::Segment{{fixed, a}, {fixed, b}}
                            : geom::Segment{{a, fixed}, {b, fixed}};
       o.transmission_loss_db = loss_db;
-      o.name = name;
       room.add_obstacle(o);
     };
     seg(lo, lo + solid);
@@ -54,15 +52,18 @@ FloorPlan make_floor_plan(const FloorPlanConfig& config) {
   plan.room = geom::Room::rectangular(kRoomWM * config.rooms_x,
                                       kRoomHM * config.rooms_y,
                                       kOuterReflectionLossDb);
-  for (int ix = 1; ix < config.rooms_x; ++ix) {
-    add_partition(plan.room, /*vertical=*/true, kRoomWM * ix, config.rooms_y,
-                  kRoomHM, kDoorwayM, kPartitionLossDb,
-                  "partition_x" + std::to_string(ix));
+  // Two segments per room edge of every interior partition line.
+  const int rx = config.rooms_x;
+  const int ry = config.rooms_y;
+  plan.room.reserve_obstacles(
+      static_cast<std::size_t>(2 * ((rx - 1) * ry + (ry - 1) * rx)));
+  for (int ix = 1; ix < rx; ++ix) {
+    add_partition(plan.room, /*vertical=*/true, kRoomWM * ix, ry, kRoomHM,
+                  kDoorwayM, kPartitionLossDb);
   }
-  for (int iy = 1; iy < config.rooms_y; ++iy) {
-    add_partition(plan.room, /*vertical=*/false, kRoomHM * iy, config.rooms_x,
-                  kRoomWM, kDoorwayM, kPartitionLossDb,
-                  "partition_y" + std::to_string(iy));
+  for (int iy = 1; iy < ry; ++iy) {
+    add_partition(plan.room, /*vertical=*/false, kRoomHM * iy, rx, kRoomWM,
+                  kDoorwayM, kPartitionLossDb);
   }
   return plan;
 }

@@ -271,11 +271,11 @@ void Medium::transmit(int tx_node_id, const dw::MacFrame& frame,
     // cells) per frame).
     for (const geom::UniformGrid::Cell& cell : grid_.cells()) {
       if (grid_.in_neighborhood(tx_pos, cell.key)) continue;
-      const auto n = static_cast<std::uint64_t>(cell.indices.size());
+      const std::uint64_t n = cell.count;
       culled += n;
       cell_traffic_entry(cell.key).culled += n;
       if (UWB_FR_ACTIVE()) {
-        for (const std::int32_t idx : cell.indices) {
+        for (const std::int32_t idx : grid_.indices(cell)) {
           const Node& rx = *nodes_[static_cast<std::size_t>(idx)];
           UWB_FR_EVENT(.kind = obs::FrKind::kChannel, .name = "culled",
                        .chain = frame_seed, .t_ps = preamble_start.ps(),

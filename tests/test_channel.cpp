@@ -292,7 +292,7 @@ TEST_F(ChannelModelTest, ObstructedLosWeakerThanClear) {
   params_.enable_diffuse = false;
   params_.specular_fading_db = 0.0;
   geom::Room blocked = room_;
-  blocked.add_obstacle({{{7.0, 0.0}, {7.0, 10.0}}, 20.0, "blocker"});
+  blocked.add_obstacle({{{7.0, 0.0}, {7.0, 10.0}}, 20.0});
   ChannelModel clear_model(room_, params_);
   ChannelModel blocked_model(blocked, params_);
   Rng rng(11);
@@ -309,7 +309,7 @@ TEST_F(ChannelModelTest, NlosCanMakeMpcStrongerThanDirect) {
   params_.enable_diffuse = false;
   params_.specular_fading_db = 0.0;
   geom::Room blocked = geom::Room::rectangular(20.0, 10.0, 3.0);
-  blocked.add_obstacle({{{7.0, 4.0}, {7.0, 6.0}}, 25.0, "cabinet"});
+  blocked.add_obstacle({{{7.0, 4.0}, {7.0, 6.0}}, 25.0});
   ChannelModel model(blocked, params_);
   Rng rng(12);
   const auto ch = model.realize({2.0, 5.0}, {12.0, 5.0}, rng);

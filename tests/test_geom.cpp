@@ -118,8 +118,8 @@ TEST(RoomTest, HallwayHasTwoWalls) {
 
 TEST(RoomTest, ObstructionLossAccumulates) {
   Room room = Room::rectangular(10.0, 10.0);
-  room.add_obstacle({{{5.0, 0.0}, {5.0, 10.0}}, 12.0, "divider"});
-  room.add_obstacle({{{7.0, 0.0}, {7.0, 10.0}}, 5.0, "shelf"});
+  room.add_obstacle({{{5.0, 0.0}, {5.0, 10.0}}, 12.0});
+  room.add_obstacle({{{7.0, 0.0}, {7.0, 10.0}}, 5.0});
   EXPECT_DOUBLE_EQ(room.obstruction_loss_db({1.0, 5.0}, {9.0, 5.0}), 17.0);
   EXPECT_DOUBLE_EQ(room.obstruction_loss_db({1.0, 5.0}, {4.0, 5.0}), 0.0);
   // A ray parallel to (not crossing) the obstacle is free.
@@ -185,7 +185,8 @@ TEST(ImageSourceTest, MaxOrderZeroIsLosOnly) {
   const Room room = Room::rectangular(10.0, 6.0);
   const auto paths = compute_paths(room, {2.0, 3.0}, {8.0, 3.0}, 0);
   EXPECT_EQ(paths.size(), 1u);
-  EXPECT_THROW(compute_paths(room, {1.0, 1.0}, {2.0, 2.0}, 3), PreconditionError);
+  EXPECT_THROW(compute_paths(room, {1.0, 1.0}, {2.0, 2.0}, 3),
+               PreconditionError);
 }
 
 TEST(ImageSourceTest, HallwayGivesTwoSideReflections) {
@@ -199,7 +200,7 @@ TEST(ImageSourceTest, HallwayGivesTwoSideReflections) {
 
 TEST(ImageSourceTest, ObstructedLosCarriesLoss) {
   Room room = Room::rectangular(10.0, 6.0);
-  room.add_obstacle({{{5.0, 0.0}, {5.0, 6.0}}, 15.0, "wall"});
+  room.add_obstacle({{{5.0, 0.0}, {5.0, 6.0}}, 15.0});
   const auto paths = compute_paths(room, {2.0, 3.0}, {8.0, 3.0}, 0);
   EXPECT_DOUBLE_EQ(paths.front().obstruction_loss_db, 15.0);
 }
@@ -267,8 +268,7 @@ Room random_obstacles(Rng& rng, int count, Vec2 origin, double size) {
     const double angle =
         i % 2 == 0 ? partition : rng.uniform(0.0, 2.0 * std::numbers::pi);
     const Vec2 b = a + Vec2{length * std::cos(angle), length * std::sin(angle)};
-    room.add_obstacle(
-        {{a, b}, 1.0 + 0.1 * i + rng.uniform(0.0, 0.1), "o"});
+    room.add_obstacle({{a, b}, 1.0 + 0.1 * i + rng.uniform(0.0, 0.1)});
   }
   return room;
 }
@@ -391,18 +391,16 @@ TEST(ObstacleGridTest, RandomObstaclesMatchFullLoop) {
 Room anchored_room(Vec2 origin, double size,
                    const std::vector<Obstacle>& inner) {
   Room room;
-  room.add_obstacle({{origin, origin + Vec2{0.5, 0.0}}, 2.3, "anchor"});
+  room.add_obstacle({{origin, origin + Vec2{0.5, 0.0}}, 2.3});
   room.add_obstacle(
-      {{origin + Vec2{size - 0.5, size}, origin + Vec2{size, size}},
-       3.7,
-       "anchor"});
+      {{origin + Vec2{size - 0.5, size}, origin + Vec2{size, size}}, 3.7});
   for (const Obstacle& o : inner) room.add_obstacle(o);
   return room;
 }
 
 /// A point obstacle inside the anchored box: crossed by nothing.
 Obstacle placeholder(Vec2 origin) {
-  return {{origin + Vec2{1.0, 1.0}, origin + Vec2{1.0, 1.0}}, 1.0, "point"};
+  return {{origin + Vec2{1.0, 1.0}, origin + Vec2{1.0, 1.0}}, 1.0};
 }
 
 /// Cell side of every anchored_room with `count` obstacles in all.
@@ -449,8 +447,7 @@ TEST(ObstacleGridTest, SnappedToCellBoundariesMatchFullLoop) {
       const bool flip = k % 6 == 5;
       inner.push_back({{corner(i, flip ? j + dj : j),
                         corner(i + di, flip ? j : j + dj)},
-                       1.0 + 0.1 * k + rng.uniform(0.0, 0.1),
-                       "o"});
+                       1.0 + 0.1 * k + rng.uniform(0.0, 0.1)});
     }
     const Room room = anchored_room(origin, size, inner);
     ASSERT_EQ(room.obstacle_grid().cell_size_m(), side);
@@ -498,7 +495,7 @@ TEST(ObstacleGridTest, CrossingsInTheUlpBelowAColumnEdgeMatchFullLoop) {
       if (std::floor(below / side) != static_cast<double>(c)) continue;
       const double k = static_cast<double>(rays.size());
       const double y = offset + 4.0 + 0.37 * k;
-      inner.push_back({{{below, y}, {below + 2.0, y}}, 1.0 + 0.1 * k, "o"});
+      inner.push_back({{{below, y}, {below + 2.0, y}}, 1.0 + 0.1 * k});
       rays.push_back({{below, y - 3.0 * side}, {edge, y + 3.0 * side}});
     }
     ASSERT_FALSE(rays.empty()) << "no column edge with a gap below it";

@@ -1,5 +1,6 @@
 // Steady-state heap allocations of the four `// uwb-hot-path` functions,
-// reached through their public callers.
+// reached through their public callers, and of the obstacle grid each
+// channel model builds.
 //
 // This binary replaces the global operator new with a counting one. Each
 // test first warms its caller up (thread-local shards and handles, the
@@ -25,6 +26,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/obs.hpp"
 #include "ranging/search_subtract.hpp"
+#include "sim/floorplan.hpp"
 #include "sim/medium.hpp"
 #include "sim/node.hpp"
 #include "sim/simulator.hpp"
@@ -285,6 +287,23 @@ TEST(HotPathAllocTest, MediumDeliverAllocatesThreePerCall) {
     EXPECT_EQ(n, kPerDeliver * delivered) << "transmit " << i;
     simulator.run();
   }
+}
+
+// Room::obstacle_grid on the 210-room plan of the building benchmarks (782
+// partition segments): the segment list, the cells' bounding boxes, the
+// slot table, the cells and the index array, whatever the plan's size. A
+// vector per occupied cell would add one allocation for each of its 611
+// cells. There is nothing to warm up: the build keeps no state.
+TEST(HotPathAllocTest, ObstacleGridBuildAllocatesAFixedCount) {
+  constexpr std::uint64_t kPerBuild = 5;
+  const sim::FloorPlan plan =
+      sim::make_floor_plan(sim::plan_for_nodes(201, /*nodes_per_room=*/1.0));
+  ASSERT_EQ(plan.room_count(), 210);
+  ASSERT_EQ(plan.room.obstacles().size(), 782u);
+  geom::UniformGrid grid;
+  EXPECT_EQ(allocations_in([&] { grid = plan.room.obstacle_grid(); }),
+            kPerBuild);
+  EXPECT_GT(grid.cells().size(), 600u);
 }
 
 }  // namespace

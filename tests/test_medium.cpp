@@ -110,7 +110,7 @@ TEST(MediumTest, ObstructedDirectPathLocksToReflection) {
   // Bury the direct path: the receiver's first detectable path is a wall
   // reflection, so the reported ToF is biased long.
   geom::Room room = geom::Room::rectangular(30.0, 10.0, 3.0);
-  room.add_obstacle({{{15.0, 4.0}, {15.0, 6.0}}, 40.0, "vault door"});
+  room.add_obstacle({{{15.0, 4.0}, {15.0, 6.0}}, 40.0});
   channel::ChannelModelParams ch;
   ch.specular_fading_db = 0.0;
   ch.enable_diffuse = false;
@@ -122,7 +122,8 @@ TEST(MediumTest, ObstructedDirectPathLocksToReflection) {
   rx.enter_rx();
   dw::MacFrame f;
   dw::DwTimestamp tx_ts;
-  bench.sim.after(SimTime::from_micros(5.0), [&] { tx_ts = tx.transmit_now(f); });
+  bench.sim.after(SimTime::from_micros(5.0),
+                  [&] { tx_ts = tx.transmit_now(f); });
   bench.sim.run();
   ASSERT_TRUE(got.has_value());
   const double tof = got->rx_timestamp.diff_seconds(tx_ts).value();

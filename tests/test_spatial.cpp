@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <utility>
 #include <vector>
@@ -50,8 +51,107 @@ TEST(GridTest, BucketsPointsDeterministically) {
   ASSERT_EQ(grid.cells().size(), 3u);
   const geom::UniformGrid::Cell* origin = grid.find(grid.key_of({0.5, 0.5}));
   ASSERT_NE(origin, nullptr);
-  EXPECT_EQ(origin->indices, (std::vector<std::int32_t>{0, 2}));
+  const auto indices = grid.indices(*origin);
+  EXPECT_EQ(std::vector<std::int32_t>(indices.begin(), indices.end()),
+            (std::vector<std::int32_t>{0, 2}));
   EXPECT_EQ(grid.find(geom::UniformGrid::pack(50, 50)), nullptr);
+}
+
+/// The flat layout's invariants: cells strictly ascending by key, each
+/// cell's indices ascending and non-empty, the counts summing to
+/// entry_count(), and find() agreeing with a linear scan of cells() for
+/// every key in `probes`.
+void expect_flat_layout(const geom::UniformGrid& grid,
+                        const std::vector<geom::CellKey>& probes) {
+  const std::vector<geom::UniformGrid::Cell>& cells = grid.cells();
+  std::size_t total = 0;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    if (c > 0) {
+      EXPECT_LT(cells[c - 1].key, cells[c].key) << "cell " << c;
+    }
+    const auto run = grid.indices(cells[c]);
+    EXPECT_FALSE(run.empty());
+    EXPECT_TRUE(std::adjacent_find(run.begin(), run.end(),
+                                   std::greater_equal<>()) == run.end());
+    total += cells[c].count;
+  }
+  EXPECT_EQ(total, grid.entry_count());
+  for (const geom::CellKey key : probes) {
+    const geom::UniformGrid::Cell* scan = nullptr;
+    for (const geom::UniformGrid::Cell& cell : cells)
+      if (cell.key == key) scan = &cell;
+    EXPECT_EQ(grid.find(key), scan)
+        << "(" << geom::UniformGrid::cell_ix(key) << ", "
+        << geom::UniformGrid::cell_iy(key) << ")";
+  }
+}
+
+/// Every key of the grid's occupied cell range widened by one cell, after
+/// checking that the range straddles both axes.
+std::vector<geom::CellKey> widened_range(const geom::UniformGrid& grid) {
+  std::int32_t x0 = 0, x1 = 0, y0 = 0, y1 = 0;
+  for (const geom::UniformGrid::Cell& cell : grid.cells()) {
+    x0 = std::min(x0, geom::UniformGrid::cell_ix(cell.key));
+    x1 = std::max(x1, geom::UniformGrid::cell_ix(cell.key));
+    y0 = std::min(y0, geom::UniformGrid::cell_iy(cell.key));
+    y1 = std::max(y1, geom::UniformGrid::cell_iy(cell.key));
+  }
+  EXPECT_TRUE(x0 < 0 && x1 > 0 && y0 < 0 && y1 > 0);
+  std::vector<geom::CellKey> keys;
+  for (std::int32_t ix = x0 - 1; ix <= x1 + 1; ++ix)
+    for (std::int32_t iy = y0 - 1; iy <= y1 + 1; ++iy)
+      keys.push_back(geom::UniformGrid::pack(ix, iy));
+  return keys;
+}
+
+TEST(GridTest, CellsAscendByKeyAcrossTheOrigin) {
+  // pack() orders iy as an unsigned lane, so negative rows sort after the
+  // others: a layout in slot order would fail the ascending check.
+  Rng rng(41);
+  std::vector<geom::Vec2> points;
+  for (int i = 0; i < 120; ++i)
+    points.push_back({rng.uniform(-20.0, 20.0), rng.uniform(-15.0, 25.0)});
+  const geom::UniformGrid point_grid(points, 3.0);
+  expect_flat_layout(point_grid, widened_range(point_grid));
+
+  std::vector<geom::Segment> segments;
+  for (int i = 0; i < 90; ++i) {
+    const geom::Vec2 a{rng.uniform(-30.0, 25.0), rng.uniform(-25.0, 30.0)};
+    const geom::Vec2 b =
+        a + geom::Vec2{rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)};
+    segments.push_back({a, b});
+  }
+  const geom::UniformGrid segment_grid(segments);
+  ASSERT_GT(segment_grid.entry_count(), segments.size());
+  expect_flat_layout(segment_grid, widened_range(segment_grid));
+}
+
+TEST(GridTest, SparsePointSetStaysLinear) {
+  // Cells ~1e9 apart on both axes: a slot table over that range could not
+  // be allocated, so the grid must keep its binary search.
+  const std::vector<geom::Vec2> points = {
+      {-1e9, -1e9}, {1e9, 1e9}, {-1e9, 1e9}, {1e9, -1e9},
+      {0.5, 0.5},   {0.6, -0.2}, {1.5, 0.5}, {1e9 + 0.5, 1e9 + 0.2}};
+  const geom::UniformGrid grid(points, 1.0);
+  ASSERT_EQ(grid.cells().size(), 7u);
+  std::vector<geom::CellKey> probes;
+  for (const geom::UniformGrid::Cell& cell : grid.cells()) {
+    const std::int32_t ix = geom::UniformGrid::cell_ix(cell.key);
+    const std::int32_t iy = geom::UniformGrid::cell_iy(cell.key);
+    for (std::int32_t dx = -1; dx <= 1; ++dx)
+      for (std::int32_t dy = -1; dy <= 1; ++dy)
+        probes.push_back(geom::UniformGrid::pack(ix + dx, iy + dy));
+  }
+  expect_flat_layout(grid, probes);
+  const auto near = [&grid](geom::Vec2 p) {
+    std::vector<std::int32_t> out;
+    grid.neighborhood(p, out);
+    return out;
+  };
+  EXPECT_EQ(near({0.0, 0.0}), (std::vector<std::int32_t>{4, 5, 6}));
+  EXPECT_EQ(near({1e9, 1e9}), (std::vector<std::int32_t>{1, 7}));
+  EXPECT_EQ(near({-1e9 + 1.5, 1e9}), (std::vector<std::int32_t>{2}));
+  EXPECT_TRUE(near({5e8, 5e8}).empty());
 }
 
 TEST(GridTest, NeighborhoodCoversEveryPointWithinCellSize) {
@@ -672,8 +772,7 @@ TEST(SpecularGateTest, HallwayDeliveriesCarryRealizeTaps) {
       ranging::ScenarioConfig cfg;
       cfg.room = geom::Room::hallway(40.0, 2.4, /*reflection_loss_db=*/15.0);
       if (variant > 0)
-        cfg.room.add_obstacle(
-            {{{6.5, y - 0.4}, {6.5, y + 0.4}}, 40.0, "cabinet"});
+        cfg.room.add_obstacle({{{6.5, y - 0.4}, {6.5, y + 0.4}}, 40.0});
       cfg.initiator_position = {2.0, y};
       cfg.responders = {{0, {5.0, y}}, {1, {8.0, y}}, {2, {12.0, y}}};
       cfg.seed = seed;
